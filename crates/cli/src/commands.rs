@@ -93,9 +93,7 @@ COMMANDS
              on stdout once the listener is bound, then serves until a
              Shutdown frame arrives
              --id 0 --listen 127.0.0.1:0 --shards 1 --queue 1024
-             --idle spin-then-park --ring-mode auto|mpsc (spsc is
-               rejected: the listener admits remote producers)
-             --cores 0 --pin false
+             --idle spin-then-park --cores 0 --pin false
              --deadline-us 1000000 --retries 2 --backoff-us 5
              --timeout-threshold 16
              --window 8 (credit window on node→peer forward links;
@@ -115,7 +113,7 @@ COMMANDS
              --window 8 (frames in flight per driver→node and
                node→peer connection; 1 = PR 8 stop-and-wait)
              --wire-batch 64 --max-conns 1024
-             --idle spin-then-park --ring-mode auto --cores 0 --pin false
+             --idle spin-then-park --cores 0 --pin false
              --deadline-us --retries --backoff-us --timeout-threshold
              --faults \"kill:1@2000,revive:1@4000\" (forms: kill:N@OP
                revive:N@OP; requires child processes, i.e. not
@@ -517,44 +515,8 @@ fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
     ];
     known.extend(ADAPT_FLAGS);
     args.ensure_known(&known)?;
-    let policy = match args.str_or("policy", "static").as_str() {
-        "static" | "provisioned" => StorePolicy::Provisioned,
-        "lru" | "dynamic" => StorePolicy::Lru,
-        other => return Err(ArgError(format!("--policy {other:?}: expected static or lru"))),
-    };
-    let usize_flag = |flag: &str, default: u64| -> Result<usize, ArgError> {
-        usize::try_from(args.u64_or(flag, default)?).map_err(|e| ArgError(format!("--{flag}: {e}")))
-    };
-    let idle = IdleStrategy::parse(&args.str_or("idle", "spin-then-park"))
-        .map_err(|e| ArgError(format!("--idle: {e}")))?;
-    let ring_mode = match args.str_or("ring-mode", "mpsc").as_str() {
-        "mpsc" => RingMode::Mpsc,
-        "auto" => RingMode::Auto,
-        "spsc" => RingMode::Spsc,
-        other => {
-            return Err(ArgError(format!("--ring-mode {other:?}: expected mpsc, auto, or spsc")))
-        }
-    };
-    let u32_flag = |flag: &str, default: u64| -> Result<u32, ArgError> {
-        u32::try_from(args.u64_or(flag, default)?).map_err(|e| ArgError(format!("--{flag}: {e}")))
-    };
-    let degrade = DegradeConfig {
-        forward_deadline: std::time::Duration::from_micros(
-            args.u64_or(
-                "deadline-us",
-                DegradeConfig::default().forward_deadline.as_micros() as u64,
-            )?,
-        ),
-        forward_retries: u32_flag("retries", u64::from(DegradeConfig::default().forward_retries))?,
-        timeout_threshold: u32_flag(
-            "timeout-threshold",
-            u64::from(DegradeConfig::default().timeout_threshold),
-        )?,
-        probation_ops: args.u64_or("probation-ops", DegradeConfig::default().probation_ops)?,
-        ..DegradeConfig::default()
-    };
-    let nodes = usize_flag("nodes", 4)?;
-    let shards_per_node = usize_flag("shards", 1)?;
+    let nodes = usize_flag(args, "nodes", 4)?;
+    let shards_per_node = usize_flag(args, "shards", 1)?;
     let rate = args.f64_or("rate", 2.0)?;
     let duration = args.f64_or("duration", 1_000.0)?;
     let faults_spec = args.str_or("faults", "");
@@ -572,27 +534,27 @@ fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
         cluster: ClusterConfig {
             nodes,
             shards_per_node,
-            queue_capacity: usize_flag("queue", 1_024)?,
+            queue_capacity: usize_flag(args, "queue", 1_024)?,
             catalogue: args.u64_or("catalogue", 10_000)?,
             capacity: args.u64_or("capacity", 100)?,
             ell: args.f64_or("ell", 0.5)?,
-            policy,
-            idle,
-            degrade,
+            policy: parse_policy_flag(args)?,
+            idle: parse_idle_flag(args)?,
+            degrade: parse_degrade_flags(args)?,
             placement: ShardPlacement::new(
-                usize_flag("cores", 0)?,
+                usize_flag(args, "cores", 0)?,
                 parse_bool(args, "pin", "false")?,
             ),
-            ring_mode,
+            ring_mode: parse_ring_mode_flag(args)?,
         },
         load: OpenLoopConfig {
-            generators: usize_flag("generators", 1)?,
+            generators: usize_flag(args, "generators", 1)?,
             zipf_s: args.f64_or("s", 0.8)?,
             rate_per_node_per_ms: rate,
             horizon_ms: duration,
             paced: parse_bool(args, "paced", "false")?,
             seed: args.u64_or("seed", 42)?,
-            batch: usize_flag("batch", 1)?,
+            batch: usize_flag(args, "batch", 1)?,
             drift: parse_drift_flag(&args.str_or("drift", ""))?,
         },
         faults,
@@ -695,13 +657,25 @@ fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
     Ok(out)
 }
 
+fn usize_flag(args: &Args, flag: &str, default: u64) -> Result<usize, ArgError> {
+    usize::try_from(args.u64_or(flag, default)?).map_err(|e| ArgError(format!("--{flag}: {e}")))
+}
+
+fn parse_policy_flag(args: &Args) -> Result<StorePolicy, ArgError> {
+    match args.str_or("policy", "static").as_str() {
+        "static" | "provisioned" => Ok(StorePolicy::Provisioned),
+        "lru" | "dynamic" => Ok(StorePolicy::Lru),
+        other => Err(ArgError(format!("--policy {other:?}: expected static or lru"))),
+    }
+}
+
 fn parse_idle_flag(args: &Args) -> Result<IdleStrategy, ArgError> {
     IdleStrategy::parse(&args.str_or("idle", "spin-then-park"))
         .map_err(|e| ArgError(format!("--idle: {e}")))
 }
 
-fn parse_ring_mode_flag(args: &Args, default: &str) -> Result<RingMode, ArgError> {
-    match args.str_or("ring-mode", default).as_str() {
+fn parse_ring_mode_flag(args: &Args) -> Result<RingMode, ArgError> {
+    match args.str_or("ring-mode", "mpsc").as_str() {
         "mpsc" => Ok(RingMode::Mpsc),
         "auto" => Ok(RingMode::Auto),
         "spsc" => Ok(RingMode::Spsc),
@@ -821,7 +795,6 @@ fn node_cmd(args: &Args) -> Result<String, ArgError> {
         "shards",
         "queue",
         "idle",
-        "ring-mode",
         "cores",
         "pin",
         "deadline-us",
@@ -833,21 +806,17 @@ fn node_cmd(args: &Args) -> Result<String, ArgError> {
         "wire-batch",
         "max-conns",
     ])?;
-    let usize_flag = |flag: &str, default: u64| -> Result<usize, ArgError> {
-        usize::try_from(args.u64_or(flag, default)?).map_err(|e| ArgError(format!("--{flag}: {e}")))
-    };
-    let mut config = NodeConfig::new(usize_flag("id", 0)?);
+    let mut config = NodeConfig::new(usize_flag(args, "id", 0)?);
     config.listen = args.str_or("listen", "127.0.0.1:0");
-    config.shards = usize_flag("shards", 1)?;
-    config.queue_capacity = usize_flag("queue", 1_024)?;
+    config.shards = usize_flag(args, "shards", 1)?;
+    config.queue_capacity = usize_flag(args, "queue", 1_024)?;
     config.idle = parse_idle_flag(args)?;
-    config.ring_mode = parse_ring_mode_flag(args, "auto")?;
     config.placement =
-        ShardPlacement::new(usize_flag("cores", 0)?, parse_bool(args, "pin", "false")?);
+        ShardPlacement::new(usize_flag(args, "cores", 0)?, parse_bool(args, "pin", "false")?);
     config.degrade = parse_degrade_flags(args)?;
-    config.window = usize_flag("window", 8)?;
-    config.wire_batch = usize_flag("wire-batch", 64)?;
-    config.max_connections = usize_flag("max-conns", 1_024)?;
+    config.window = usize_flag(args, "window", 8)?;
+    config.wire_batch = usize_flag(args, "wire-batch", 64)?;
+    config.max_connections = usize_flag(args, "max-conns", 1_024)?;
     let id = config.id;
     let server = NodeServer::bind(config).map_err(|e| ArgError(e.to_string()))?;
     // The spawning driver blocks on this line; flush before serving.
@@ -1030,7 +999,6 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
         "wire-batch",
         "max-conns",
         "idle",
-        "ring-mode",
         "cores",
         "pin",
         "deadline-us",
@@ -1047,33 +1015,25 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
     ];
     known.extend(ADAPT_FLAGS);
     args.ensure_known(&known)?;
-    let usize_flag = |flag: &str, default: u64| -> Result<usize, ArgError> {
-        usize::try_from(args.u64_or(flag, default)?).map_err(|e| ArgError(format!("--{flag}: {e}")))
-    };
-    let mut spec = WireSpec::new(usize_flag("nodes", 3)?);
-    spec.shards_per_node = usize_flag("shards", 1)?;
-    spec.queue_capacity = usize_flag("queue", 1_024)?;
+    let mut spec = WireSpec::new(usize_flag(args, "nodes", 3)?);
+    spec.shards_per_node = usize_flag(args, "shards", 1)?;
+    spec.queue_capacity = usize_flag(args, "queue", 1_024)?;
     spec.catalogue = args.u64_or("catalogue", 10_000)?;
     spec.capacity = args.u64_or("capacity", 100)?;
     spec.ell = args.f64_or("ell", 0.5)?;
-    spec.policy = match args.str_or("policy", "static").as_str() {
-        "static" | "provisioned" => StorePolicy::Provisioned,
-        "lru" | "dynamic" => StorePolicy::Lru,
-        other => return Err(ArgError(format!("--policy {other:?}: expected static or lru"))),
-    };
+    spec.policy = parse_policy_flag(args)?;
     spec.zipf_s = args.f64_or("s", 0.8)?;
     spec.rate_per_node_per_ms = args.f64_or("rate", 0.5)?;
     spec.horizon_ms = args.f64_or("duration", 1_000.0)?;
     spec.paced = parse_bool(args, "paced", "false")?;
     spec.seed = args.u64_or("seed", 42)?;
-    spec.batch = usize_flag("batch", 64)?;
-    spec.window = usize_flag("window", 8)?;
-    spec.wire_batch = usize_flag("wire-batch", 64)?;
-    spec.max_conns = usize_flag("max-conns", 1_024)?;
+    spec.batch = usize_flag(args, "batch", 64)?;
+    spec.window = usize_flag(args, "window", 8)?;
+    spec.wire_batch = usize_flag(args, "wire-batch", 64)?;
+    spec.max_conns = usize_flag(args, "max-conns", 1_024)?;
     spec.idle = parse_idle_flag(args)?;
-    spec.ring_mode = parse_ring_mode_flag(args, "auto")?;
     spec.placement =
-        ShardPlacement::new(usize_flag("cores", 0)?, parse_bool(args, "pin", "false")?);
+        ShardPlacement::new(usize_flag(args, "cores", 0)?, parse_bool(args, "pin", "false")?);
     spec.degrade = parse_degrade_flags(args)?;
     spec.faults = parse_wire_faults(&args.str_or("faults", ""))?;
     spec.adapt = parse_adapt_flags(args)?;
@@ -1294,11 +1254,15 @@ mod tests {
         }
     }
 
+    /// The wire tier's rings are always MPSC, so neither wire command
+    /// takes a ring mode any more: the flag is an unknown-flag error,
+    /// not a silently ignored setting.
     #[test]
-    fn node_rejects_spsc_ring_mode() {
-        let err =
-            run_tokens(&["node", "--ring-mode", "spsc", "--listen", "127.0.0.1:0"]).unwrap_err();
-        assert!(err.to_string().contains("SPSC"), "{err}");
+    fn wire_commands_reject_the_retired_ring_mode_flag() {
+        for cmd in ["node", "wire-bench"] {
+            let err = run_tokens(&[cmd, "--ring-mode", "mpsc"]).unwrap_err();
+            assert!(err.to_string().contains("unknown flag --ring-mode"), "{cmd}: {err}");
+        }
     }
 
     #[test]

@@ -81,49 +81,15 @@ pub enum StorePolicy {
     Lru,
 }
 
-/// Reusable grouping of a batch's misses by destination holder — the
-/// miss-coalescing hand-off between a probe sweep and the peer tier.
-/// The in-process [`BatchSubmitter`] coalesces per *shard ring*; the
-/// wire tier groups per *holder node* with this scratch so a burst of
-/// misses to one peer becomes one `PeerForwardBatch` frame instead of
-/// N single forwards. Holds item *indices* into the caller's batch,
-/// so the caller can map verdicts back to input order.
-///
-/// `reset` keeps the per-holder vectors, so a warm serve loop groups
-/// without allocating.
-#[derive(Debug, Default)]
-pub(crate) struct HolderGroups {
-    items: Vec<Vec<usize>>,
-    occupied: Vec<usize>,
-}
-
-impl HolderGroups {
-    /// Clears the grouping for a cluster of `holders` nodes.
-    pub(crate) fn reset(&mut self, holders: usize) {
-        for group in &mut self.items {
-            group.clear();
-        }
-        self.items.resize_with(holders, Vec::new);
-        self.occupied.clear();
-    }
-
-    /// Adds batch item `index` to `holder`'s group.
-    pub(crate) fn push(&mut self, holder: usize, index: usize) {
-        if self.items[holder].is_empty() {
-            self.occupied.push(holder);
-        }
-        self.items[holder].push(index);
-    }
-
-    /// Holders with at least one grouped item, in first-seen order.
-    pub(crate) fn occupied(&self) -> &[usize] {
-        &self.occupied
-    }
-
-    /// The batch indices grouped under `holder`.
-    pub(crate) fn items(&self, holder: usize) -> &[usize] {
-        &self.items[holder]
-    }
+/// The hybrid split `(c − x, x)` of a `capacity`-slot store at
+/// coordination level `ell`: local popularity prefix and coordinated
+/// slots, with `x = round(ℓ·c)` — the same rounding
+/// [`ccn_sim::scenario::steady_state`] applies, so both engine tiers
+/// and the simulator provision identical layouts.
+pub(crate) fn hybrid_split(ell: f64, capacity: u64) -> (u64, u64) {
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    let x = (ell * capacity as f64).round() as u64;
+    (capacity - x, x)
 }
 
 /// Static configuration of a serving cluster.
@@ -185,21 +151,16 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Coordinated slots per node, `x = round(ℓ·c)` — the same
-    /// rounding [`ccn_sim::scenario::steady_state`] applies, so engine
-    /// and simulator provision identical layouts.
+    /// Coordinated slots per node, `x = round(ℓ·c)`.
     #[must_use]
     pub fn x(&self) -> u64 {
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        {
-            (self.ell * self.capacity as f64).round() as u64
-        }
+        hybrid_split(self.ell, self.capacity).1
     }
 
     /// Local popularity prefix `c − x`.
     #[must_use]
     pub fn local_prefix(&self) -> u64 {
-        self.capacity - self.x()
+        hybrid_split(self.ell, self.capacity).0
     }
 
     /// The coordinated rank range `[c−x+1, c−x+1+n·x)`.
@@ -499,24 +460,37 @@ fn provisioned_store(prefix: u64, slice: Range<u64>, shards: usize, shard: usize
     StaticStore::new(pinned)
 }
 
-/// Builds node `node`'s store for shard `shard`.
-fn make_store(config: &ClusterConfig, node: usize, shard: usize) -> Box<dyn ContentStore> {
-    let shards = config.shards_per_node;
-    match config.policy {
-        StorePolicy::Provisioned => {
-            let x = config.x();
-            let prefix = config.local_prefix();
-            let slice_start = prefix + 1 + node as u64 * x;
-            Box::new(provisioned_store(prefix, slice_start..slice_start + x, shards, shard))
-        }
+/// Builds one shard's store for a node provisioned with popularity
+/// prefix `1..=prefix` plus coordinated `slice` — pinned up front
+/// under [`StorePolicy::Provisioned`], an empty LRU holding this
+/// shard's share of `capacity` under [`StorePolicy::Lru`]. Both tiers
+/// build their stores here.
+pub(crate) fn shard_store(
+    policy: StorePolicy,
+    capacity: u64,
+    prefix: u64,
+    slice: Range<u64>,
+    shards: usize,
+    shard: usize,
+) -> Box<dyn ContentStore> {
+    match policy {
+        StorePolicy::Provisioned => Box::new(provisioned_store(prefix, slice, shards, shard)),
         StorePolicy::Lru => {
-            let base = config.capacity / shards as u64;
-            let extra = u64::from((shard as u64) < config.capacity % shards as u64);
+            let base = capacity / shards as u64;
+            let extra = u64::from((shard as u64) < capacity % shards as u64);
             #[allow(clippy::cast_possible_truncation)]
             let capacity = ((base + extra).max(1)) as usize;
             Box::new(LruStore::new(capacity))
         }
     }
+}
+
+/// Builds node `node`'s store for shard `shard`.
+fn make_store(config: &ClusterConfig, node: usize, shard: usize) -> Box<dyn ContentStore> {
+    let (prefix, x) = hybrid_split(config.ell, config.capacity);
+    let slice_start = prefix + 1 + node as u64 * x;
+    let slice = slice_start..slice_start + x;
+    shard_store(config.policy, config.capacity, prefix, slice, config.shards_per_node, shard)
 }
 
 /// Aggregated results of a cluster run, produced by

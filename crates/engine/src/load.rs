@@ -156,8 +156,8 @@ pub struct LoadReport {
 }
 
 /// Sleeps (coarsely) then spins (precisely) until `at_ms` of workload
-/// time has elapsed since `start`.
-fn pace_until(start: Instant, at_ms: f64) {
+/// time has elapsed since `start`. Both tiers' drivers pace with it.
+pub(crate) fn pace_until(start: Instant, at_ms: f64) {
     let target = Duration::from_secs_f64(at_ms / 1e3);
     loop {
         let now = start.elapsed();

@@ -1,0 +1,1283 @@
+//! The coordinator / load driver: spawns and provisions the nodes,
+//! drives per-node Zipf streams over the wire, replays the kill/revive
+//! schedule, and folds the ledgers into a [`WireOutcome`].
+
+use std::collections::VecDeque;
+use std::io::{self, BufRead as _};
+use std::path::PathBuf;
+use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
+
+use ccn_coord::{contiguous_slices, RouterAssignment};
+use ccn_sim::{workload, ContentId};
+
+use super::codec::{
+    decode_batch_served, encode_batch_lookup_from, proto_err, NodeStatsSnapshot, Provision,
+    Request, Response, SliceAssignment,
+};
+use super::conn::{connect_hello, net_err, Conn, WireMeter};
+use super::node::{frame_reply_timeout, NodeConfig, NodeServer};
+use crate::affinity::ShardPlacement;
+use crate::cluster::{hybrid_split, StorePolicy};
+use crate::control::{Controller, ControllerConfig, ControllerReport, LayoutStep, RankTap};
+use crate::error::EngineError;
+use crate::fault::DegradeConfig;
+use crate::load::pace_until;
+use crate::shard::{lock_recover, IdleStrategy};
+
+/// How the driver brings up node serving loops.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum NodeLaunch {
+    /// Node servers run as threads inside the driver process —
+    /// exercises the full wire path over loopback without child
+    /// processes. Kill/revive faults are not available (a thread
+    /// cannot be SIGKILLed).
+    InProcess,
+    /// Node servers run as `ccn node` child processes spawned from
+    /// this executable path; kill faults SIGKILL the process.
+    Exe(PathBuf),
+}
+
+/// One scheduled process-level fault, triggered when the cluster-wide
+/// offered-request count crosses `at_op`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WireFault {
+    /// Offered-op threshold that triggers the fault.
+    pub at_op: u64,
+    /// What happens.
+    pub kind: WireFaultKind,
+}
+
+/// Process-level fault kinds for the wire driver.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireFaultKind {
+    /// SIGKILL node `n`'s process (no warning, no drain).
+    Kill(usize),
+    /// Respawn node `n` and re-provision the cluster under a bumped
+    /// config epoch.
+    Revive(usize),
+}
+
+impl std::fmt::Display for WireFaultKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WireFaultKind::Kill(n) => write!(f, "kill:{n}"),
+            WireFaultKind::Revive(n) => write!(f, "revive:{n}"),
+        }
+    }
+}
+
+/// Full specification of a wire-mode serving benchmark.
+#[derive(Debug, Clone)]
+pub struct WireSpec {
+    /// Cluster size.
+    pub nodes: usize,
+    /// Store shards per node.
+    pub shards_per_node: usize,
+    /// Per-shard ring capacity.
+    pub queue_capacity: usize,
+    /// Catalogue size.
+    pub catalogue: u64,
+    /// Per-node store capacity `c`.
+    pub capacity: u64,
+    /// Coordinated fraction `ℓ = x/c`.
+    pub ell: f64,
+    /// Store population policy.
+    pub policy: StorePolicy,
+    /// Zipf exponent of the request stream.
+    pub zipf_s: f64,
+    /// Per-node client request rate, requests per millisecond.
+    pub rate_per_node_per_ms: f64,
+    /// Workload horizon, milliseconds.
+    pub horizon_ms: f64,
+    /// Pace requests to their Poisson arrival times (false = drive
+    /// as fast as the wire allows).
+    pub paced: bool,
+    /// Workload seed — the driver draws the identical
+    /// `zipf_irm(&[0..nodes], …)` stream as the in-process
+    /// [`crate::load::OpenLoopConfig`] with one generator, so wire
+    /// and in-process runs are comparable request-for-request.
+    pub seed: u64,
+    /// Requests per `BatchLookup` frame.
+    pub batch: usize,
+    /// Credit window: frames in flight per driver→node (and, via the
+    /// node config, node→peer) connection. 1 = PR 8 stop-and-wait.
+    pub window: usize,
+    /// Max misses coalesced into one `PeerForwardBatch` frame on the
+    /// node side.
+    pub wire_batch: usize,
+    /// Per-node accepted-connection cap (excess accepts are refused
+    /// with a typed frame).
+    pub max_conns: usize,
+    /// Node worker idle strategy.
+    pub idle: IdleStrategy,
+    /// Core placement passed through to node processes.
+    pub placement: ShardPlacement,
+    /// Degradation-ladder knobs passed through to node processes.
+    pub degrade: DegradeConfig,
+    /// Scheduled kill/revive faults (requires [`NodeLaunch::Exe`]).
+    pub faults: Vec<WireFault>,
+    /// How node serving loops are brought up.
+    pub launch: NodeLaunch,
+    /// Run the adaptive-provisioning controller on the driver: sample
+    /// offered ranks, re-fit the exponent, and stage budgeted config
+    /// epochs to every live node ([`crate::control`]).
+    pub adapt: Option<ControllerConfig>,
+}
+
+impl WireSpec {
+    /// Defaults mirroring the in-process serve-bench smoke settings.
+    #[must_use]
+    pub fn new(nodes: usize) -> Self {
+        Self {
+            nodes,
+            shards_per_node: 1,
+            queue_capacity: 1024,
+            catalogue: 10_000,
+            capacity: 100,
+            ell: 0.5,
+            policy: StorePolicy::Provisioned,
+            zipf_s: 0.8,
+            rate_per_node_per_ms: 0.5,
+            horizon_ms: 1_000.0,
+            paced: false,
+            seed: 42,
+            batch: 64,
+            window: 8,
+            wire_batch: 64,
+            max_conns: 1024,
+            idle: IdleStrategy::spin_then_park(),
+            placement: ShardPlacement::disabled(),
+            degrade: DegradeConfig::default(),
+            faults: Vec::new(),
+            launch: NodeLaunch::InProcess,
+            adapt: None,
+        }
+    }
+
+    /// Coordinated slots per node, `x = round(ℓ·c)`.
+    #[must_use]
+    pub fn x(&self) -> u64 {
+        hybrid_split(self.ell, self.capacity).1
+    }
+
+    /// Local popularity prefix `c − x`.
+    #[must_use]
+    pub fn local_prefix(&self) -> u64 {
+        hybrid_split(self.ell, self.capacity).0
+    }
+
+    /// Builds the provisioning push for `epoch` with the given peer
+    /// address list (one entry per node, indexed by id).
+    #[must_use]
+    pub fn provision(&self, epoch: u64, peers: Vec<String>) -> Provision {
+        WireCtl { epoch, ..WireCtl::initial(self) }.provision(self, peers)
+    }
+
+    fn validate(&self) -> Result<(), EngineError> {
+        let invalid = |reason: String| Err(EngineError::InvalidConfig { reason });
+        if self.nodes == 0 {
+            return invalid("need at least one node".into());
+        }
+        if self.capacity == 0 {
+            return invalid("need a non-zero store capacity".into());
+        }
+        if !(0.0..=1.0).contains(&self.ell) || self.ell.is_nan() {
+            return invalid(format!("ell {} outside [0, 1]", self.ell));
+        }
+        for (name, value) in [
+            ("batch", self.batch),
+            ("window", self.window),
+            ("wire-batch", self.wire_batch),
+            ("max-conns", self.max_conns),
+        ] {
+            if value == 0 {
+                return invalid(format!("{name} must be >= 1"));
+            }
+        }
+        let coordinated_end = self.local_prefix() + self.nodes as u64 * self.x();
+        if coordinated_end > self.catalogue {
+            return invalid(format!(
+                "catalogue {} too small for prefix + {} slices of x = {}",
+                self.catalogue,
+                self.nodes,
+                self.x()
+            ));
+        }
+        if let Some(adapt) = &self.adapt {
+            adapt.validate(self.nodes)?;
+        }
+        let mut dead = vec![false; self.nodes];
+        let mut last_op = 0u64;
+        for fault in &self.faults {
+            if fault.at_op < last_op {
+                return Err(EngineError::FaultSpec {
+                    reason: "wire faults must be sorted by at_op".into(),
+                });
+            }
+            last_op = fault.at_op;
+            let (n, kills) = match fault.kind {
+                WireFaultKind::Kill(n) => (n, true),
+                WireFaultKind::Revive(n) => (n, false),
+            };
+            if n >= self.nodes {
+                return Err(EngineError::FaultSpec {
+                    reason: format!("{} references node {n} of {}", fault.kind, self.nodes),
+                });
+            }
+            if dead[n] == kills {
+                return Err(EngineError::FaultSpec {
+                    reason: format!("{}: node {n} is already in that state", fault.kind),
+                });
+            }
+            dead[n] = kills;
+        }
+        if !self.faults.is_empty() && self.launch == NodeLaunch::InProcess {
+            return Err(EngineError::FaultSpec {
+                reason: "kill/revive faults need child processes (NodeLaunch::Exe); \
+                         an in-process node thread cannot be SIGKILLed"
+                    .into(),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Per-node driver-side tier ledger. `offered` counts every request
+/// the driver issued for this node's clients; each lands in exactly
+/// one of the other buckets, so `offered == completed() + shed`
+/// bit-exactly by construction — including requests offered to a
+/// SIGKILLed node, which are shed at the driver edge.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WireLedger {
+    /// Requests issued by this node's clients.
+    pub offered: u64,
+    /// Served from the node's own store.
+    pub local: u64,
+    /// Served by a peer's coordinated slice.
+    pub peer: u64,
+    /// Fell through to origin.
+    pub origin: u64,
+    /// Shed: offered to a dead or unreachable node.
+    pub shed: u64,
+}
+
+impl WireLedger {
+    /// Requests completed by some tier.
+    #[must_use]
+    pub fn completed(&self) -> u64 {
+        self.local + self.peer + self.origin
+    }
+
+    /// Per-field difference `self − earlier` (saturating), for
+    /// post-revival tail windows.
+    #[must_use]
+    pub fn since(&self, earlier: &WireLedger) -> WireLedger {
+        WireLedger {
+            offered: self.offered.saturating_sub(earlier.offered),
+            local: self.local.saturating_sub(earlier.local),
+            peer: self.peer.saturating_sub(earlier.peer),
+            origin: self.origin.saturating_sub(earlier.origin),
+            shed: self.shed.saturating_sub(earlier.shed),
+        }
+    }
+}
+
+#[derive(Default)]
+struct LedgerCells {
+    offered: AtomicU64,
+    local: AtomicU64,
+    peer: AtomicU64,
+    origin: AtomicU64,
+    shed: AtomicU64,
+}
+
+impl LedgerCells {
+    fn snapshot(&self) -> WireLedger {
+        WireLedger {
+            offered: self.offered.load(Ordering::Relaxed),
+            local: self.local.load(Ordering::Relaxed),
+            peer: self.peer.load(Ordering::Relaxed),
+            origin: self.origin.load(Ordering::Relaxed),
+            shed: self.shed.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Driver-side wire-efficiency counters for one bench run, folded
+/// from the drive-path connection meters. Epoch pushes and stats
+/// collection use unmetered connections, so frames/op and bytes/op
+/// measure the hot path alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WirePipelineStats {
+    /// Configured credit window (frames in flight per connection).
+    pub window: u64,
+    /// Configured peer-forward coalescing cap.
+    pub wire_batch: u64,
+    /// High-water mark of frames actually in flight on any
+    /// driver→node connection — ≤ `window`, and 1 when stop-and-wait.
+    pub max_in_flight: u64,
+    /// Frames the driver sent on the drive path.
+    pub frames_out: u64,
+    /// Frames the driver received on the drive path.
+    pub frames_in: u64,
+    /// Bytes the driver sent on the drive path.
+    pub bytes_out: u64,
+    /// Bytes the driver received on the drive path.
+    pub bytes_in: u64,
+}
+
+/// `total / offered`, 0 for an empty run.
+fn per_op(total: u64, offered: u64) -> f64 {
+    #[allow(clippy::cast_precision_loss)]
+    if offered == 0 {
+        0.0
+    } else {
+        total as f64 / offered as f64
+    }
+}
+
+impl WirePipelineStats {
+    /// Wire frames (both directions) per offered request.
+    #[must_use]
+    pub fn frames_per_op(&self, offered: u64) -> f64 {
+        per_op(self.frames_out + self.frames_in, offered)
+    }
+
+    /// Wire bytes (both directions) per offered request.
+    #[must_use]
+    pub fn bytes_per_op(&self, offered: u64) -> f64 {
+        per_op(self.bytes_out + self.bytes_in, offered)
+    }
+}
+
+/// Results of one wire-mode benchmark run.
+#[derive(Debug, Clone)]
+pub struct WireOutcome {
+    /// Cluster size.
+    pub nodes: usize,
+    /// Final config epoch (1 + one bump per revival).
+    pub epoch: u64,
+    /// Final listen address of every node.
+    pub listen_addrs: Vec<String>,
+    /// Per-node driver ledgers for the whole run.
+    pub per_node: Vec<WireLedger>,
+    /// Per-node ledgers counting only traffic after the last revival
+    /// re-provision (present iff a revival happened) — the window the
+    /// re-convergence acceptance check evaluates.
+    pub tail_per_node: Option<Vec<WireLedger>>,
+    /// Final node-side counter snapshots (None for a node that was
+    /// dead at collection time).
+    pub node_stats: Vec<Option<NodeStatsSnapshot>>,
+    /// Applied faults, `"kill:1@2000"` style.
+    pub fault_log: Vec<String>,
+    /// Wall-clock duration of the driven phase, milliseconds.
+    pub wall_ms: f64,
+    /// Decision log and counters of the driver-side adaptive
+    /// controller (present iff [`WireSpec::adapt`] was set).
+    pub controller: Option<ControllerReport>,
+    /// Driver-side wire-efficiency counters for the drive path.
+    pub pipeline: WirePipelineStats,
+}
+
+impl WireOutcome {
+    /// Total requests offered across all nodes.
+    #[must_use]
+    pub fn offered(&self) -> u64 {
+        self.per_node.iter().map(|l| l.offered).sum()
+    }
+
+    /// Total requests completed by some tier.
+    #[must_use]
+    pub fn completed(&self) -> u64 {
+        self.per_node.iter().map(WireLedger::completed).sum()
+    }
+
+    /// Total requests shed at the driver edge.
+    #[must_use]
+    pub fn shed(&self) -> u64 {
+        self.per_node.iter().map(|l| l.shed).sum()
+    }
+
+    /// Verifies `offered == completed + shed`, per node and in total.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Accounting`] with the offending totals.
+    pub fn check_conservation(&self) -> Result<(), EngineError> {
+        for ledger in &self.per_node {
+            if ledger.offered != ledger.completed() + ledger.shed {
+                return Err(EngineError::Accounting {
+                    offered: ledger.offered,
+                    completed: ledger.completed(),
+                    shed: ledger.shed,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// `(local, peer, origin)` fractions of completed requests over
+    /// the given ledgers (the whole run, or a tail window).
+    #[must_use]
+    pub fn tier_fractions(ledgers: &[WireLedger]) -> (f64, f64, f64) {
+        let completed: u64 = ledgers.iter().map(WireLedger::completed).sum();
+        if completed == 0 {
+            return (0.0, 0.0, 0.0);
+        }
+        #[allow(clippy::cast_precision_loss)]
+        let frac = |v: u64| v as f64 / completed as f64;
+        (
+            frac(ledgers.iter().map(|l| l.local).sum()),
+            frac(ledgers.iter().map(|l| l.peer).sum()),
+            frac(ledgers.iter().map(|l| l.origin).sum()),
+        )
+    }
+}
+
+enum RunningNode {
+    Proc {
+        child: Child,
+        // Keeps the stdout pipe open so the child's final summary
+        // print cannot fail with a broken pipe.
+        _stdout: Option<io::BufReader<std::process::ChildStdout>>,
+    },
+    Thread {
+        server: Arc<NodeServer>,
+        join: std::thread::JoinHandle<Result<NodeStatsSnapshot, EngineError>>,
+    },
+}
+
+struct NodeSlot {
+    addr: String,
+    generation: u64,
+    alive: bool,
+}
+
+/// The coordinator's single epoch authority, shared between the
+/// adaptive controller and the fault supervisor. Both issue config
+/// epochs; every bump-and-push happens under this lock, so epoch
+/// order equals layout order and a node applying the highest epoch it
+/// saw holds the newest layout.
+struct WireCtl {
+    epoch: u64,
+    /// The cumulative layout as of `epoch` — for an in-flight
+    /// incremental chain, the sum of every step issued so far.
+    assignments: Vec<RouterAssignment>,
+    fitted_s: f64,
+}
+
+impl WireCtl {
+    /// The authority at epoch 1: the static layout `spec.ell`
+    /// provisions, no fit yet — identical to the adaptive controller's
+    /// baseline (both split `capacity` with [`hybrid_split`]), so the
+    /// first chain step moves exactly what the planner computed.
+    fn initial(spec: &WireSpec) -> Self {
+        let (prefix, x) = hybrid_split(spec.ell, spec.capacity);
+        Self {
+            epoch: 1,
+            assignments: contiguous_slices(prefix, prefix + 1, x, spec.nodes),
+            fitted_s: 0.0,
+        }
+    }
+
+    /// Builds the provisioning push for the current cumulative layout.
+    /// This is also the revival path: a node that was SIGKILLed
+    /// mid-chain and missed epochs receives the chain's *current*
+    /// state under the newest epoch — the partial chain re-pushed as
+    /// one frame.
+    fn provision(&self, spec: &WireSpec, peers: Vec<String>) -> Provision {
+        let prefix = self.assignments.first().map_or(0, |a| a.local_prefix);
+        let x = self.assignments.iter().map(|a| a.slice.end - a.slice.start).max().unwrap_or(0);
+        Provision {
+            epoch: self.epoch,
+            nodes: spec.nodes as u32,
+            catalogue: spec.catalogue,
+            capacity: spec.capacity,
+            prefix,
+            x,
+            fitted_s: self.fitted_s,
+            policy: spec.policy,
+            slices: self
+                .assignments
+                .iter()
+                .map(|a| SliceAssignment {
+                    node: a.router as u32,
+                    start: a.slice.start,
+                    end: a.slice.end,
+                })
+                .collect(),
+            peers,
+        }
+    }
+}
+
+/// Pushes the authority's current layout to every node whose slot is
+/// alive. A push to a node that died under the supervisor's feet
+/// simply fails — the revival path re-pushes the then-current layout —
+/// and a node already at this epoch just acks it.
+fn push_current(spec: &WireSpec, ctl: &WireCtl, slots: &[Mutex<NodeSlot>]) {
+    let snapshot: Vec<(String, bool)> = slots
+        .iter()
+        .map(|slot| {
+            let slot = lock_recover(slot);
+            (slot.addr.clone(), slot.alive)
+        })
+        .collect();
+    let push = ctl.provision(spec, snapshot.iter().map(|(addr, _)| addr.clone()).collect());
+    for (addr, alive) in &snapshot {
+        if *alive {
+            let _ = push_epoch_to(addr, &push);
+        }
+    }
+}
+
+/// Installs one controller chain step cluster-wide: bumps the epoch,
+/// records the new cumulative layout, and pushes it. The [`WireCtl`]
+/// lock is held across the pushes to serialize with revival
+/// provisioning.
+fn push_wire_step(
+    spec: &WireSpec,
+    ctl: &Mutex<WireCtl>,
+    slots: &[Mutex<NodeSlot>],
+    step: &LayoutStep,
+    fitted_s: Option<f64>,
+) {
+    let mut ctl = lock_recover(ctl);
+    ctl.epoch += 1;
+    ctl.assignments = step.assignments.clone();
+    if let Some(s) = fitted_s {
+        ctl.fitted_s = s;
+    }
+    push_current(spec, &ctl, slots);
+}
+
+/// Driver-side node id carried in the `Hello` handshake — nodes key
+/// peer links by id, so the driver uses a sentinel outside any
+/// cluster's id range.
+const DRIVER_ID: u32 = u32::MAX;
+
+/// Dials a node as the driver: version handshake included, so a
+/// mixed-version cluster is rejected at connect time on every
+/// driver-side path (epoch pushes, the drive hot path, stats
+/// collection), not just on peer links.
+pub(super) fn connect_driver(
+    addr: &str,
+    timeout: Duration,
+    meter: Option<Arc<WireMeter>>,
+) -> Result<Conn, EngineError> {
+    connect_hello(addr, DRIVER_ID, timeout, meter)
+}
+
+fn push_epoch_to(addr: &str, provision: &Provision) -> Result<(), EngineError> {
+    let mut conn = connect_driver(addr, Duration::from_secs(5), None)?;
+    conn.send_request(&Request::ConfigEpoch(provision.clone()))?;
+    match conn.recv_response()? {
+        Response::EpochAck { epoch } if epoch >= provision.epoch => Ok(()),
+        Response::EpochAck { epoch } => Err(proto_err(format!(
+            "node at {addr} acked epoch {epoch} after a push of {}",
+            provision.epoch
+        ))),
+        Response::Refused { reason } => Err(proto_err(format!("epoch push refused: {reason}"))),
+        other => Err(proto_err(format!("unexpected reply to epoch push: {other:?}"))),
+    }
+}
+
+fn spawn_thread_node(spec: &WireSpec, id: usize) -> Result<(RunningNode, String), EngineError> {
+    let mut config = NodeConfig::new(id);
+    config.shards = spec.shards_per_node;
+    config.queue_capacity = spec.queue_capacity;
+    config.idle = spec.idle;
+    config.placement = spec.placement;
+    config.degrade = spec.degrade;
+    config.window = spec.window;
+    config.wire_batch = spec.wire_batch;
+    config.max_connections = spec.max_conns;
+    let server = Arc::new(NodeServer::bind(config)?);
+    let addr = server.local_addr().to_string();
+    let runner = Arc::clone(&server);
+    let join = std::thread::Builder::new()
+        .name(format!("wire-node-{id}"))
+        .spawn(move || runner.run())
+        .map_err(|e| EngineError::Spawn { reason: e.to_string() })?;
+    Ok((RunningNode::Thread { server, join }, addr))
+}
+
+/// How long the driver waits for a spawned node process to print its
+/// `READY <addr>` line before giving up and killing it.
+const READY_TIMEOUT: Duration = Duration::from_secs(15);
+
+fn spawn_proc_node(
+    exe: &PathBuf,
+    spec: &WireSpec,
+    id: usize,
+) -> Result<(RunningNode, String), EngineError> {
+    let mut cmd = Command::new(exe);
+    cmd.arg("node")
+        .args(["--id", &id.to_string()])
+        .args(["--listen", "127.0.0.1:0"])
+        .args(["--shards", &spec.shards_per_node.to_string()])
+        .args(["--queue", &spec.queue_capacity.to_string()])
+        .args(["--idle", &spec.idle.name()])
+        .args(["--deadline-us", &spec.degrade.forward_deadline.as_micros().to_string()])
+        .args(["--retries", &spec.degrade.forward_retries.to_string()])
+        .args(["--backoff-us", &spec.degrade.retry_backoff.as_micros().to_string()])
+        .args(["--timeout-threshold", &spec.degrade.timeout_threshold.to_string()])
+        .args(["--window", &spec.window.to_string()])
+        .args(["--wire-batch", &spec.wire_batch.to_string()])
+        .args(["--max-conns", &spec.max_conns.to_string()]);
+    if spec.placement.pin() {
+        cmd.args(["--cores", &spec.placement.cores().to_string()]).args(["--pin", "true"]);
+    }
+    cmd.stdout(Stdio::piped()).stderr(Stdio::inherit());
+    let mut child = cmd.spawn().map_err(|e| net_err("spawn-node", e))?;
+    let Some(stdout) = child.stdout.take() else {
+        let _ = child.kill();
+        let _ = child.wait();
+        return Err(net_err("spawn-node", "child stdout was not piped"));
+    };
+    // Read the READY line on a helper thread so a child that starts
+    // but never reports cannot hang the whole bench.
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut reader = io::BufReader::new(stdout);
+        let mut line = String::new();
+        let result = reader.read_line(&mut line);
+        let _ = tx.send((result.map(|_| line), reader));
+    });
+    let ready = match rx.recv_timeout(READY_TIMEOUT) {
+        Ok((Ok(line), reader)) => match line.trim().strip_prefix("READY ") {
+            Some(addr) => Ok((addr.to_owned(), reader)),
+            None => Err(format!("reported {:?}, expected READY", line.trim())),
+        },
+        Ok((Err(e), _)) => Err(format!("stdout failed: {e}")),
+        Err(_) => Err(format!("did not report READY within {READY_TIMEOUT:?}")),
+    };
+    match ready {
+        Ok((addr, reader)) => Ok((RunningNode::Proc { child, _stdout: Some(reader) }, addr)),
+        Err(why) => {
+            let _ = child.kill();
+            let _ = child.wait();
+            Err(net_err("spawn-node", format!("node {id} {why}")))
+        }
+    }
+}
+
+fn spawn_node(spec: &WireSpec, id: usize) -> Result<(RunningNode, String), EngineError> {
+    match &spec.launch {
+        NodeLaunch::InProcess => spawn_thread_node(spec, id),
+        NodeLaunch::Exe(exe) => spawn_proc_node(exe, spec, id),
+    }
+}
+
+/// Hard bring-up abort: every node already up is stopped at once.
+fn teardown_nodes(running: Vec<Option<RunningNode>>) {
+    for node in running.into_iter().flatten() {
+        stop_node(node, Duration::ZERO);
+    }
+}
+
+/// Stops one node and returns a thread node's final counters. A child
+/// process gets `grace` to exit by itself (it was sent `Shutdown`)
+/// and is then killed — dropping a `Child` does *not* kill it, and
+/// skipping this would orphan `ccn node` processes that serve forever.
+fn stop_node(running: RunningNode, grace: Duration) -> Option<NodeStatsSnapshot> {
+    match running {
+        RunningNode::Proc { mut child, _stdout } => {
+            let deadline = Instant::now() + grace;
+            loop {
+                match child.try_wait() {
+                    Ok(Some(_)) => return None,
+                    Ok(None) if Instant::now() < deadline => {
+                        std::thread::sleep(Duration::from_millis(10));
+                    }
+                    _ => {
+                        let _ = child.kill();
+                        let _ = child.wait();
+                        return None;
+                    }
+                }
+            }
+        }
+        RunningNode::Thread { server, join } => {
+            server.request_shutdown();
+            join.join().ok().and_then(Result::ok)
+        }
+    }
+}
+
+/// Sheds every in-flight frame and drops the connection — the only
+/// way the pipelined driver abandons a conversation. Each pending
+/// frame's requests were already counted offered, and a connection we
+/// no longer trust to be in sync will never answer them, so the whole
+/// tail lands in `shed` — conservation stays exact by construction.
+fn shed_conn(
+    conn: &mut Option<(Conn, u64)>,
+    pending: &mut VecDeque<(u32, u64)>,
+    cells: &LedgerCells,
+) {
+    let lost: u64 = pending.iter().map(|&(_, n)| n).sum();
+    if lost > 0 {
+        cells.shed.fetch_add(lost, Ordering::Relaxed);
+    }
+    pending.clear();
+    *conn = None;
+}
+
+/// Receives and tallies the oldest in-flight reply. The node answers
+/// frames strictly in receipt order, so the front of `pending` names
+/// the only acceptable tag; a different tag, a tally that does not
+/// cover the frame, or any socket error is a desync — the caller
+/// sheds the tail and drops the connection. Returns false on desync.
+fn drain_one(conn: &mut Conn, pending: &mut VecDeque<(u32, u64)>, cells: &LedgerCells) -> bool {
+    let Some(&(want, expected)) = pending.front() else { return true };
+    if !matches!(conn.recv_len(), Ok(Some(_))) {
+        return false;
+    }
+    let Ok((tag, local, peer, origin, shed)) = decode_batch_served(conn.last_frame()) else {
+        return false;
+    };
+    if tag != want || local + peer + origin + shed != expected {
+        return false;
+    }
+    cells.local.fetch_add(local, Ordering::Relaxed);
+    cells.peer.fetch_add(peer, Ordering::Relaxed);
+    cells.origin.fetch_add(origin, Ordering::Relaxed);
+    cells.shed.fetch_add(shed, Ordering::Relaxed);
+    pending.pop_front();
+    true
+}
+
+/// Drains in-flight replies, oldest first, until at most `keep` remain.
+/// In-order draining keeps the ledger identical to stop-and-wait —
+/// every frame's tally lands exactly once, in send order — and a
+/// desync sheds the whole tail, so every frame resolves to completed
+/// or shed, never lost.
+fn drain_to(
+    conn: &mut Option<(Conn, u64)>,
+    pending: &mut VecDeque<(u32, u64)>,
+    cells: &LedgerCells,
+    keep: usize,
+) {
+    while pending.len() > keep {
+        let Some((c, _)) = conn.as_mut() else { break };
+        if !drain_one(c, pending, cells) {
+            shed_conn(conn, pending, cells);
+        }
+    }
+}
+
+/// What the fault supervisor and the node drivers share: the
+/// cluster-wide offered count the schedule is keyed on, and the
+/// op-count barrier that holds the drivers at each fault point.
+struct FaultGate {
+    total_offered: AtomicU64,
+    /// `at_op` of the next fault the supervisor has not applied yet
+    /// (`u64::MAX` once the schedule is exhausted). A driver offers no
+    /// further batch while `total_offered` has reached it, so a fault
+    /// lands within one batch per driver of its `at_op` however fast
+    /// the drivers run, and everything after a revival is offered to
+    /// the revived cluster.
+    next_at: AtomicU64,
+}
+
+#[allow(clippy::too_many_arguments)]
+fn drive_node(
+    spec: &WireSpec,
+    id: usize,
+    requests: &[(f64, u64)],
+    slot: &Mutex<NodeSlot>,
+    cells: &LedgerCells,
+    gate: &FaultGate,
+    tap: Option<&RankTap>,
+    meter: &Arc<WireMeter>,
+    start: Instant,
+) {
+    let timeout = frame_reply_timeout(spec.nodes, &spec.degrade);
+    // Invariant: `pending` non-empty ⇒ `conn` is Some — shed_conn is
+    // the only path that drops the connection and it clears the queue.
+    let mut conn: Option<(Conn, u64)> = None;
+    let mut pending: VecDeque<(u32, u64)> = VecDeque::with_capacity(spec.window);
+    let mut contents: Vec<u64> = Vec::with_capacity(spec.batch);
+    let mut next_tag: u32 = 0;
+    let mut i = 0usize;
+    while i < requests.len() {
+        let end = (i + spec.batch).min(requests.len());
+        let batch = &requests[i..end];
+        i = end;
+        if spec.paced {
+            pace_until(start, batch[0].0);
+        }
+        while gate.total_offered.load(Ordering::Relaxed) >= gate.next_at.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        let n = batch.len() as u64;
+        cells.offered.fetch_add(n, Ordering::Relaxed);
+        gate.total_offered.fetch_add(n, Ordering::Relaxed);
+        // Each node's driver thread is the single writer of its tap
+        // lane, so the lock-free sampling contract holds on the wire
+        // exactly as in-process. Ranks are recorded at offer time —
+        // the controller observes demand, served or shed.
+        if let Some(tap) = tap {
+            for &(_, content) in batch {
+                tap.record(id, ContentId(content));
+            }
+        }
+        // Window full: make room for one more frame.
+        drain_to(&mut conn, &mut pending, cells, spec.window - 1);
+        let (addr, generation, alive) = {
+            let s = lock_recover(slot);
+            (s.addr.clone(), s.generation, s.alive)
+        };
+        if !alive {
+            shed_conn(&mut conn, &mut pending, cells);
+            cells.shed.fetch_add(n, Ordering::Relaxed);
+            continue;
+        }
+        if let Some((_, gen)) = &conn {
+            if *gen != generation {
+                // The node was replaced under us: frames in flight
+                // belonged to the previous incarnation and will never
+                // be answered.
+                shed_conn(&mut conn, &mut pending, cells);
+            }
+        }
+        if conn.is_none() {
+            match connect_driver(&addr, timeout, Some(Arc::clone(meter))) {
+                Ok(c) => conn = Some((c, generation)),
+                Err(_) => {
+                    cells.shed.fetch_add(n, Ordering::Relaxed);
+                    continue;
+                }
+            }
+        }
+        contents.clear();
+        contents.extend(batch.iter().map(|&(_, c)| c));
+        let tag = next_tag;
+        next_tag = next_tag.wrapping_add(1);
+        let (c, _) = conn.as_mut().expect("connected above");
+        if c.send(|buf| encode_batch_lookup_from(buf, tag, &contents)).is_err() {
+            shed_conn(&mut conn, &mut pending, cells);
+            cells.shed.fetch_add(n, Ordering::Relaxed);
+            continue;
+        }
+        pending.push_back((tag, n));
+        meter.window(pending.len());
+    }
+    drain_to(&mut conn, &mut pending, cells, 0);
+    if let Some((conn, _)) = conn.take() {
+        let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+    }
+}
+
+/// Runs a multi-process (or in-process multi-thread) wire-mode
+/// serving benchmark: spawns the nodes, provisions them at epoch 1,
+/// drives the per-node Zipf streams over TCP, applies the kill/revive
+/// schedule, and folds the driver ledgers into a [`WireOutcome`]
+/// whose conservation invariant has already been verified.
+///
+/// # Errors
+///
+/// [`EngineError::InvalidConfig`] / [`EngineError::FaultSpec`] for a
+/// bad spec, [`EngineError::Workload`] for a bad stream,
+/// [`EngineError::Net`] if bring-up fails, and
+/// [`EngineError::Accounting`] if the conservation invariant breaks.
+pub fn wire_bench(spec: &WireSpec) -> Result<WireOutcome, EngineError> {
+    spec.validate()?;
+    let tap = spec
+        .adapt
+        .map(|cfg| RankTap::new(spec.nodes, cfg.tap_capacity, cfg.sample_every))
+        .transpose()?;
+    let mut planner = spec
+        .adapt
+        .map(|cfg| Controller::new(spec.nodes, spec.catalogue, spec.capacity, spec.ell, cfg))
+        .transpose()?;
+    let controller_report: Mutex<Option<ControllerReport>> = Mutex::new(None);
+    let all: Vec<usize> = (0..spec.nodes).collect();
+    let stream = workload::zipf_irm(
+        &all,
+        spec.zipf_s,
+        spec.catalogue,
+        spec.rate_per_node_per_ms,
+        spec.horizon_ms,
+        spec.seed,
+    )?;
+    let mut per_node_requests: Vec<Vec<(f64, u64)>> = vec![Vec::new(); spec.nodes];
+    for request in stream {
+        per_node_requests[request.router].push((request.time, request.content.0));
+    }
+
+    // Bring-up: spawn every node, tearing down the ones already up if
+    // any spawn fails.
+    let mut running: Vec<Option<RunningNode>> = Vec::with_capacity(spec.nodes);
+    let mut addrs: Vec<String> = Vec::with_capacity(spec.nodes);
+    for id in 0..spec.nodes {
+        match spawn_node(spec, id) {
+            Ok((node, addr)) => {
+                running.push(Some(node));
+                addrs.push(addr);
+            }
+            Err(e) => {
+                teardown_nodes(running);
+                return Err(e);
+            }
+        }
+    }
+
+    let ctl = WireCtl::initial(spec);
+    let initial = ctl.provision(spec, addrs.clone());
+    for addr in &addrs {
+        // A provisioning failure must tear down exactly like a spawn
+        // failure, or already-spawned node processes are orphaned.
+        if let Err(e) = push_epoch_to(addr, &initial) {
+            teardown_nodes(running);
+            return Err(e);
+        }
+    }
+    let ctl = Mutex::new(ctl);
+
+    let slots: Vec<Mutex<NodeSlot>> = addrs
+        .iter()
+        .map(|addr| Mutex::new(NodeSlot { addr: addr.clone(), generation: 0, alive: true }))
+        .collect();
+    let cells: Vec<LedgerCells> = (0..spec.nodes).map(|_| LedgerCells::default()).collect();
+    let drive_meter = Arc::new(WireMeter::default());
+    let next_fault_at = |applied: usize| spec.faults.get(applied).map_or(u64::MAX, |f| f.at_op);
+    let gate =
+        FaultGate { total_offered: AtomicU64::new(0), next_at: AtomicU64::new(next_fault_at(0)) };
+    let drivers_done = AtomicUsize::new(0);
+    let mut fault_log: Vec<String> = Vec::new();
+    let mut tail_base: Option<Vec<WireLedger>> = None;
+    let start = Instant::now();
+
+    std::thread::scope(|scope| {
+        for (id, requests) in per_node_requests.iter().enumerate() {
+            let slot = &slots[id];
+            let node_cells = &cells[id];
+            let gate = &gate;
+            let done = &drivers_done;
+            let node_tap = tap.as_ref();
+            let meter = &drive_meter;
+            scope.spawn(move || {
+                drive_node(spec, id, requests, slot, node_cells, gate, node_tap, meter, start);
+                done.fetch_add(1, Ordering::Release);
+            });
+        }
+
+        // Adaptive controller: drain the tap, re-fit, and stage
+        // budgeted epochs while the drivers run; once they finish,
+        // drain any pending chain so the cluster lands on the final
+        // layout before stats collection.
+        if let Some(cfg) = spec.adapt {
+            let mut planner = planner.take().expect("planner built for adaptive spec");
+            let tap = tap.as_ref().expect("tap built for adaptive spec");
+            let ctl = &ctl;
+            let slots = &slots[..];
+            let done_count = &drivers_done;
+            let report_slot = &controller_report;
+            scope.spawn(move || {
+                let mut cursor = tap.cursor();
+                let mut scratch: Vec<u64> = Vec::new();
+                loop {
+                    let done = done_count.load(Ordering::Acquire) == spec.nodes;
+                    scratch.clear();
+                    tap.drain(&mut cursor, &mut scratch);
+                    planner.observe(&scratch);
+                    match planner.plan() {
+                        Ok(Some(step)) => {
+                            push_wire_step(spec, ctl, slots, &step, planner.fitted());
+                        }
+                        Ok(None) => {}
+                        Err(_) => break,
+                    }
+                    if done {
+                        while planner.pending_steps() > 0 {
+                            match planner.plan() {
+                                Ok(Some(step)) => {
+                                    push_wire_step(spec, ctl, slots, &step, planner.fitted());
+                                }
+                                _ => break,
+                            }
+                        }
+                        break;
+                    }
+                    std::thread::sleep(cfg.tick_interval);
+                }
+                *lock_recover(report_slot) = Some(planner.report());
+            });
+        }
+
+        // Supervisor (inline): replay the fault schedule against the
+        // cluster-wide offered count. The drivers hold at each fault
+        // point until it is applied (see `FaultGate`); a fault the
+        // stream ends short of is logged unreached.
+        let total_offered = &gate.total_offered;
+        for (applied, fault) in spec.faults.iter().enumerate() {
+            while total_offered.load(Ordering::Relaxed) < fault.at_op
+                && drivers_done.load(Ordering::Acquire) < spec.nodes
+            {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            let fired_at = total_offered.load(Ordering::Relaxed);
+            if fired_at < fault.at_op {
+                fault_log.push(format!("{}@unreached", fault.kind));
+                continue;
+            }
+            match fault.kind {
+                WireFaultKind::Kill(n) => {
+                    lock_recover(&slots[n]).alive = false;
+                    if let Some(node) = running[n].take() {
+                        // SIGKILL: no drain, no goodbye.
+                        stop_node(node, Duration::ZERO);
+                    }
+                    fault_log.push(format!("kill:{n}@{fired_at}"));
+                }
+                WireFaultKind::Revive(n) => match spawn_node(spec, n) {
+                    Ok((node, addr)) => {
+                        running[n] = Some(node);
+                        addrs[n] = addr;
+                        // Re-provision everyone under the coordinator's
+                        // *current* cumulative layout — the controller
+                        // may have issued chain epochs since the kill,
+                        // and the revived node must not be resurrected
+                        // onto a stale slice plan. The ctl lock is held
+                        // across the pushes to serialize with
+                        // concurrent controller epochs.
+                        {
+                            let mut ctl_guard = lock_recover(&ctl);
+                            ctl_guard.epoch += 1;
+                            let push = ctl_guard.provision(spec, addrs.clone());
+                            for (m, addr) in addrs.iter().enumerate() {
+                                let reachable = m == n || lock_recover(&slots[m]).alive;
+                                if reachable {
+                                    if let Err(e) = push_epoch_to(addr, &push) {
+                                        fault_log
+                                            .push(format!("epoch-push-failed:{m}@{fired_at}: {e}"));
+                                    }
+                                }
+                            }
+                        }
+                        // The re-convergence window starts once the
+                        // revived node is provisioned and addressable.
+                        tail_base = Some(cells.iter().map(LedgerCells::snapshot).collect());
+                        {
+                            let mut slot = lock_recover(&slots[n]);
+                            slot.addr = addrs[n].clone();
+                            slot.generation += 1;
+                            slot.alive = true;
+                        }
+                        fault_log.push(format!("revive:{n}@{fired_at}"));
+                    }
+                    Err(e) => {
+                        fault_log.push(format!("revive-failed:{n}@{fired_at}: {e}"));
+                    }
+                },
+            }
+            gate.next_at.store(next_fault_at(applied + 1), Ordering::Release);
+        }
+    });
+    #[allow(clippy::cast_precision_loss)]
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+
+    // Staged-rollout convergence: re-push the final cumulative layout,
+    // so a node that missed an epoch (a push racing its kill window, a
+    // transient socket failure) catches up before stats collection.
+    if spec.adapt.is_some() {
+        push_current(spec, &lock_recover(&ctl), &slots);
+    }
+    let controller = lock_recover(&controller_report).take();
+
+    // Collect final node-side stats from survivors, then shut every
+    // node down in an orderly way.
+    let mut node_stats: Vec<Option<NodeStatsSnapshot>> = vec![None; spec.nodes];
+    let mut alive_epochs: Vec<(usize, u64)> = Vec::new();
+    for (id, addr) in addrs.iter().enumerate() {
+        if !lock_recover(&slots[id]).alive {
+            continue;
+        }
+        if let Ok(mut conn) = connect_driver(addr, Duration::from_secs(2), None) {
+            if conn.send_request(&Request::Stats).is_ok() {
+                if let Ok(Response::StatsReply(snapshot)) = conn.recv_response() {
+                    alive_epochs.push((id, snapshot.epoch));
+                    node_stats[id] = Some(snapshot);
+                }
+            }
+            let _ = conn.send_request(&Request::Shutdown);
+            let _ = conn.recv_response();
+        }
+    }
+    for (id, node) in running.into_iter().enumerate() {
+        if let Some(node) = node {
+            if let Some(snapshot) = stop_node(node, Duration::from_secs(3)) {
+                node_stats[id].get_or_insert(snapshot);
+            }
+        }
+    }
+
+    let epoch = lock_recover(&ctl).epoch;
+    if controller.is_some() {
+        if let Some(&(id, got)) = alive_epochs.iter().find(|&&(_, e)| e != epoch) {
+            return Err(proto_err(format!(
+                "staged rollout did not converge: node {id} reports epoch {got}, \
+                 coordinator finished at {epoch}"
+            )));
+        }
+    }
+
+    let per_node: Vec<WireLedger> = cells.iter().map(LedgerCells::snapshot).collect();
+    let tail_per_node = tail_base
+        .map(|base| per_node.iter().zip(&base).map(|(now, then)| now.since(then)).collect());
+    let outcome = WireOutcome {
+        nodes: spec.nodes,
+        epoch,
+        listen_addrs: addrs,
+        per_node,
+        tail_per_node,
+        node_stats,
+        fault_log,
+        wall_ms,
+        controller,
+        pipeline: WirePipelineStats {
+            window: spec.window as u64,
+            wire_batch: spec.wire_batch as u64,
+            max_in_flight: drive_meter.max_window.load(Ordering::Relaxed),
+            frames_out: drive_meter.frames_out.load(Ordering::Relaxed),
+            frames_in: drive_meter.frames_in.load(Ordering::Relaxed),
+            bytes_out: drive_meter.bytes_out.load(Ordering::Relaxed),
+            bytes_in: drive_meter.bytes_in.load(Ordering::Relaxed),
+        },
+    };
+    outcome.check_conservation()?;
+    Ok(outcome)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::{TcpListener, TcpStream};
+
+    #[test]
+    fn in_process_loopback_cluster_serves_all_tiers_conservatively() {
+        let mut spec = WireSpec::new(3);
+        spec.horizon_ms = 400.0;
+        spec.rate_per_node_per_ms = 2.0;
+        spec.seed = 7;
+        let outcome = wire_bench(&spec).expect("wire bench");
+        outcome.check_conservation().expect("conservation");
+        assert_eq!(outcome.epoch, 1);
+        assert_eq!(outcome.per_node.len(), 3);
+        let offered = outcome.offered();
+        assert!(offered > 0, "workload must offer requests");
+        assert_eq!(outcome.shed(), 0, "no faults: nothing sheds");
+        let (local, peer, origin) = WireOutcome::tier_fractions(&outcome.per_node);
+        assert!(local > 0.0, "popularity prefix must serve locally");
+        assert!(peer > 0.0, "coordinated slices must serve over the wire");
+        assert!(origin > 0.0, "catalogue tail must fall through to origin");
+        assert!((local + peer + origin - 1.0).abs() < 1e-9);
+        for stats in outcome.node_stats.iter().flatten() {
+            assert_eq!(stats.epoch, 1);
+        }
+        let forwards: u64 = outcome.node_stats.iter().flatten().map(|s| s.forwards_in).sum();
+        assert!(forwards > 0, "peer serving implies forward frames were exchanged");
+    }
+
+    /// The wire tier's staged rollout: a deliberately mis-provisioned
+    /// cluster (ℓ far below the optimum for the true exponent) is
+    /// walked to the re-solved layout by the driver-side controller
+    /// through multiple budgeted epochs, and every node converges to
+    /// the same final epoch carrying the fitted-exponent snapshot.
+    #[test]
+    fn adaptive_wire_bench_stages_epochs_and_converges_every_node() {
+        let mut spec = WireSpec::new(3);
+        spec.ell = 0.2;
+        spec.zipf_s = 1.1;
+        spec.rate_per_node_per_ms = 4.0;
+        spec.horizon_ms = 600.0;
+        spec.paced = true;
+        spec.batch = 16;
+        spec.seed = 11;
+        spec.adapt = Some(ControllerConfig {
+            decay: 0.9,
+            min_window: 300.0,
+            movement_budget: 64,
+            sample_every: 1,
+            tick_interval: Duration::from_millis(5),
+            ..ControllerConfig::default()
+        });
+        let outcome = wire_bench(&spec).expect("adaptive wire bench");
+        outcome.check_conservation().expect("conservation");
+        let report = outcome.controller.as_ref().expect("controller report present");
+        assert!(report.retargets >= 1, "a mis-provisioned ell must retarget");
+        assert!(
+            report.epochs_issued >= 2,
+            "the retarget must be staged incrementally, got {} epochs",
+            report.epochs_issued
+        );
+        assert!(report.slices_moved > 0);
+        assert_eq!(
+            outcome.epoch,
+            1 + report.epochs_issued,
+            "every issued epoch must have landed cluster-wide"
+        );
+        let fitted = report.fitted_s.expect("a fit happened");
+        assert!((fitted - spec.zipf_s).abs() < 0.2, "fit {fitted} missed s={}", spec.zipf_s);
+        for stats in outcome.node_stats.iter().flatten() {
+            assert_eq!(stats.epoch, outcome.epoch, "all nodes converge to the same epoch");
+            let node_view = f64::from_bits(stats.fitted_s_bits);
+            assert!(
+                (node_view - fitted).abs() < 0.2,
+                "node stats carry the fitted snapshot, got {node_view}"
+            );
+        }
+    }
+
+    #[test]
+    fn wire_spec_rejects_malformed_fault_schedules() {
+        let mut spec = WireSpec::new(2);
+        spec.faults = vec![WireFault { at_op: 10, kind: WireFaultKind::Kill(5) }];
+        assert!(matches!(wire_bench(&spec), Err(EngineError::FaultSpec { .. })));
+        spec.faults = vec![WireFault { at_op: 10, kind: WireFaultKind::Revive(0) }];
+        assert!(matches!(wire_bench(&spec), Err(EngineError::FaultSpec { .. })));
+        // Kill/revive requires real child processes.
+        spec.faults = vec![
+            WireFault { at_op: 10, kind: WireFaultKind::Kill(0) },
+            WireFault { at_op: 20, kind: WireFaultKind::Revive(0) },
+        ];
+        assert!(matches!(wire_bench(&spec), Err(EngineError::FaultSpec { .. })));
+    }
+
+    /// Driver-side desync handling: a reply carrying a stale tag (or
+    /// a tally that does not cover its frame) makes `drain_one` report
+    /// desync, and `shed_conn` sheds the whole in-flight tail.
+    #[test]
+    fn stale_tag_reply_sheds_the_in_flight_tail() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let client = TcpStream::connect(addr).expect("connect");
+        client.set_read_timeout(Some(Duration::from_secs(2))).expect("timeout");
+        let (server, _) = listener.accept().expect("accept");
+        let mut server_conn = Conn::new(server, None);
+        // The server answers the front frame (tag 1) with tag 99.
+        server_conn
+            .send_response(&Response::BatchServed {
+                tag: 99,
+                local: 4,
+                peer: 0,
+                origin: 0,
+                shed: 0,
+            })
+            .expect("mis-tagged reply");
+        let cells = LedgerCells::default();
+        let mut pending: VecDeque<(u32, u64)> = VecDeque::from([(1, 4), (2, 7)]);
+        let mut conn = Some((Conn::new(client, None), 0u64));
+        let (c, _) = conn.as_mut().expect("conn");
+        assert!(!drain_one(c, &mut pending, &cells), "stale tag must read as desync");
+        shed_conn(&mut conn, &mut pending, &cells);
+        assert!(conn.is_none() && pending.is_empty());
+        let ledger = cells.snapshot();
+        assert_eq!(ledger.completed(), 0, "a mis-tagged tally must not land");
+        assert_eq!(ledger.shed, 11, "both in-flight frames shed, 4 + 7 requests");
+    }
+}

@@ -1,0 +1,118 @@
+//! Wire tier: the serving engine on real sockets.
+//!
+//! The in-process [`crate::cluster`] runs the paper's cooperating
+//! routers inside one process, where a peer forward is a ring push.
+//! This module runs each router as its own OS process connected by
+//! TCP, so the d0/d1/d2 cost hierarchy crosses an actual link. It is
+//! `std::net` only, in the same vendored, dependency-free style as
+//! [`crate::ring`]: no async runtime, no serialization framework. The
+//! submodules split it at its seams — `codec` (frame format), `conn`
+//! (one framed connection), `peer` (a node's link to one peer),
+//! `node` (the server and its ladder), `driver` (the coordinator and
+//! load driver); DESIGN.md §11 has the full map.
+//!
+//! # Frame layout
+//!
+//! Every message is one frame:
+//!
+//! ```text
+//! +----------------+---------+--------------------------+
+//! | len: u32 LE    | kind: u8| payload (len - 1 bytes)  |
+//! +----------------+---------+--------------------------+
+//! ```
+//!
+//! `len` counts the kind byte plus the payload and is capped at
+//! [`MAX_FRAME`]; integers are little-endian, strings are `u16`
+//! length-prefixed UTF-8. Kinds with the high bit set are responses.
+//! Protocol version [`PROTOCOL_VERSION`] has fifteen kinds:
+//!
+//! | kind   | request            | kind   | response            |
+//! |--------|--------------------|--------|---------------------|
+//! | `0x01` | `Hello`            | `0x8A` | `HelloAck`          |
+//! | `0x02` | `ConfigEpoch`      | `0x81` | `EpochAck`          |
+//! | `0x04` | `BatchLookup`      | `0x83` | `BatchServed`       |
+//! | `0x09` | `PeerForwardBatch` | `0x89` | `ForwardBatchReply` |
+//! | `0x06` | `HealthProbe`      | `0x85` | `HealthAck`         |
+//! | `0x07` | `Stats`            | `0x86` | `StatsReply`        |
+//! | `0x08` | `Shutdown`         | `0x87` | `Bye`               |
+//! |        |                    | `0x88` | `Refused`           |
+//!
+//! Any other kind byte, a truncated or over-long payload, or a count
+//! field larger than the frame is answered with one typed `Refused`
+//! and the connection is closed. A single lookup or forward is a batch
+//! of one.
+//!
+//! # Roles
+//!
+//! - **Node** ([`NodeServer`], the `ccn node` subcommand): binds,
+//!   prints its address, and waits for a **config epoch** — the
+//!   coordinator's versioned provisioning push carrying the
+//!   `ccn_coord` slice assignments, store layout, and the peer address
+//!   list. Only then does it build its sharded store (MPSC rings:
+//!   every accepted connection is a producer) and serve lookups.
+//! - **Coordinator / driver** ([`wire_bench`]): provisions every node
+//!   (epoch 1), drives per-node Zipf request streams over the same
+//!   protocol, replays a kill/revive schedule by SIGKILLing node
+//!   *processes* and re-provisioning the survivors plus the respawned
+//!   node under a bumped epoch, and folds per-node ledgers into a
+//!   [`WireOutcome`] whose accounting (`offered == completed + shed`)
+//!   is enforced exactly, per node and in total.
+//!
+//! # Epoch semantics
+//!
+//! A config epoch is accepted iff it is strictly newer than the
+//! node's current epoch; replays and reordered pushes are answered
+//! with the current epoch and ignored. An epoch whose store layout
+//! (catalogue, capacity, prefix, slices, policy) matches the current
+//! provisioning swaps routing and peer links but **keeps the store**,
+//! so re-provisioning live survivors after a revival does not discard
+//! their cache warmth; a layout change rebuilds the store from
+//! scratch.
+//!
+//! # Failure ladder over sockets
+//!
+//! A `BatchLookup` is probed through the shard pipeline in one sweep;
+//! its misses are grouped by holder and each group walks the ladder:
+//!
+//! - **peer**: the group goes out as pipelined `PeerForwardBatch`
+//!   frames on the holder's connection, read back under the forward
+//!   deadline (socket read timeout) shared by the whole group.
+//! - **retry**: items a holder answers *refused* (not yet
+//!   provisioned) are retried up to the configured budget with linear
+//!   backoff.
+//! - **origin**: a deadline expiry or socket failure (connection
+//!   refused, reset, torn down mid-conversation) degrades the items to
+//!   origin at the client node. A timed-out connection is dropped,
+//!   not reused — a late reply on a reused stream would desynchronize
+//!   the framing.
+//! - **health**: consecutive socket failures against one holder mark
+//!   it down in the node's [`crate::LiveRouting`] view (epoch bump,
+//!   HRW failover moves exactly that node's share); a background
+//!   probe thread pings down peers and restores them when they answer
+//!   again — wall-clock probing, because a dead process produces no
+//!   ops to count.
+//! - **shed**: a killed node's clients shed at the driver edge: a
+//!   request offered to a dead process is counted shed, never lost,
+//!   so SIGKILL preserves `offered == completed + shed` bit-exactly.
+//!
+//! This ladder and [`crate::cluster`]'s are deliberately separate
+//! code: the in-process one is per job, runs inside shard workers and
+//! forwards fire-and-forget through rings; this one is per batch,
+//! runs on the connection thread and waits on a socket under a shared
+//! deadline (DESIGN.md, *Wire tier*).
+
+mod codec;
+mod conn;
+mod driver;
+mod node;
+mod peer;
+
+pub use codec::{
+    NodeStatsSnapshot, Provision, Request, Response, SliceAssignment, FWD_HIT, FWD_MISS,
+    FWD_REFUSED, MAX_FRAME, PROTOCOL_VERSION, TIER_LOCAL, TIER_ORIGIN, TIER_PEER,
+};
+pub use driver::{
+    wire_bench, NodeLaunch, WireFault, WireFaultKind, WireLedger, WireOutcome, WirePipelineStats,
+    WireSpec,
+};
+pub use node::{NodeConfig, NodeServer};

@@ -585,15 +585,6 @@ impl<J: Send + 'static> ShardHandle<J> {
         }
     }
 
-    /// The current producer census (registrants counted by the seal
-    /// protocol). Observability for census-accounting assertions —
-    /// e.g. that a wire node's re-provision registers only the delta
-    /// of newly accepted connections, never the full census again.
-    #[must_use]
-    pub fn producer_census(&self) -> usize {
-        self.inner.producers.load(Ordering::SeqCst)
-    }
-
     /// Workers that successfully pinned themselves to the core their
     /// [`ShardSpec::pin_cores`] assignment named.
     #[must_use]
