@@ -3,7 +3,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use ccn_sim::store::reference::{NaiveLfuStore, NaiveLruStore};
 use ccn_sim::store::{ContentStore, FifoStore, LfuStore, LruStore, RandomStore, SlruStore};
 use ccn_sim::{ContentId, Placement};
 use ccn_zipf::ZipfSampler;
@@ -23,16 +22,12 @@ fn churn(store: &mut dyn ContentStore, stream: &[u64]) -> usize {
     store.len()
 }
 
-/// The headline hot-path benchmark: a Zipf(0.8) stream over a 10^6
-/// catalogue churning a 10^3-entry store. The O(1) stores take the
-/// full million operations; the naive reference stores (the seed's
-/// data structures, which scan on every eviction) replay a shorter
-/// prefix — compare per-operation times across the ten-fold op gap.
+/// The headline hot-path benchmark: a Zipf(0.8) stream of a million
+/// operations over a 10^6 catalogue churning a 10^3-entry store.
 fn churn_benches(c: &mut Criterion) {
     const CATALOGUE: u64 = 1_000_000;
     const CAPACITY: usize = 1_000;
     const FAST_OPS: usize = 1_000_000;
-    const NAIVE_OPS: usize = FAST_OPS / 10;
 
     let sampler = ZipfSampler::new(0.8, CATALOGUE).expect("valid");
     let mut rng = StdRng::seed_from_u64(2024);
@@ -45,12 +40,6 @@ fn churn_benches(c: &mut Criterion) {
     });
     group.bench_function("lfu_churn", |b| {
         b.iter(|| churn(&mut LfuStore::new(CAPACITY), black_box(&stream)))
-    });
-    group.bench_function("lru_churn_naive_tenth", |b| {
-        b.iter(|| churn(&mut NaiveLruStore::new(CAPACITY), black_box(&stream[..NAIVE_OPS])))
-    });
-    group.bench_function("lfu_churn_naive_tenth", |b| {
-        b.iter(|| churn(&mut NaiveLfuStore::new(CAPACITY), black_box(&stream[..NAIVE_OPS])))
     });
     group.finish();
 }

@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use ccn_engine::{
     available_cores, serve_bench, shard_of, ClusterConfig, DegradeConfig, FaultPlan, IdleStrategy,
-    OpenLoopConfig, RingMode, ServeBenchConfig, ShardPlacement, ShardedStore, StorePolicy,
+    OpenLoopConfig, ServeBenchConfig, ShardPlacement, ShardedStore, StorePolicy,
 };
 use ccn_obs::{Json, PhaseClock, RunManifest, ToJson};
 use ccn_sim::store::{ContentStore, LruStore};
@@ -92,7 +92,6 @@ fn engine_run(cores: usize, batch: usize, idle: IdleStrategy, smoke: bool) -> Se
             idle,
             degrade: DegradeConfig::default(),
             placement: ShardPlacement::new(cores, true),
-            ring_mode: RingMode::Mpsc,
         },
         load: OpenLoopConfig {
             generators: NODES,

@@ -14,9 +14,8 @@
 //! - [`aggregate`] — group per-seed results by label into means with
 //!   95% confidence intervals ([`LabelSummary`]);
 //! - [`run_bench`]/[`BenchReport`] — the `ccn bench` driver: store
-//!   micro-benchmarks, a before/after Abilene throughput comparison
-//!   against the seed's O(n) stores, a multi-seed validation sweep,
-//!   and a thread-scaling measurement, all emitted as machine-readable
+//!   micro-benchmarks, a multi-seed validation sweep, and a
+//!   thread-scaling measurement, all emitted as machine-readable
 //!   `BENCH_*.json`.
 
 use std::time::Instant;
@@ -25,12 +24,8 @@ use ccn_numerics::parallel_map;
 use ccn_numerics::stats::Summary;
 use ccn_obs::{available_cores, effective_threads, Json, PhaseClock, RunManifest, ToJson};
 use ccn_sim::scenario::{steady_state_with_failures, SteadyStateConfig};
-use ccn_sim::store::reference::{NaiveLfuStore, NaiveLruStore};
 use ccn_sim::store::{ContentStore, LfuStore, LruStore};
-use ccn_sim::workload::zipf_irm;
-use ccn_sim::{
-    CachingMode, FailureScenario, Metrics, Network, OriginConfig, SimConfig, SimError, Simulator,
-};
+use ccn_sim::{FailureScenario, Metrics, OriginConfig, SimError};
 use ccn_topology::{datasets, Graph};
 use ccn_zipf::ZipfSampler;
 use rand::rngs::StdRng;
@@ -201,8 +196,8 @@ pub fn aggregate(results: &[TrialResult]) -> Vec<LabelSummary> {
         .collect()
 }
 
-/// One store micro-benchmark line: the O(1) structure against the
-/// seed's O(n) reference on an identical Zipf churn stream.
+/// One store micro-benchmark line: an O(1) store on a Zipf churn
+/// stream.
 #[derive(Debug, Clone)]
 pub struct StoreChurn {
     /// `"lru_churn"` or `"lfu_churn"`.
@@ -211,32 +206,10 @@ pub struct StoreChurn {
     pub catalogue: u64,
     /// Store capacity.
     pub capacity: usize,
-    /// Operations timed against the O(1) store.
+    /// Operations timed.
     pub fast_ops: usize,
-    /// Nanoseconds per operation, O(1) store.
+    /// Nanoseconds per operation.
     pub fast_ns_per_op: f64,
-    /// Operations timed against the naive store (fewer — O(n)
-    /// eviction makes full-length runs impractical; per-op figures
-    /// stay comparable).
-    pub naive_ops: usize,
-    /// Nanoseconds per operation, naive store.
-    pub naive_ns_per_op: f64,
-    /// `naive_ns_per_op / fast_ns_per_op`.
-    pub speedup: f64,
-}
-
-/// Before/after throughput on one full dynamic-store simulation.
-#[derive(Debug, Clone)]
-pub struct BeforeAfter {
-    /// Events dispatched (identical in both runs — the store swap
-    /// never changes simulation behaviour).
-    pub events: u64,
-    /// Events/sec with the seed's naive O(n) stores.
-    pub before_events_per_sec: f64,
-    /// Events/sec with the O(1) stores.
-    pub after_events_per_sec: f64,
-    /// Throughput ratio.
-    pub speedup: f64,
 }
 
 /// Thread-scaling measurement on the validation sweep.
@@ -302,9 +275,6 @@ pub struct BenchReport {
     pub manifest: RunManifest,
     /// Store micro-benchmarks.
     pub stores: Vec<StoreChurn>,
-    /// Before/after events/sec on the Abilene dynamic-LRU validation
-    /// workload.
-    pub abilene: BeforeAfter,
     /// Multi-seed Abilene validation sweep, one summary per `ℓ`.
     pub sweep: Vec<LabelSummary>,
     /// Thread-scaling measurement over the sweep.
@@ -347,85 +317,27 @@ fn churn_ns_per_op(store: &mut dyn ContentStore, stream: &[u64]) -> f64 {
 
 fn store_churns(smoke: bool) -> Vec<StoreChurn> {
     // The acceptance-criteria geometry: catalogue 10^6, capacity 10^3,
-    // 10^6 ops against the O(1) stores. The naive stores run a shorter
-    // prefix of the same stream (O(n)-per-eviction makes the full
-    // length impractical) — per-op costs remain directly comparable
-    // because the stream is stationary.
+    // 10^6 ops.
     let catalogue: u64 = 1_000_000;
     let capacity: usize = 1_000;
-    let (fast_ops, naive_ops) = if smoke { (100_000, 5_000) } else { (1_000_000, 50_000) };
+    let fast_ops = if smoke { 100_000 } else { 1_000_000 };
     let sampler = ZipfSampler::new(0.8, catalogue).expect("valid zipf");
     let mut rng = StdRng::seed_from_u64(2024);
     let stream = sampler.sample_many(&mut rng, fast_ops);
-    let mut rows = Vec::new();
-    for name in ["lru_churn", "lfu_churn"] {
-        let (mut fast, mut naive): (Box<dyn ContentStore>, Box<dyn ContentStore>) =
-            if name == "lru_churn" {
-                (Box::new(LruStore::new(capacity)), Box::new(NaiveLruStore::new(capacity)))
-            } else {
-                (Box::new(LfuStore::new(capacity)), Box::new(NaiveLfuStore::new(capacity)))
-            };
-        let fast_ns = churn_ns_per_op(fast.as_mut(), &stream);
-        let naive_ns = churn_ns_per_op(naive.as_mut(), &stream[..naive_ops]);
-        rows.push(StoreChurn {
+    let stores: [(&str, Box<dyn ContentStore>); 2] = [
+        ("lru_churn", Box::new(LruStore::new(capacity))),
+        ("lfu_churn", Box::new(LfuStore::new(capacity))),
+    ];
+    stores
+        .into_iter()
+        .map(|(name, mut store)| StoreChurn {
             name: name.to_owned(),
             catalogue,
             capacity,
             fast_ops,
-            fast_ns_per_op: fast_ns,
-            naive_ops,
-            naive_ns_per_op: naive_ns,
-            speedup: naive_ns / fast_ns,
-        });
-    }
-    rows
-}
-
-/// Full dynamic-LRU Abilene run with pluggable store factory; returns
-/// `(events, events_per_sec)`.
-fn abilene_dynamic_run(
-    factory: &dyn Fn() -> Box<dyn ContentStore>,
-    horizon_ms: f64,
-) -> Result<(u64, f64), SimError> {
-    let graph = datasets::abilene();
-    let routers: Vec<usize> = (0..graph.node_count()).collect();
-    let net = Network::builder(graph)
-        .stores_with(|_| factory())
-        .caching(CachingMode::Edge)
-        .origin(OriginConfig { latency_ms: 50.0, hops: 4, gateway: None })
-        .build()?;
-    let requests = zipf_irm(&routers, 0.8, 50_000, 0.05, horizon_ms, 7)?;
-    let start = Instant::now();
-    let metrics = Simulator::new(net, SimConfig::default()).run(&requests)?;
-    let secs = start.elapsed().as_secs_f64();
-    Ok((metrics.events_processed, metrics.events_processed as f64 / secs))
-}
-
-fn abilene_before_after(smoke: bool) -> Result<BeforeAfter, SimError> {
-    let horizon_ms = if smoke { 5_000.0 } else { 30_000.0 };
-    let capacity = 1_000;
-    // Best of three repetitions per store: a single short run is
-    // dominated by warm-up and scheduler jitter, especially in smoke
-    // mode where the whole simulation lasts a few milliseconds.
-    let best = |factory: &dyn Fn() -> Box<dyn ContentStore>| -> Result<(u64, f64), SimError> {
-        let mut best: Option<(u64, f64)> = None;
-        for _ in 0..3 {
-            let (events, rate) = abilene_dynamic_run(factory, horizon_ms)?;
-            if best.is_none_or(|(_, r)| rate > r) {
-                best = Some((events, rate));
-            }
-        }
-        Ok(best.expect("three repetitions ran"))
-    };
-    let (before_events, before) = best(&|| Box::new(NaiveLruStore::new(capacity)))?;
-    let (after_events, after) = best(&|| Box::new(LruStore::new(capacity)))?;
-    assert_eq!(before_events, after_events, "store swap must not change simulation behaviour");
-    Ok(BeforeAfter {
-        events: after_events,
-        before_events_per_sec: before,
-        after_events_per_sec: after,
-        speedup: after / before,
-    })
+            fast_ns_per_op: churn_ns_per_op(store.as_mut(), &stream),
+        })
+        .collect()
 }
 
 /// Base workload seed of the validation sweep; replication `k` runs
@@ -486,19 +398,6 @@ impl ToJson for StoreChurn {
             .field("capacity", self.capacity)
             .field("fast_ops", self.fast_ops)
             .field("fast_ns_per_op", self.fast_ns_per_op)
-            .field("naive_ops", self.naive_ops)
-            .field("naive_ns_per_op", self.naive_ns_per_op)
-            .field("speedup", self.speedup)
-    }
-}
-
-impl ToJson for BeforeAfter {
-    fn to_json(&self) -> Json {
-        Json::object()
-            .field("events", self.events)
-            .field("before_events_per_sec", self.before_events_per_sec)
-            .field("after_events_per_sec", self.after_events_per_sec)
-            .field("speedup", self.speedup)
     }
 }
 
@@ -539,7 +438,6 @@ impl ToJson for BenchReport {
             .field("threads", self.threads)
             .field("manifest", self.manifest.to_json())
             .field("stores", Json::Arr(self.stores.iter().map(ToJson::to_json).collect()))
-            .field("abilene_validation", self.abilene.to_json())
             .field("sweep", Json::Arr(self.sweep.iter().map(ToJson::to_json).collect()))
             .field("thread_scaling", self.scaling.to_json())
     }
@@ -579,25 +477,12 @@ pub fn run_bench(name: &str, opts: &BenchOptions) -> Result<BenchReport, SimErro
     let requested = if opts.threads > 0 { opts.threads } else { resolve_threads(0) };
     let threads = resolve_threads(opts.threads);
     let mut clock = PhaseClock::new();
-    println!("[{name}] store micro-benchmarks (O(1) vs seed implementations)...");
+    println!("[{name}] store micro-benchmarks...");
     let stores = store_churns(opts.smoke);
     clock.lap("stores");
     for s in &stores {
-        println!(
-            "  {}: {:.0} ns/op vs naive {:.0} ns/op — {:.1}x",
-            s.name, s.fast_ns_per_op, s.naive_ns_per_op, s.speedup
-        );
+        println!("  {}: {:.0} ns/op", s.name, s.fast_ns_per_op);
     }
-    println!("[{name}] Abilene dynamic-LRU before/after...");
-    let abilene = abilene_before_after(opts.smoke)?;
-    clock.lap_events("abilene", abilene.events);
-    println!(
-        "  {} events: {:.0} -> {:.0} events/sec ({:.2}x)",
-        abilene.events,
-        abilene.before_events_per_sec,
-        abilene.after_events_per_sec,
-        abilene.speedup
-    );
     println!(
         "[{name}] validation sweep ({} seeds x 4 ell points, {} threads)...",
         opts.seeds, threads
@@ -632,7 +517,6 @@ pub fn run_bench(name: &str, opts: &BenchOptions) -> Result<BenchReport, SimErro
         threads,
         manifest,
         stores,
-        abilene,
         sweep,
         scaling,
     })
@@ -724,16 +608,7 @@ mod tests {
                 capacity: 10,
                 fast_ops: 1_000,
                 fast_ns_per_op: 50.0,
-                naive_ops: 100,
-                naive_ns_per_op: 500.0,
-                speedup: 10.0,
             }],
-            abilene: BeforeAfter {
-                events: 42,
-                before_events_per_sec: 1e5,
-                after_events_per_sec: 1e6,
-                speedup: 10.0,
-            },
             sweep: vec![],
             scaling: ThreadScaling::from_measurement(2, 4, 100.0, 60.0),
         }
@@ -745,7 +620,7 @@ mod tests {
         let json = report.to_json();
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert!(json.contains("\"bench\": \"BENCH_TEST\""));
-        assert!(json.contains("\"speedup\": 10"));
+        assert!(json.contains("\"fast_ns_per_op\": 50"));
         assert!(json.contains("\"effective_threads\": 2"));
         // NaN must serialize as null, not break the document.
         let nan_stat = Stat::of(&[]);
@@ -795,6 +670,6 @@ mod tests {
         assert_eq!(resolve_threads(3), 3.min(cores));
         assert_eq!(resolve_threads(usize::MAX), cores);
         assert!(resolve_threads(0) >= 1);
-        assert!(resolve_threads(0) <= cores.min(8).max(1));
+        assert!(resolve_threads(0) <= cores.clamp(1, 8));
     }
 }

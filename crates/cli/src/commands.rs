@@ -10,8 +10,8 @@ use ccn_engine::net::{
 };
 use ccn_engine::{
     controller_json, serve_bench, ClusterConfig, ControllerConfig, ControllerReport, DegradeConfig,
-    DriftSegment, FaultPlan, IdleStrategy, OpenLoopConfig, RingMode, ServeBenchConfig,
-    ShardPlacement, StorePolicy,
+    DriftSegment, FaultPlan, IdleStrategy, OpenLoopConfig, ServeBenchConfig, ShardPlacement,
+    StorePolicy,
 };
 use ccn_model::planner::{capacity_for_target_origin_load, plan, PlannerConfig};
 use ccn_model::{CacheModel, ModelParams};
@@ -67,9 +67,6 @@ COMMANDS
              --cores 0 (placement core budget; 0 = all available)
              --pin false (pin shard workers and generator lanes to
                their placement cores — thread-per-core mode)
-             --ring-mode mpsc|auto|spsc (shard-queue producer
-               discipline; auto demotes to the SPSC fast path when a
-               single-node run has exactly one generator lane)
              --faults \"kill:1@500,revive:1@900\" — deterministic fault
                schedule at admission-operation counts; forms: kill:N@OP
                revive:N@OP kill-worker:N.S@OP revive-worker:N.S@OP
@@ -463,11 +460,10 @@ fn bench_cmd(args: &Args) -> Result<String, ArgError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "bench {name}: stores {:.1}x/{:.1}x, simulator {:.2}x, \
+        "bench {name}: stores {:.0}/{:.0} ns/op (lru/lfu), \
          parallel efficiency {:.0}% at {} threads",
-        report.stores.first().map_or(f64::NAN, |s| s.speedup),
-        report.stores.get(1).map_or(f64::NAN, |s| s.speedup),
-        report.abilene.speedup,
+        report.stores.first().map_or(f64::NAN, |s| s.fast_ns_per_op),
+        report.stores.get(1).map_or(f64::NAN, |s| s.fast_ns_per_op),
         report.scaling.efficiency * 100.0,
         report.scaling.threads
     );
@@ -502,7 +498,6 @@ fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
         "idle",
         "cores",
         "pin",
-        "ring-mode",
         "faults",
         "deadline-us",
         "retries",
@@ -545,7 +540,6 @@ fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
                 usize_flag(args, "cores", 0)?,
                 parse_bool(args, "pin", "false")?,
             ),
-            ring_mode: parse_ring_mode_flag(args)?,
         },
         load: OpenLoopConfig {
             generators: usize_flag(args, "generators", 1)?,
@@ -609,13 +603,11 @@ fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
     );
     let _ = writeln!(
         out,
-        "  placement: {} core(s) available, budget {}, pinned {} worker(s) + {} lane(s), \
-         ring {}",
+        "  placement: {} core(s) available, budget {}, pinned {} worker(s) + {} lane(s)",
         outcome.available_cores,
         outcome.placement_cores,
         outcome.pinned_workers,
         outcome.pinned_generators,
-        outcome.ring_mode.name(),
     );
     let _ = writeln!(
         out,
@@ -672,15 +664,6 @@ fn parse_policy_flag(args: &Args) -> Result<StorePolicy, ArgError> {
 fn parse_idle_flag(args: &Args) -> Result<IdleStrategy, ArgError> {
     IdleStrategy::parse(&args.str_or("idle", "spin-then-park"))
         .map_err(|e| ArgError(format!("--idle: {e}")))
-}
-
-fn parse_ring_mode_flag(args: &Args) -> Result<RingMode, ArgError> {
-    match args.str_or("ring-mode", "mpsc").as_str() {
-        "mpsc" => Ok(RingMode::Mpsc),
-        "auto" => Ok(RingMode::Auto),
-        "spsc" => Ok(RingMode::Spsc),
-        other => Err(ArgError(format!("--ring-mode {other:?}: expected mpsc, auto, or spsc"))),
-    }
 }
 
 fn parse_degrade_flags(args: &Args) -> Result<DegradeConfig, ArgError> {
@@ -1254,12 +1237,12 @@ mod tests {
         }
     }
 
-    /// The wire tier's rings are always MPSC, so neither wire command
-    /// takes a ring mode any more: the flag is an unknown-flag error,
-    /// not a silently ignored setting.
+    /// Shard job rings are always MPSC, so no serving command takes a
+    /// ring mode: the flag is an unknown-flag error, not a silently
+    /// ignored setting.
     #[test]
     fn wire_commands_reject_the_retired_ring_mode_flag() {
-        for cmd in ["node", "wire-bench"] {
+        for cmd in ["node", "wire-bench", "serve-bench"] {
             let err = run_tokens(&[cmd, "--ring-mode", "mpsc"]).unwrap_err();
             assert!(err.to_string().contains("unknown flag --ring-mode"), "{cmd}: {err}");
         }
@@ -1534,7 +1517,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_bench_placement_and_ring_mode_flags_reach_the_report() {
+    fn serve_bench_placement_flags_reach_the_report() {
         let dir = std::env::temp_dir().join("ccn-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("serve_pinned.json");
@@ -1556,8 +1539,6 @@ mod tests {
             "1",
             "--pin",
             "true",
-            "--ring-mode",
-            "auto",
             "--smoke",
             "true",
             "--out",
@@ -1565,9 +1546,7 @@ mod tests {
         ])
         .unwrap();
         assert!(text.contains("placement: "), "{text}");
-        assert!(text.contains("ring spsc"), "single lane under auto must demote: {text}");
         let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"ring_mode\": \"spsc\""), "{json}");
         assert!(json.contains("\"placement_cores\": 1"), "{json}");
         assert!(json.contains("\"placement_pin\": true"), "{json}");
         // The manifest records engine threads separately from the
@@ -1576,11 +1555,6 @@ mod tests {
         assert!(json.contains("\"engine_generator_threads\": 1"), "{json}");
         let verdict = run_tokens(&["validate-manifest", "--file", path.to_str().unwrap()]).unwrap();
         assert!(verdict.contains("embedded manifest"), "{verdict}");
-
-        let err = run_tokens(&["serve-bench", "--ring-mode", "bogus"]).unwrap_err();
-        assert!(err.to_string().contains("--ring-mode"), "{err}");
-        let err = run_tokens(&["serve-bench", "--nodes", "2", "--ring-mode", "spsc"]).unwrap_err();
-        assert!(err.to_string().contains("nodes == 1"), "{err}");
     }
 
     #[test]

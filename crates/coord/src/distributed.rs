@@ -266,7 +266,7 @@ mod tests {
         // error naming the cut-off routers, not return bogus costs.
         let mut g = Graph::new("split");
         for i in 0..5 {
-            g.add_node(&format!("r{i}"), 0.0, 0.0);
+            g.add_node(format!("r{i}"), 0.0, 0.0);
         }
         g.add_edge(0, 1, 1.0).unwrap();
         g.add_edge(1, 2, 1.0).unwrap();

@@ -54,9 +54,7 @@ use crate::fault::{
 };
 use crate::pad::CachePadded;
 use crate::routing::{LiveRouting, RoutingTable};
-use crate::shard::{
-    lock_recover, shard_of, IdleStrategy, RingMode, ShardHandle, ShardSpec, ShardedStore,
-};
+use crate::shard::{lock_recover, shard_of, IdleStrategy, ShardHandle, ShardSpec, ShardedStore};
 
 /// Upper bucket edges for the engine's latency histograms: the
 /// in-process tiers complete in microseconds, so the grid extends
@@ -121,15 +119,6 @@ pub struct ClusterConfig {
     /// whether they actually pin. Disabled by default — threads float
     /// exactly as they did before placement existed.
     pub placement: ShardPlacement,
-    /// Shard-queue producer discipline. [`RingMode::Mpsc`] (the
-    /// default) is always sound. [`RingMode::Auto`] demotes each
-    /// shard ring to the SPSC fast path when exactly one producer
-    /// registers before traffic; it requires `nodes == 1`, because
-    /// peer forwards make every other node's workers producers too —
-    /// with `nodes > 1` the build resolves it back to MPSC.
-    /// [`RingMode::Spsc`] asserts single-producer up front and is
-    /// rejected outright when `nodes > 1`.
-    pub ring_mode: RingMode,
 }
 
 impl Default for ClusterConfig {
@@ -145,7 +134,6 @@ impl Default for ClusterConfig {
             idle: IdleStrategy::default(),
             degrade: DegradeConfig::default(),
             placement: ShardPlacement::disabled(),
-            ring_mode: RingMode::default(),
         }
     }
 }
@@ -187,26 +175,7 @@ impl ClusterConfig {
         if !(0.0..=1.0).contains(&self.ell) {
             return reject(format!("ell {} must be in [0, 1]", self.ell));
         }
-        if self.ring_mode == RingMode::Spsc && self.nodes > 1 {
-            return reject(format!(
-                "ring_mode=spsc requires nodes == 1 (peer forwards from {} nodes \
-                 would be extra producers)",
-                self.nodes
-            ));
-        }
         self.degrade.validate()
-    }
-
-    /// The ring mode the cluster actually builds with: a multi-node
-    /// cluster can never be single-producer (every peer's workers
-    /// forward into this node's queues), so `Auto` resolves to MPSC
-    /// unless `nodes == 1`.
-    #[must_use]
-    pub fn effective_ring_mode(&self) -> RingMode {
-        match self.ring_mode {
-            RingMode::Auto if self.nodes > 1 => RingMode::Mpsc,
-            mode => mode,
-        }
     }
 }
 
@@ -530,8 +499,6 @@ pub struct EngineMetrics {
     pub fault_log: Vec<AppliedFault>,
     /// Shard workers that successfully pinned to their placement core.
     pub pinned_workers: usize,
-    /// The producer discipline the shard rings resolved to.
-    pub ring_mode: RingMode,
 }
 
 impl EngineMetrics {
@@ -636,7 +603,6 @@ impl Cluster {
             injects_latency,
             tap: OnceLock::new(),
         });
-        let ring_mode = config.effective_ring_mode();
         let stores: Vec<ShardedStore<Job>> = (0..config.nodes)
             .map(|node| {
                 let worker_shared = Arc::clone(&shared);
@@ -654,7 +620,6 @@ impl Cluster {
                 };
                 let spec = ShardSpec::new(config.shards_per_node, config.queue_capacity)
                     .idle(config.idle)
-                    .ring_mode(ring_mode)
                     .pin_cores(pin_cores);
                 ShardedStore::try_spawn_with(
                     spec,
@@ -678,45 +643,6 @@ impl Cluster {
     #[must_use]
     pub fn config(&self) -> &ClusterConfig {
         &self.config
-    }
-
-    /// Registers the calling thread as a job producer on every node's
-    /// shard queues. Under [`RingMode::Auto`] each submitter thread
-    /// must call this before its first [`Cluster::try_submit`] /
-    /// [`Cluster::batch_submitter`] traffic, so the seal census can
-    /// decide MPSC vs SPSC honestly; under the default MPSC mode it is
-    /// optional (and free).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::InvalidConfig`] when a queue already
-    /// sealed single-producer and cannot admit another producer.
-    pub fn register_producer(&self) -> Result<(), EngineError> {
-        for store in &self.stores {
-            store.handle().register_producer()?;
-        }
-        Ok(())
-    }
-
-    /// Seals the producer census on every node (idempotent): under
-    /// [`RingMode::Auto`] this is the moment each shard ring commits
-    /// to MPSC or demotes to SPSC. Submitting also seals implicitly;
-    /// calling it explicitly just makes the boundary visible.
-    pub fn seal_producers(&self) {
-        for store in &self.stores {
-            store.handle().seal_producers();
-        }
-    }
-
-    /// The ring mode node 0's queues actually run in (resolved, not
-    /// requested — under `Auto` this is unknown until the seal).
-    #[must_use]
-    pub fn ring_mode(&self) -> RingMode {
-        // `validate()` guarantees at least one node; fall back to the
-        // configured discipline rather than indexing blind.
-        self.stores
-            .first()
-            .map_or_else(|| self.config.effective_ring_mode(), |s| s.handle().ring_mode())
     }
 
     /// How many shard workers successfully pinned themselves to their
@@ -905,7 +831,6 @@ impl Cluster {
         self.drain();
         let max_queue_depth =
             self.stores.iter().map(|s| s.handle().max_queue_depth()).max().unwrap_or(0);
-        let ring_mode = self.ring_mode();
         for store in &mut self.stores {
             store.shutdown();
         }
@@ -955,7 +880,6 @@ impl Cluster {
             routing_epoch: self.shared.routing.epoch(),
             fault_log: self.shared.controller.log(),
             pinned_workers,
-            ring_mode,
         }
     }
 }
@@ -1158,60 +1082,6 @@ mod tests {
     }
 
     #[test]
-    fn spsc_ring_mode_requires_a_single_node() {
-        let bad = ClusterConfig { nodes: 2, ring_mode: RingMode::Spsc, ..ClusterConfig::default() };
-        assert!(matches!(Cluster::new(bad), Err(EngineError::InvalidConfig { .. })));
-        let ok = ClusterConfig {
-            nodes: 1,
-            ell: 0.0,
-            ring_mode: RingMode::Spsc,
-            ..ClusterConfig::default()
-        };
-        assert!(Cluster::new(ok).is_ok());
-    }
-
-    #[test]
-    fn auto_ring_mode_resolves_mpsc_for_multi_node_clusters() {
-        let config =
-            ClusterConfig { nodes: 3, ring_mode: RingMode::Auto, ..ClusterConfig::default() };
-        assert_eq!(config.effective_ring_mode(), RingMode::Mpsc);
-        let single =
-            ClusterConfig { nodes: 1, ring_mode: RingMode::Auto, ..ClusterConfig::default() };
-        assert_eq!(single.effective_ring_mode(), RingMode::Auto);
-    }
-
-    #[test]
-    fn auto_single_node_demotes_to_spsc_and_serves_identically() {
-        let base = ClusterConfig {
-            nodes: 1,
-            catalogue: 1_000,
-            capacity: 4,
-            ell: 0.0,
-            policy: StorePolicy::Lru,
-            ..ClusterConfig::default()
-        };
-        let run = |ring_mode: RingMode| {
-            let cluster = Cluster::new(ClusterConfig { ring_mode, ..base.clone() }).unwrap();
-            cluster.register_producer().unwrap();
-            cluster.seal_producers();
-            let resolved = cluster.ring_mode();
-            for rank in [7u64, 9, 7, 11, 9, 7] {
-                drive_to_completion(&cluster, 0, ContentId(rank));
-                cluster.drain();
-            }
-            let contents = cluster.node_contents(0);
-            let metrics = cluster.finish();
-            (resolved, metrics.totals(), contents)
-        };
-        let (mpsc_mode, mpsc_totals, mpsc_contents) = run(RingMode::Mpsc);
-        let (auto_mode, auto_totals, auto_contents) = run(RingMode::Auto);
-        assert_eq!(mpsc_mode, RingMode::Mpsc);
-        assert_eq!(auto_mode, RingMode::Spsc, "sole registrant must demote");
-        assert_eq!(auto_totals, mpsc_totals, "SPSC fast path changed tier counts");
-        assert_eq!(auto_contents, mpsc_contents, "SPSC fast path changed store state");
-    }
-
-    #[test]
     fn placement_pins_workers_when_enabled() {
         let config = ClusterConfig {
             nodes: 2,
@@ -1228,7 +1098,6 @@ mod tests {
         // metric is read after the join, so it is final.
         let pinned = metrics.pinned_workers;
         assert!(pinned == 4 || pinned == 0, "partial pinning: {pinned}/4");
-        assert_eq!(metrics.ring_mode, RingMode::Mpsc);
     }
 
     #[test]

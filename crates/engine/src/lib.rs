@@ -13,8 +13,8 @@
 //! - [`ring`] — a vendored, dependency-free bounded MPSC ring queue
 //!   (with its happens-before edges documented inline): uncontended
 //!   enqueue is a couple of atomics and a whole run of messages moves
-//!   through one CAS — or, once a ring is proven single-producer and
-//!   demoted to SPSC mode, through a plain store.
+//!   through one CAS — or, on a ring built single-producer (the
+//!   completion lanes), through a plain store.
 //! - [`affinity`] — thread-per-core placement: dependency-free
 //!   `sched_setaffinity` (raw syscall on Linux, honest no-op
 //!   elsewhere) and the [`ShardPlacement`] policy pinning each shard

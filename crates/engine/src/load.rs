@@ -25,11 +25,7 @@
 //! [`generator_core`](crate::ShardPlacement::generator_core) — the
 //! core of the first shard of the first node the lane owns — so under
 //! thread-per-core the producer and the consumer it feeds most share
-//! a core. [`drive`] also registers each lane in the cluster's
-//! producer census *before* spawning it (the spawn gives the
-//! happens-before edge), so a single-lane run under
-//! [`RingMode::Auto`](crate::RingMode) demotes the shard rings to the
-//! SPSC fast path with no registration race.
+//! a core.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -297,13 +293,6 @@ pub fn drive(cluster: &Cluster, config: &OpenLoopConfig) -> Result<LoadReport, E
             Ok(stream)
         })
         .collect::<Result<Vec<_>, _>>()?;
-    // Register every lane in the producer census before any lane can
-    // submit: the spawns below give the happens-before edge, so under
-    // RingMode::Auto the first submission's seal sees the full count
-    // (1 lane ⇒ SPSC demotion, more ⇒ MPSC) with no race.
-    for _ in 0..generators {
-        cluster.register_producer()?;
-    }
     let placement = cluster.config().placement;
     let shards_per_node = cluster.config().shards_per_node;
     let offered = AtomicU64::new(0);
@@ -502,45 +491,6 @@ mod tests {
         let metrics = cluster.finish();
         assert!(report.offered > 1_000, "workload too small: {report:?}");
         assert_eq!(report.offered, metrics.totals().total() + report.shed);
-    }
-
-    #[test]
-    fn single_lane_drive_under_auto_demotes_and_matches_mpsc() {
-        use crate::affinity::ShardPlacement;
-        use crate::shard::RingMode;
-        use ccn_sim::ContentId;
-        let base = ClusterConfig {
-            nodes: 1,
-            queue_capacity: 8_192,
-            catalogue: 500,
-            capacity: 16,
-            ell: 0.0,
-            policy: StorePolicy::Lru,
-            placement: ShardPlacement::new(0, true),
-            ..ClusterConfig::default()
-        };
-        let run = |ring_mode: RingMode| -> (RingMode, LoadReport, TierCounts, Vec<ContentId>) {
-            let cluster = Cluster::new(ClusterConfig { ring_mode, ..base.clone() }).unwrap();
-            let load = OpenLoopConfig {
-                rate_per_node_per_ms: 2.0,
-                horizon_ms: 60.0,
-                batch: 32,
-                ..OpenLoopConfig::default()
-            };
-            let report = drive(&cluster, &load).unwrap();
-            let resolved = cluster.ring_mode();
-            let contents = cluster.node_contents(0);
-            (resolved, report, cluster.finish().totals(), contents)
-        };
-        let (mpsc_mode, mpsc_report, mpsc_totals, mpsc_contents) = run(RingMode::Mpsc);
-        let (auto_mode, auto_report, auto_totals, auto_contents) = run(RingMode::Auto);
-        assert_eq!(mpsc_mode, RingMode::Mpsc);
-        assert_eq!(auto_mode, RingMode::Spsc, "one registered lane must demote");
-        assert_eq!(auto_report.offered, mpsc_report.offered);
-        assert_eq!(auto_report.shed, mpsc_report.shed, "queues sized to never shed");
-        assert_eq!(auto_totals, mpsc_totals, "SPSC fast path changed tier counts");
-        assert_eq!(auto_contents, mpsc_contents, "SPSC fast path changed store state");
-        assert_eq!(auto_report.offered, auto_totals.total() + auto_report.shed);
     }
 
     mod equivalence {

@@ -23,7 +23,7 @@ use crate::cluster::{shard_store, StorePolicy};
 use crate::error::EngineError;
 use crate::fault::DegradeConfig;
 use crate::routing::{LiveRouting, RoutingTable};
-use crate::shard::{IdleStrategy, RingMode, ShardHandle, ShardSpec, ShardedStore};
+use crate::shard::{IdleStrategy, ShardHandle, ShardSpec, ShardedStore};
 
 impl NodeStats {
     fn add(&self, field: &AtomicU64) {
@@ -133,8 +133,7 @@ fn build_store(
     p: &Provision,
 ) -> Result<(Arc<ShardedStore<()>>, ShardHandle<()>), EngineError> {
     let shards = config.shards;
-    let mut spec =
-        ShardSpec::new(shards, config.queue_capacity).idle(config.idle).ring_mode(RingMode::Mpsc);
+    let mut spec = ShardSpec::new(shards, config.queue_capacity).idle(config.idle);
     if config.placement.pin() {
         spec = spec.pin_cores(
             (0..shards).map(|s| Some(config.placement.worker_core(config.id, shards, s))).collect(),

@@ -13,7 +13,6 @@ use crate::control::{ClusterController, ControllerConfig, ControllerReport};
 use crate::error::EngineError;
 use crate::fault::{AppliedFault, FaultPlan};
 use crate::load::{drive, LoadReport, OpenLoopConfig};
-use crate::shard::RingMode;
 
 /// Everything one serve-bench run needs.
 #[derive(Debug, Clone, Default)]
@@ -55,8 +54,6 @@ pub struct ServeBenchOutcome {
     pub pinned_workers: usize,
     /// Generator threads that successfully pinned.
     pub pinned_generators: usize,
-    /// The producer discipline the shard rings resolved to.
-    pub ring_mode: RingMode,
     /// Requests issued by the generators.
     pub offered: u64,
     /// Requests rejected at admission.
@@ -206,7 +203,6 @@ impl ToJson for ServeBenchOutcome {
             .field("placement_pin", self.placement_pin)
             .field("pinned_workers", self.pinned_workers as u64)
             .field("pinned_generators", self.pinned_generators as u64)
-            .field("ring_mode", self.ring_mode.name())
             .field("queue_capacity", self.cluster.queue_capacity as u64)
             .field("batch", self.load.batch as u64)
             .field("idle", self.cluster.idle.name().as_str())
@@ -317,7 +313,6 @@ pub fn serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchOutcome, Engin
         placement_pin: config.cluster.placement.pin(),
         pinned_workers: metrics.pinned_workers,
         pinned_generators: load.pinned_generators,
-        ring_mode: metrics.ring_mode,
         offered: load.offered,
         shed: load.shed,
         completed,
@@ -427,21 +422,16 @@ mod tests {
     }
 
     #[test]
-    fn outcome_reports_placement_and_ring_mode() {
+    fn outcome_reports_placement() {
         use crate::affinity::ShardPlacement;
         let mut config = smoke_config();
-        config.cluster.nodes = 1;
-        config.cluster.ell = 0.0;
         config.cluster.placement = ShardPlacement::new(0, true);
-        config.cluster.ring_mode = RingMode::Auto;
         let outcome = serve_bench(&config).unwrap();
         assert!(outcome.available_cores >= 1);
         assert_eq!(outcome.placement_cores, outcome.cluster.placement.cores());
         assert!(outcome.placement_pin);
-        assert_eq!(outcome.ring_mode, RingMode::Spsc, "single lane under Auto demotes");
         assert!(outcome.requests_per_sec_per_core > 0.0);
         let json = outcome.to_json();
-        assert_eq!(json.get("ring_mode").and_then(Json::as_str), Some("spsc"));
         assert_eq!(
             json.get("available_cores").and_then(Json::as_u64),
             Some(outcome.available_cores as u64)

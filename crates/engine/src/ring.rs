@@ -27,20 +27,20 @@
 //!   `seq == p + 1`, which tolerates out-of-order publication among
 //!   racing producers.
 //!
-//! # SPSC demotion
+//! # Single-producer mode
 //!
-//! When the owner can prove a ring has exactly one producer (the
-//! engine's seal protocol in `shard.rs` does this at the first
-//! submission), the ring can be *demoted* to single-producer mode:
-//! the claim CAS — the one contended RMW on the enqueue path —
-//! becomes a plain load + plain store of `tail`, because a lone
-//! producer's snapshot can never go stale. Publication (`seq`) and
-//! reuse (`head`) edges are unchanged, so the consumer side is
-//! oblivious to the mode and the observable behaviour is identical
-//! (property-tested against the MPSC path below). Demotion is
-//! `unsafe`: a second concurrent producer on an SPSC ring is a data
-//! race on the slot array. Debug builds carry an overlap detector
-//! that panics if two claims ever interleave.
+//! A ring built with [`Mode::Spsc`] has exactly one producer at a
+//! time for its whole life (the engine's per-shard completion lanes:
+//! only the lane's shard worker ever publishes into one). The claim
+//! CAS — the one contended RMW on the enqueue path — is then a plain
+//! load + plain store of `tail`, because a lone producer's snapshot
+//! can never go stale. Publication (`seq`) and reuse (`head`) edges
+//! are unchanged, so the consumer side is oblivious to the mode and
+//! the observable behaviour is identical (property-tested against the
+//! MPSC path below). The mode is fixed by [`ring_with`]; a second
+//! concurrent producer on an SPSC ring is a data race on the slot
+//! array, so debug builds carry an overlap detector that panics if
+//! two claims ever interleave.
 //!
 //! # Why this is sound (Loom-style reasoning)
 //!
@@ -95,7 +95,7 @@
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::pad::CachePadded;
@@ -110,9 +110,6 @@ pub enum Mode {
     Spsc,
 }
 
-const MODE_MPSC: u8 = 0;
-const MODE_SPSC: u8 = 1;
-
 struct Slot<T> {
     /// Publication word: `p + 1` once position `p`'s value is ready.
     seq: AtomicU64,
@@ -122,9 +119,8 @@ struct Slot<T> {
 struct RingInner<T> {
     slots: Box<[Slot<T>]>,
     mask: u64,
-    /// Claim discipline (`MODE_MPSC` / `MODE_SPSC`). Only ever moves
-    /// Mpsc → Spsc, under [`Producer::demote_to_spsc`]'s contract.
-    mode: AtomicU8,
+    /// Claim discipline, fixed at construction.
+    mode: Mode,
     /// Debug-only overlap detector: set while an SPSC claim is in
     /// flight so a racing second producer panics instead of silently
     /// corrupting the slot array.
@@ -202,7 +198,7 @@ pub fn ring<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
 }
 
 /// Creates a bounded ring in an explicit [`Mode`]. `Mode::Spsc` rings
-/// start life under the single-producer contract: the caller must
+/// carry the single-producer contract: the caller must
 /// guarantee at most one thread pushes at a time, with a
 /// happens-before edge between successive producing threads (a
 /// thread join or message handoff). [`Producer`] is still `Clone` —
@@ -219,14 +215,10 @@ pub fn ring_with<T>(capacity: usize, mode: Mode) -> (Producer<T>, Consumer<T>) {
         .map(|_| Slot { seq: AtomicU64::new(0), value: UnsafeCell::new(MaybeUninit::uninit()) })
         .collect::<Vec<_>>()
         .into_boxed_slice();
-    let mode = match mode {
-        Mode::Mpsc => MODE_MPSC,
-        Mode::Spsc => MODE_SPSC,
-    };
     let inner = Arc::new(RingInner {
         slots,
         mask: cap as u64 - 1,
-        mode: AtomicU8::new(mode),
+        mode,
         #[cfg(debug_assertions)]
         spsc_claim: std::sync::atomic::AtomicBool::new(false),
         tail: CachePadded::new(AtomicU64::new(0)),
@@ -270,37 +262,10 @@ impl<T> Producer<T> {
         self.len() == 0
     }
 
-    /// The claim discipline currently in force.
+    /// The claim discipline the ring was built with.
     #[must_use]
     pub fn mode(&self) -> Mode {
-        // Relaxed is enough: a producer that reads a stale `Mpsc`
-        // takes the CAS path, which is correct in either mode.
-        if self.inner.mode.load(Ordering::Relaxed) == MODE_SPSC {
-            Mode::Spsc
-        } else {
-            Mode::Mpsc
-        }
-    }
-
-    /// Demotes the ring to SPSC mode: the claim CAS becomes a plain
-    /// store. Irreversible.
-    ///
-    /// # Safety
-    ///
-    /// The caller must guarantee that, from some point that
-    /// happens-before every push after this call, **at most one
-    /// thread pushes at a time**, with a happens-before edge between
-    /// successive producing threads. The engine's seal protocol
-    /// (`shard.rs`) establishes this by demoting inside a critical
-    /// section that every submission path synchronizes with before
-    /// its first push. Violating the contract is a data race on the
-    /// slot array (undefined behaviour); debug builds panic via the
-    /// overlap detector instead.
-    pub unsafe fn demote_to_spsc(&self) {
-        // Release so the mode flip (and anything before it) is
-        // visible to producers that synchronize with the caller's
-        // seal protocol; the flag itself tolerates stale reads.
-        self.inner.mode.store(MODE_SPSC, Ordering::Release);
+        self.inner.mode
     }
 
     /// Enqueues one value, returning it if the ring is full.
@@ -353,7 +318,7 @@ impl<T> Producer<T> {
     }
 
     /// Single-producer enqueue: no CAS. Sound only under the
-    /// [`Producer::demote_to_spsc`] contract — this thread is the
+    /// [`ring_with`] single-producer contract — this thread is the
     /// only producer, so its `tail` snapshot is exact and a plain
     /// store claims the slot.
     fn try_push_spsc(&self, value: T) -> Result<(), T> {
@@ -617,19 +582,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn demotion_switches_the_claim_path() {
-        let (tx, mut rx) = ring::<u32>(8);
-        assert_eq!(tx.mode(), Mode::Mpsc);
-        tx.try_push(1).unwrap();
-        // SAFETY: this thread is the only producer, quiescent here.
-        unsafe { tx.demote_to_spsc() };
-        assert_eq!(tx.mode(), Mode::Spsc);
-        tx.try_push(2).unwrap();
-        assert_eq!(rx.pop(), Some(1));
-        assert_eq!(rx.pop(), Some(2));
-    }
-
     /// Drives one ring with a scripted operation sequence, checking
     /// it against a `VecDeque` model at every step.
     fn run_against_model(
@@ -692,7 +644,7 @@ mod tests {
             run_against_model(Mode::Spsc, seed, cap)?;
         }
 
-        /// SPSC demotion is observationally invisible: an MPSC ring
+        /// The SPSC claim path is observationally invisible: an MPSC ring
         /// and an SPSC ring fed the identical operation sequence
         /// return bit-identical results — same accept/reject
         /// verdicts, same popped values, same lengths, at every step.
@@ -744,7 +696,7 @@ mod tests {
                 let mut sent = 0u64;
                 while sent < PER_PRODUCER {
                     // Alternate single pushes and batches of 7.
-                    if sent % 2 == 0 {
+                    if sent.is_multiple_of(2) {
                         let v = p * PER_PRODUCER + sent;
                         while tx.try_push(v).is_err() {
                             std::thread::yield_now();

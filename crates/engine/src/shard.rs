@@ -34,18 +34,17 @@
 //! awaited, and tags restore input order across shards. Once the
 //! pool is warm the paths allocate nothing per call.
 //!
-//! # Producer seal protocol (SPSC demotion)
+//! # Every job ring is multi-producer
 //!
-//! Rings start multi-producer. A store built in [`RingMode::Auto`]
-//! counts registered producers ([`ShardHandle::register_producer`])
-//! and *seals* at the first job submission (or an explicit
-//! [`ShardHandle::seal_producers`]): exactly one registrant demotes
-//! every shard ring to the SPSC fast path — the claim CAS becomes a
-//! plain store — otherwise the rings stay MPSC. Registration after
-//! an SPSC seal is refused, and the seal's critical section gives
-//! demotion a happens-before edge over every subsequent push.
+//! A shard's job ring is reached from arbitrary threads: load
+//! generators and peer workers submit jobs, wire connection threads
+//! and the synchronous ops (`apply*`, `probe*`, `shard_contents`)
+//! push control messages onto the same ring. It is therefore built
+//! [`Mode::Mpsc`], always. The completion lanes are the one place
+//! single-producer is structural — only a lane's shard worker ever
+//! publishes into it — and they alone are built [`Mode::Spsc`].
 
-use std::sync::atomic::{fence, AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{JoinHandle, Thread};
 use std::time::Duration;
@@ -56,7 +55,7 @@ use ccn_sim::ContentId;
 use crate::affinity::{pin_current_thread, PinOutcome};
 use crate::error::EngineError;
 use crate::pad::CachePadded;
-use crate::ring::{ring_with, Consumer, Mode, Producer};
+use crate::ring::{ring, ring_with, Consumer, Mode, Producer};
 
 /// Poison-tolerant lock: a worker that panicked while holding one of
 /// the engine's mutexes (fault injection makes that survivable rather
@@ -240,10 +239,10 @@ impl CompletionSet {
     fn new(shards: usize) -> Self {
         let lanes = (0..shards)
             .map(|_| {
-                // SPSC is sound here without any seal protocol: the
-                // only thread that ever pushes into a lane is the
-                // worker of the shard the lane indexes, and workers
-                // process their queue serially.
+                // SPSC is sound here by construction: the only
+                // thread that ever pushes into a lane is the worker
+                // of the shard the lane indexes, and workers process
+                // their queue serially.
                 let (tx, rx) = ring_with(COMPLETION_CAPACITY, Mode::Spsc);
                 CompletionLane { tx, rx }
             })
@@ -356,49 +355,14 @@ impl<J: Send + 'static> Shard<J> {
     }
 }
 
-/// Producer claim discipline of a [`ShardedStore`]'s shard rings.
-///
-/// `Auto` is the demotion protocol from the module docs: producers
-/// register, the first job submission seals, and a sole registrant
-/// gets the SPSC fast path. In `Auto` **every job submitter must
-/// register before its first submission** — an unregistered
-/// submitter can defeat the count and race a demoted ring. The
-/// synchronous ops (`apply*`, `shard_contents`) ride the same rings:
-/// once a store may seal SPSC they must be separated from job
-/// submission by a happens-before edge (the engine's warm-up runs
-/// before the load generators spawn and its drain after they join,
-/// which is exactly that). `Mpsc` (the default) never demotes;
-/// `Spsc` builds the rings single-producer from the start and admits
-/// exactly one registrant — under the same whole-ring contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Producer claim discipline of a [`ShardedStore`]'s job rings: always
+/// multi-producer.
+// Kept only because the frozen `benchmark/src/probe.rs:85` names it.
+#[derive(Debug, Clone, Copy)]
 pub enum RingMode {
-    /// Always multi-producer; registration is a no-op. The default.
-    #[default]
+    /// Multi-producer; the only discipline.
     Mpsc,
-    /// Count registrations; demote to SPSC at seal iff exactly one.
-    Auto,
-    /// Single-producer from construction; one registration allowed.
-    Spsc,
 }
-
-impl RingMode {
-    /// Canonical report name (`mpsc`, `auto`, `spsc`).
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::Mpsc => "mpsc",
-            Self::Auto => "auto",
-            Self::Spsc => "spsc",
-        }
-    }
-}
-
-/// Seal states. `>= SEAL_MPSC` means the decision is final and the
-/// submission fast path can skip the protocol with one Acquire load.
-const SEAL_OPEN: u8 = 0;
-const SEAL_SEALING: u8 = 1;
-const SEAL_MPSC: u8 = 2;
-const SEAL_SPSC: u8 = 3;
 
 struct HandleInner<J> {
     shards: Vec<Shard<J>>,
@@ -406,12 +370,6 @@ struct HandleInner<J> {
     /// (via `fetch_max`) by every producer on every accepted push.
     max_depth: CachePadded<AtomicUsize>,
     capacity: usize,
-    /// The mode requested at construction; the *resolved* discipline
-    /// lives in `seal`.
-    requested_mode: RingMode,
-    /// Registered job producers (the seal protocol's census).
-    producers: CachePadded<AtomicUsize>,
-    seal: AtomicU8,
     /// Workers that successfully pinned themselves to a core.
     pinned_workers: Arc<AtomicUsize>,
     /// Reusable per-submitter completion sets for `apply`/
@@ -429,71 +387,6 @@ impl<J> HandleInner<J> {
 
     fn return_completion_set(&self, set: CompletionSet) {
         lock_recover(&self.completion_pool).push(set);
-    }
-
-    /// Fast-path guard on every job submission: one Acquire load once
-    /// the seal is final.
-    #[inline]
-    fn ensure_sealed(&self) {
-        if self.seal.load(Ordering::Acquire) >= SEAL_MPSC {
-            return;
-        }
-        self.seal_slow();
-    }
-
-    /// Seal critical section. Exactly one thread wins the CAS, reads
-    /// the census, demotes if it saw a sole registrant, and publishes
-    /// the final state; everyone else spins on `SEAL_SEALING`.
-    ///
-    /// Race-freedom with [`ShardHandle::register_producer`] (SeqCst
-    /// total order): a registrant increments the census *then* loads
-    /// the seal state, while the sealer stores `SEAL_SEALING` *then*
-    /// reads the census. If the increment precedes the census read,
-    /// the sealer counts the newcomer (≥ 2 ⇒ MPSC). Otherwise the
-    /// `SEAL_SEALING` store precedes the newcomer's state load, so
-    /// the newcomer spins until the decision lands and — if it was
-    /// SPSC — is refused. There is no interleaving in which a ring
-    /// demotes with a second producer admitted.
-    #[cold]
-    fn seal_slow(&self) {
-        match self.seal.compare_exchange(
-            SEAL_OPEN,
-            SEAL_SEALING,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        ) {
-            Ok(_) => {
-                let spsc = self.requested_mode == RingMode::Auto
-                    && self.producers.load(Ordering::SeqCst) == 1;
-                if spsc {
-                    self.demote_rings();
-                }
-                // SeqCst publish: demotion happens-before any push
-                // that observed the final state (submitters load the
-                // seal before pushing).
-                self.seal.store(if spsc { SEAL_SPSC } else { SEAL_MPSC }, Ordering::SeqCst);
-            }
-            Err(_) => {
-                while self.seal.load(Ordering::SeqCst) < SEAL_MPSC {
-                    std::hint::spin_loop();
-                }
-            }
-        }
-    }
-
-    // The one unsafe call site outside `ring`: demotion inside the
-    // seal critical section.
-    #[allow(unsafe_code)]
-    fn demote_rings(&self) {
-        for shard in &self.shards {
-            // SAFETY: we hold the seal critical section (`seal ==
-            // SEAL_SEALING`), every submission path loads the seal
-            // before its first push and spins while sealing, and the
-            // census proved exactly one registered producer — so from
-            // a point that happens-before every subsequent push, at
-            // most one thread pushes at a time (see `seal_slow`).
-            unsafe { shard.queue.demote_to_spsc() };
-        }
     }
 }
 
@@ -525,66 +418,6 @@ impl<J: Send + 'static> ShardHandle<J> {
         self.inner.capacity
     }
 
-    /// Registers the calling submitter with the seal protocol (see
-    /// [`RingMode`]). Must be called before the registrant's first
-    /// job submission; meaningful in `Auto` (census) and `Spsc`
-    /// (sole-producer gate) modes, a no-op under `Mpsc`.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::InvalidConfig`] when the store already sealed
-    /// to SPSC (late registration would add a second producer to a
-    /// single-producer ring) or an explicit-`Spsc` store already has
-    /// its one registrant.
-    pub fn register_producer(&self) -> Result<(), EngineError> {
-        let inner = &*self.inner;
-        // Census first, state second — the mirror image of
-        // `seal_slow` (state first, census second); see its doc
-        // comment for why this ordering closes the race.
-        inner.producers.fetch_add(1, Ordering::SeqCst);
-        loop {
-            match inner.seal.load(Ordering::SeqCst) {
-                SEAL_SEALING => std::hint::spin_loop(),
-                SEAL_SPSC => {
-                    // An explicit-Spsc store admits its first (sole)
-                    // registrant; a demoted Auto store admits none —
-                    // its census is already ≥ 1 from the original
-                    // registrant, so the == 1 check refuses here too.
-                    if inner.requested_mode == RingMode::Spsc
-                        && inner.producers.load(Ordering::SeqCst) == 1
-                    {
-                        return Ok(());
-                    }
-                    inner.producers.fetch_sub(1, Ordering::SeqCst);
-                    return Err(EngineError::InvalidConfig {
-                        reason: "store is sealed single-producer; cannot register another \
-                                 job producer"
-                            .into(),
-                    });
-                }
-                _ => return Ok(()),
-            }
-        }
-    }
-
-    /// Seals the producer census now instead of at the first job
-    /// submission. Idempotent; concurrent callers all return with
-    /// the decision final.
-    pub fn seal_producers(&self) {
-        self.inner.ensure_sealed();
-    }
-
-    /// The resolved claim discipline: `Mpsc`/`Spsc` once sealed, the
-    /// requested [`RingMode`] while an `Auto` store is still open.
-    #[must_use]
-    pub fn ring_mode(&self) -> RingMode {
-        match self.inner.seal.load(Ordering::Acquire) {
-            SEAL_MPSC => RingMode::Mpsc,
-            SEAL_SPSC => RingMode::Spsc,
-            _ => self.inner.requested_mode,
-        }
-    }
-
     /// Workers that successfully pinned themselves to the core their
     /// [`ShardSpec::pin_cores`] assignment named.
     #[must_use]
@@ -599,7 +432,6 @@ impl<J: Send + 'static> ShardHandle<J> {
     /// Returns the job back when that shard's bounded queue is full
     /// (or the store was shut down) so the caller can shed or degrade.
     pub fn try_job(&self, content: ContentId, job: J) -> Result<(), J> {
-        self.inner.ensure_sealed();
         let shard = &self.inner.shards[shard_of(content, self.shards())];
         // Count *before* pushing: the worker decrements only after
         // processing a pushed job, so depth can never underflow; the
@@ -637,7 +469,6 @@ impl<J: Send + 'static> ShardHandle<J> {
         if want == 0 {
             return 0;
         }
-        self.inner.ensure_sealed();
         let shard = &self.inner.shards[shard];
         // Same count-before-push discipline as `try_job`; the
         // rejected remainder is subtracted back below.
@@ -886,7 +717,7 @@ impl<J: Send + 'static> ShardHandle<J> {
 }
 
 /// Full construction recipe for a [`ShardedStore`]: shape, idle
-/// strategy, producer discipline, and thread-per-core placement.
+/// strategy, and thread-per-core placement.
 #[derive(Debug, Clone)]
 pub struct ShardSpec {
     /// Worker shard count (≥ 1).
@@ -896,8 +727,6 @@ pub struct ShardSpec {
     pub queue_capacity: usize,
     /// How workers wait when their queue runs dry.
     pub idle: IdleStrategy,
-    /// Producer claim discipline (see [`RingMode`]).
-    pub ring_mode: RingMode,
     /// Optional per-shard core assignment: `pin_cores[shard]` names
     /// the core that shard's worker pins itself to at thread start
     /// (`None` floats). Empty means no pinning. Must be empty or
@@ -907,16 +736,10 @@ pub struct ShardSpec {
 
 impl ShardSpec {
     /// A spec with the defaults the two-argument constructors used:
-    /// spin-then-park idling, MPSC rings, no pinning.
+    /// spin-then-park idling, no pinning.
     #[must_use]
     pub fn new(shards: usize, queue_capacity: usize) -> Self {
-        Self {
-            shards,
-            queue_capacity,
-            idle: IdleStrategy::default(),
-            ring_mode: RingMode::default(),
-            pin_cores: Vec::new(),
-        }
+        Self { shards, queue_capacity, idle: IdleStrategy::default(), pin_cores: Vec::new() }
     }
 
     /// Replaces the idle strategy.
@@ -926,10 +749,10 @@ impl ShardSpec {
         self
     }
 
-    /// Replaces the producer discipline.
+    // No-op kept only because the frozen `benchmark/src/probe.rs:85` calls it.
+    #[doc(hidden)]
     #[must_use]
-    pub fn ring_mode(mut self, mode: RingMode) -> Self {
-        self.ring_mode = mode;
+    pub fn ring_mode(self, _mode: RingMode) -> Self {
         self
     }
 
@@ -1010,8 +833,8 @@ impl<J: Send + 'static> ShardedStore<J> {
     }
 
     /// Full-form constructor: everything [`ShardedStore::try_spawn`]
-    /// accepts plus the producer discipline and per-shard core
-    /// pinning of a [`ShardSpec`]. Workers pin themselves first
+    /// accepts plus the per-shard core pinning of a [`ShardSpec`].
+    /// Workers pin themselves first
     /// thing on their own thread (affinity is inherited by children
     /// on Linux, so the spawner must not pin on the workers' behalf);
     /// a refused pin is counted, not fatal — see
@@ -1046,26 +869,11 @@ impl<J: Send + 'static> ShardedStore<J> {
                 ),
             });
         }
-        // Explicit-Spsc rings are single-producer from birth; Auto
-        // rings start MPSC and may demote at seal; Mpsc rings are
-        // born sealed.
-        let birth_mode = match spec.ring_mode {
-            RingMode::Spsc => Mode::Spsc,
-            _ => Mode::Mpsc,
-        };
-        let initial_seal = match spec.ring_mode {
-            RingMode::Mpsc => SEAL_MPSC,
-            RingMode::Auto => SEAL_OPEN,
-            RingMode::Spsc => SEAL_SPSC,
-        };
         let pinned_workers = Arc::new(AtomicUsize::new(0));
         let make_inner = |shards: Vec<Shard<J>>, capacity: usize| HandleInner {
             shards,
             max_depth: CachePadded::new(AtomicUsize::new(0)),
             capacity,
-            requested_mode: spec.ring_mode,
-            producers: CachePadded::new(AtomicUsize::new(0)),
-            seal: AtomicU8::new(initial_seal),
             pinned_workers: Arc::clone(&pinned_workers),
             completion_pool: Mutex::new(Vec::new()),
         };
@@ -1073,7 +881,7 @@ impl<J: Send + 'static> ShardedStore<J> {
         let mut workers = Vec::with_capacity(spec.shards);
         let mut capacity = spec.queue_capacity;
         for shard in 0..spec.shards {
-            let (producer, consumer) = ring_with(spec.queue_capacity, birth_mode);
+            let (producer, consumer) = ring(spec.queue_capacity);
             capacity = producer.capacity();
             let depth = Arc::new(CachePadded::new(AtomicUsize::new(0)));
             let sleeping = Arc::new(CachePadded::new(AtomicBool::new(false)));
@@ -1582,168 +1390,6 @@ mod tests {
         assert_eq!(a, b);
         serial.shutdown();
         batched.shutdown();
-    }
-
-    #[test]
-    fn auto_mode_demotes_for_a_sole_registrant_and_matches_mpsc() {
-        let stream: Vec<u64> = (0..600).map(|i| mix(i) % 48 + 1).collect();
-        let churn = Arc::new(|store: &mut dyn ContentStore, rank: u64| {
-            let c = ContentId(rank);
-            if store.contains(c) {
-                store.on_hit(c);
-            } else {
-                store.on_data(c);
-            }
-        });
-        let run = |mode: RingMode| {
-            let mut sharded: ShardedStore<u64> = ShardedStore::try_spawn_with(
-                ShardSpec::new(2, 64).ring_mode(mode),
-                |_| Box::new(LruStore::new(16)),
-                Arc::clone(&churn),
-            )
-            .unwrap();
-            let handle = sharded.handle();
-            if mode != RingMode::Mpsc {
-                handle.register_producer().unwrap();
-            }
-            assert_eq!(handle.ring_mode(), mode, "seal decided before first submission");
-            let mut pending: Vec<Vec<u64>> = vec![Vec::new(); 2];
-            for &rank in &stream {
-                pending[shard_of(ContentId(rank), 2)].push(rank);
-            }
-            for (shard, mut jobs) in pending.into_iter().enumerate() {
-                handle.submit_batch(shard, &mut jobs);
-            }
-            let resolved = handle.ring_mode();
-            while handle.queue_depth() > 0 {
-                std::thread::yield_now();
-            }
-            let contents = handle.contents();
-            sharded.shutdown();
-            (resolved, contents)
-        };
-        let (mpsc_mode, mpsc_contents) = run(RingMode::Mpsc);
-        let (auto_mode, auto_contents) = run(RingMode::Auto);
-        let (spsc_mode, spsc_contents) = run(RingMode::Spsc);
-        assert_eq!(mpsc_mode, RingMode::Mpsc);
-        assert_eq!(auto_mode, RingMode::Spsc, "sole registrant must demote");
-        assert_eq!(spsc_mode, RingMode::Spsc);
-        assert_eq!(auto_contents, mpsc_contents, "SPSC fast path diverged from MPSC");
-        assert_eq!(spsc_contents, mpsc_contents);
-    }
-
-    #[test]
-    fn auto_mode_stays_mpsc_with_two_registrants() {
-        let mut sharded = spawn_auto_lru();
-        let handle = sharded.handle();
-        handle.register_producer().unwrap();
-        handle.register_producer().unwrap();
-        handle.try_job(ContentId(1), ()).unwrap();
-        assert_eq!(handle.ring_mode(), RingMode::Mpsc);
-        // Registration stays open after an MPSC seal.
-        handle.register_producer().unwrap();
-        sharded.shutdown();
-    }
-
-    #[test]
-    fn registration_after_an_spsc_seal_is_refused() {
-        let mut sharded = spawn_auto_lru();
-        let handle = sharded.handle();
-        handle.register_producer().unwrap();
-        handle.try_job(ContentId(1), ()).unwrap();
-        assert_eq!(handle.ring_mode(), RingMode::Spsc);
-        assert!(matches!(handle.register_producer(), Err(EngineError::InvalidConfig { .. })));
-        // Explicit-Spsc stores admit exactly one registrant.
-        let mut explicit: ShardedStore<()> = ShardedStore::try_spawn_with(
-            ShardSpec::new(1, 64).ring_mode(RingMode::Spsc),
-            |_| Box::new(LruStore::new(4)),
-            noop(),
-        )
-        .unwrap();
-        let h = explicit.handle();
-        h.register_producer().unwrap();
-        assert!(h.register_producer().is_err());
-        explicit.shutdown();
-        sharded.shutdown();
-    }
-
-    fn spawn_auto_lru() -> ShardedStore<()> {
-        ShardedStore::try_spawn_with(
-            ShardSpec::new(1, 64).ring_mode(RingMode::Auto),
-            |_| Box::new(LruStore::new(4)),
-            noop(),
-        )
-        .unwrap()
-    }
-
-    /// Loom-style interleaving stress for the seal protocol: threads
-    /// race registration against the demotion decision (triggered by
-    /// whichever registrant submits first). The invariant under every
-    /// interleaving: an SPSC seal admitted exactly one registrant,
-    /// and every job submitted by an admitted registrant is
-    /// processed. Repetition plus scheduler yields stands in for
-    /// loom's exhaustive schedule exploration (the workspace vendors
-    /// no loom).
-    #[test]
-    fn racing_registration_vs_demotion_admits_at_most_one_spsc_producer() {
-        const ITERS: usize = 150;
-        const RACERS: usize = 3;
-        const JOBS_PER_RACER: usize = 40;
-        for iter in 0..ITERS {
-            let done = Arc::new(AtomicUsize::new(0));
-            let observed = Arc::clone(&done);
-            let handler = Arc::new(move |_: &mut dyn ContentStore, _v: u64| {
-                observed.fetch_add(1, Ordering::Release);
-            });
-            let mut sharded: ShardedStore<u64> = ShardedStore::try_spawn_with(
-                ShardSpec::new(1, 256).ring_mode(RingMode::Auto),
-                |_| Box::new(LruStore::new(4)),
-                handler,
-            )
-            .unwrap();
-            let handle = sharded.handle();
-            let admitted: usize = std::thread::scope(|scope| {
-                let threads: Vec<_> = (0..RACERS)
-                    .map(|racer| {
-                        let handle = handle.clone();
-                        scope.spawn(move || {
-                            // Stagger arrival differently every
-                            // iteration to vary the interleaving.
-                            for _ in 0..(iter + racer) % 5 {
-                                std::thread::yield_now();
-                            }
-                            if handle.register_producer().is_err() {
-                                return 0usize;
-                            }
-                            for v in 0..JOBS_PER_RACER as u64 {
-                                while handle.try_job(ContentId(v + 1), v).is_err() {
-                                    std::thread::yield_now();
-                                }
-                            }
-                            1
-                        })
-                    })
-                    .collect();
-                threads.into_iter().map(|t| t.join().unwrap()).sum()
-            });
-            let expected = admitted * JOBS_PER_RACER;
-            let start = std::time::Instant::now();
-            while done.load(Ordering::Acquire) < expected {
-                assert!(
-                    start.elapsed() < Duration::from_secs(5),
-                    "iter {iter}: stuck at {} of {expected}",
-                    done.load(Ordering::Acquire)
-                );
-                std::thread::yield_now();
-            }
-            assert_eq!(done.load(Ordering::Acquire), expected, "iter {iter}: job count drifted");
-            if handle.ring_mode() == RingMode::Spsc {
-                assert_eq!(admitted, 1, "iter {iter}: SPSC seal admitted {admitted} producers");
-            } else {
-                assert!(admitted >= 1, "iter {iter}: MPSC seal refused everyone");
-            }
-            sharded.shutdown();
-        }
     }
 
     /// The high-water mark uses `fetch_max`, so racing producers can

@@ -19,10 +19,9 @@
 //! (every Data packet may trigger an insertion and therefore an
 //! eviction), so both are implemented with O(1) amortized operations:
 //! LRU as an intrusive doubly-linked list over a slab, LFU as the
-//! classic frequency-bucket list (Shah, Mitra & Matani 2010). The
-//! original O(n)-scan implementations are preserved verbatim in
-//! [`reference`] as differential-testing oracles and benchmark
-//! baselines.
+//! classic frequency-bucket list (Shah, Mitra & Matani 2010). O(n)-scan
+//! implementations live in the test-only `reference` module as
+//! differential-testing oracles.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -663,12 +662,11 @@ impl ContentStore for StaticStore {
     }
 }
 
-/// The seed repository's O(n)-per-eviction store implementations,
-/// kept verbatim as *reference models*: the property tests check the
-/// O(1) structures against them over random operation sequences, and
-/// the `stores/lru_churn` benchmark measures the speedup against them.
-/// Do not use them in simulations.
-pub mod reference {
+/// O(n)-per-eviction store implementations kept as *reference
+/// models*: the property tests check the O(1) structures against them
+/// over random operation sequences.
+#[cfg(test)]
+mod reference {
     use std::collections::HashMap;
 
     use super::ContentStore;

@@ -55,7 +55,7 @@ fn bench_smoke_report_carries_a_valid_manifest_with_phase_timings() {
 
     // Every bench phase must be present, in order, with all timing keys.
     let got: Vec<&str> = manifest.phases.iter().map(|p| p.phase.as_str()).collect();
-    assert_eq!(got, ["stores", "abilene", "thread_scaling", "sweep"], "{got:?}");
+    assert_eq!(got, ["stores", "thread_scaling", "sweep"], "{got:?}");
     let phases_json = embedded.get("phases").unwrap().as_array().unwrap();
     for entry in phases_json {
         for key in ["phase", "wall_ms", "events", "events_per_sec"] {
@@ -66,10 +66,10 @@ fn bench_smoke_report_carries_a_valid_manifest_with_phase_timings() {
         assert!(p.wall_ms >= 0.0, "{}: negative wall_ms", p.phase);
     }
     // Event-bearing phases expose a derivable throughput.
-    let abilene = &manifest.phases[1];
-    assert!(abilene.events.is_some(), "abilene phase should count events");
-    if abilene.wall_ms > 0.0 {
-        assert!(abilene.events_per_sec().unwrap() > 0.0);
+    let sweep = &manifest.phases[2];
+    assert!(sweep.events.is_some(), "sweep phase should count events");
+    if sweep.wall_ms > 0.0 {
+        assert!(sweep.events_per_sec().unwrap() > 0.0);
     }
 }
 
