@@ -6,13 +6,11 @@
 //! per-op coordination cost, kept deliberately visible), the batched
 //! pipeline ([`ShardHandle::submit_batch`]) where a run of jobs
 //! crosses the ring in one claim and the worker drains in bulk, and
-//! the completion-batched pipeline ([`ShardHandle::apply_batch`])
-//! which keeps the per-op hit/miss replies but returns them through
-//! per-shard SPSC completion lanes drained in bulk. The gap between
-//! the per-op and batched rungs is what the batching tentpole buys;
-//! the gap between `submit_batch` and `apply_batch` is the price of
-//! replies under completion batching (vs one Mutex+Condvar round
-//! trip each under the old reply slots).
+//! the synchronous run ([`ShardHandle::apply_batch`]) which keeps the
+//! per-op hit/miss replies: one message and one reply per shard, the
+//! verdicts written into the run's own buffer. The gap between the
+//! per-op and batched rungs is what batching buys; the gap between
+//! `submit_batch` and `apply_batch` is the price of replies.
 //!
 //! `cargo bench --bench engine -- --regression-smoke` skips the sweep
 //! and runs a quick self-asserting check instead: it times per-op vs
@@ -162,9 +160,8 @@ fn queue_hop_benches(c: &mut Criterion) {
         }
     }
 
-    // Completion-batched rung: batched admission *with* per-op
-    // hit/miss replies, drained in bulk from the SPSC completion
-    // lanes (apply_batch routes by shard internally).
+    // Synchronous-run rung: batched admission *with* per-op hit/miss
+    // replies (apply_batch routes by shard internally).
     let ids: Vec<ContentId> = stream.iter().map(|&rank| ContentId(rank)).collect();
     for shards in [1usize, 4] {
         let mut sharded = spawn_churn(shards, &hits);
@@ -221,23 +218,23 @@ fn regression_smoke() {
     let ids: Vec<ContentId> = stream.iter().map(|&rank| ContentId(rank)).collect();
     let mut replies = Vec::new();
     handle.apply_batch(&ids, &mut replies);
-    let completion_batched = median_ns_per_op(SMOKE_OPS, SAMPLES, || {
+    let run = median_ns_per_op(SMOKE_OPS, SAMPLES, || {
         handle.apply_batch(black_box(&ids), &mut replies);
     });
     sharded.shutdown();
 
     println!("regression-smoke per_op      ~{per_op:>10.1} ns/op");
     println!("regression-smoke batched     ~{batched:>10.1} ns/op");
-    println!("regression-smoke apply_batch ~{completion_batched:>10.1} ns/op");
+    println!("regression-smoke apply_batch ~{run:>10.1} ns/op");
     println!("regression-smoke reduction    {:.2}x", per_op / batched);
     assert!(
         batched < per_op,
         "batched submission regressed: {batched:.1} ns/op vs per-op {per_op:.1} ns/op"
     );
     assert!(
-        completion_batched < per_op,
-        "completion batching regressed: {completion_batched:.1} ns/op with bulk-drained \
-         replies vs per-op {per_op:.1} ns/op with one reply-slot round trip each"
+        run < per_op,
+        "apply_batch regressed: {run:.1} ns/op as one run vs {per_op:.1} ns/op as a round \
+         trip per op"
     );
     println!("regression-smoke OK: batched pipeline faster than per-op");
 }

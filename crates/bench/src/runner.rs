@@ -370,9 +370,7 @@ pub fn validation_sweep_trials(seeds: usize, smoke: bool) -> Vec<Trial> {
 }
 
 /// Times the trial sweep at one thread and at `threads` threads and
-/// folds both into a clamp-honest [`ThreadScaling`] block (public so
-/// report generators like `engine_throughput` can re-measure the
-/// scaling numbers that superseded BENCH_2.json's).
+/// folds both into a clamp-honest [`ThreadScaling`] block.
 ///
 /// # Errors
 ///

@@ -71,8 +71,11 @@
 //!
 //! # Failure ladder over sockets
 //!
-//! A `BatchLookup` is probed through the shard pipeline in one sweep;
-//! its misses are grouped by holder and each group walks the ladder:
+//! A `BatchLookup` is served as one synchronous shard run, in frame
+//! order: each op probes, and under LRU a miss this node keeps for
+//! itself (uncoordinated content, or its own slice) is admitted by
+//! the same run. The remaining misses are grouped by holder and each
+//! group walks the ladder:
 //!
 //! - **peer**: the group goes out as pipelined `PeerForwardBatch`
 //!   frames on the holder's connection, read back under the forward
@@ -97,9 +100,9 @@
 //!
 //! This ladder and [`crate::cluster`]'s are deliberately separate
 //! code: the in-process one is per job, runs inside shard workers and
-//! forwards fire-and-forget through rings; this one is per batch,
-//! runs on the connection thread and waits on a socket under a shared
-//! deadline (DESIGN.md, *Wire tier*).
+//! forwards fire-and-forget through rings; this one is per frame,
+//! runs on the connection thread around one shard run and waits on a
+//! socket under a shared deadline (DESIGN.md, *Wire tier*).
 
 mod codec;
 mod conn;

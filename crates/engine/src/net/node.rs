@@ -23,7 +23,7 @@ use crate::cluster::{shard_store, StorePolicy};
 use crate::error::EngineError;
 use crate::fault::DegradeConfig;
 use crate::routing::{LiveRouting, RoutingTable};
-use crate::shard::{IdleStrategy, ShardHandle, ShardSpec, ShardedStore};
+use crate::shard::{IdleStrategy, RunOp, ShardHandle, ShardSpec, ShardedStore};
 
 impl NodeStats {
     fn add(&self, field: &AtomicU64) {
@@ -284,10 +284,9 @@ struct ServeScratch {
     contents: Vec<u64>,
     /// Decoded `PeerForwardBatch` items.
     items: Vec<(u64, u32)>,
-    /// Probe ids for `probe_batch`.
-    ids: Vec<ContentId>,
-    /// Probe verdicts.
-    hits: Vec<bool>,
+    /// The frame's shard run: `(id, admit-on-miss)` going in, `(id,
+    /// hit)` coming out.
+    ops: Vec<RunOp>,
     /// Misses grouped by destination holder.
     groups: HolderGroups,
     /// Item indices awaiting a verdict in the current retry round.
@@ -301,50 +300,49 @@ struct ServeScratch {
 }
 
 /// Serves one batch of client lookups, returning `(local, peer,
-/// origin)` tier counts (their sum is the batch size). Probes the
-/// whole batch through the shard pipeline first, then coalesces the
-/// misses by destination holder so a burst of misses to one peer
-/// costs one pipelined frame conversation instead of one round-trip
-/// per miss.
+/// origin)` tier counts (their sum is the batch size). The whole
+/// frame is one shard run, in frame order: each op probes, and a miss
+/// this node keeps for itself — uncoordinated content, or coordinated
+/// content it holds — is served by origin and, under LRU, admitted by
+/// that same run, mirroring the in-process cluster. The remaining
+/// misses are coalesced by destination holder, so a burst of misses
+/// to one peer costs one pipelined frame conversation instead of one
+/// round-trip per miss.
+///
+/// Admission is decided from routing before the run and the tier
+/// after it; a liveness flip in between can cost or spare one
+/// admission, never a request.
 fn serve_batch(
     shared: &NodeShared,
     engine: &NodeEngine,
     scratch: &mut ServeScratch,
 ) -> (u64, u64, u64) {
-    let ServeScratch { contents, ids, hits, groups, pending, retry, fwd_items, outcomes, .. } =
-        scratch;
+    let ServeScratch { contents, ops, groups, pending, retry, fwd_items, outcomes, .. } = scratch;
     let stats = &shared.stats;
     stats.lookups.fetch_add(contents.len() as u64, Ordering::Relaxed);
-    ids.clear();
-    ids.extend(contents.iter().map(|&c| ContentId(c)));
-    engine.handle.probe_batch(ids, hits);
     let me = shared.config.id;
-    let (mut local, mut peer, mut origin) = (0u64, 0u64, 0u64);
-    groups.reset(engine.peers.len());
-    for (i, &content) in contents.iter().enumerate() {
+    let lru = engine.provision.policy == StorePolicy::Lru;
+    ops.clear();
+    ops.extend(contents.iter().map(|&content| {
         let id = ContentId(content);
-        if hits.get(i).copied().unwrap_or(false) {
-            stats.add(&stats.local);
+        (id, lru && engine.routing.holder(id).is_none_or(|holder| holder == me))
+    }));
+    engine.handle.run_ops(ops);
+    let (mut local, mut peer, mut origin, mut failed_over) = (0u64, 0u64, 0u64, 0u64);
+    groups.reset(engine.peers.len());
+    for (i, &(id, hit)) in ops.iter().enumerate() {
+        if hit {
             local += 1;
             continue;
         }
         match engine.routing.holder(id) {
             Some(holder) if holder != me => {
                 if engine.routing.primary(id) != Some(holder) {
-                    stats.add(&stats.failed_over);
+                    failed_over += 1;
                 }
                 groups.push(holder, i);
             }
-            _ => {
-                // Uncoordinated content (or this node is the holder
-                // and missed): origin serves; under LRU the edge
-                // admits it, mirroring the in-process cluster.
-                if engine.provision.policy == StorePolicy::Lru {
-                    engine.handle.apply(id);
-                }
-                stats.add(&stats.origin);
-                origin += 1;
-            }
+            _ => origin += 1,
         }
     }
     for gi in 0..groups.occupied().len() {
@@ -363,6 +361,10 @@ fn serve_batch(
         peer += p;
         origin += o;
     }
+    stats.local.fetch_add(local, Ordering::Relaxed);
+    stats.peer.fetch_add(peer, Ordering::Relaxed);
+    stats.origin.fetch_add(origin, Ordering::Relaxed);
+    stats.failed_over.fetch_add(failed_over, Ordering::Relaxed);
     (local, peer, origin)
 }
 
@@ -370,7 +372,8 @@ fn serve_batch(
 /// forward the whole group in pipelined batch frames, retry refused
 /// items under backoff, degrade transport failures to origin, honour
 /// the shared deadline. Returns `(peer, origin)` counts; every index
-/// in `idxs` resolves to exactly one of the two.
+/// in `idxs` resolves to exactly one of the two, and the caller
+/// publishes them to the tier counters once per frame.
 #[allow(clippy::too_many_arguments)]
 fn forward_group(
     shared: &NodeShared,
@@ -386,7 +389,6 @@ fn forward_group(
     let stats = &shared.stats;
     let Some(link) = engine.peers.get(holder).and_then(Option::as_ref) else {
         stats.degraded.fetch_add(idxs.len() as u64, Ordering::Relaxed);
-        stats.origin.fetch_add(idxs.len() as u64, Ordering::Relaxed);
         return (0, idxs.len() as u64);
     };
     let me = shared.config.id as u32;
@@ -400,7 +402,6 @@ fn forward_group(
         let remaining = deadline.saturating_sub(issued.elapsed());
         if remaining.is_zero() {
             stats.deadline_expired.fetch_add(pending.len() as u64, Ordering::Relaxed);
-            stats.origin.fetch_add(pending.len() as u64, Ordering::Relaxed);
             origin += pending.len() as u64;
             break;
         }
@@ -425,25 +426,21 @@ fn forward_group(
             match outcomes.get(k).copied().unwrap_or(OUT_BROKEN) {
                 FWD_HIT => {
                     answered = true;
-                    stats.add(&stats.peer);
                     peer += 1;
                 }
                 FWD_MISS => {
                     answered = true;
-                    stats.add(&stats.origin);
                     origin += 1;
                 }
                 FWD_REFUSED => retry.push(i),
                 OUT_TIMEOUT => {
                     failed_items += 1;
                     stats.add(&stats.deadline_expired);
-                    stats.add(&stats.origin);
                     origin += 1;
                 }
                 _ => {
                     failed_items += 1;
                     stats.add(&stats.degraded);
-                    stats.add(&stats.origin);
                     origin += 1;
                 }
             }
@@ -458,7 +455,6 @@ fn forward_group(
         }
         if attempt >= shared.config.degrade.forward_retries {
             stats.degraded.fetch_add(retry.len() as u64, Ordering::Relaxed);
-            stats.origin.fetch_add(retry.len() as u64, Ordering::Relaxed);
             origin += retry.len() as u64;
             break;
         }
@@ -492,36 +488,27 @@ pub(super) fn frame_reply_timeout(nodes: usize, degrade: &DegradeConfig) -> Dura
 /// Serves one coalesced `PeerForwardBatch` as holder, filling one
 /// verdict per item into `scratch.outcomes` — always the full item
 /// count, so a partial serve is per-item verdicts, never a truncated
-/// reply.
+/// reply. One shard run per frame: origin serves a holder miss at the
+/// requesting edge, and under LRU the holder admits its coordinated
+/// content in the run that missed, so traffic attracts the slice into
+/// place.
 fn serve_forward_batch(shared: &NodeShared, engine: &NodeEngine, scratch: &mut ServeScratch) {
-    let ServeScratch { items, ids, hits, outcomes, .. } = scratch;
+    let ServeScratch { items, ops, outcomes, .. } = scratch;
     let stats = &shared.stats;
     stats.forwards_in.fetch_add(items.len() as u64, Ordering::Relaxed);
-    ids.clear();
-    ids.extend(items.iter().map(|&(c, _)| ContentId(c)));
-    engine.handle.probe_batch(ids, hits);
+    let me = shared.config.id;
+    let lru = engine.provision.policy == StorePolicy::Lru;
+    ops.clear();
+    ops.extend(items.iter().map(|&(content, _budget_us)| {
+        let id = ContentId(content);
+        (id, lru && engine.routing.holder(id) == Some(me))
+    }));
+    engine.handle.run_ops(ops);
     outcomes.clear();
-    let (mut hit_n, mut miss_n) = (0u64, 0u64);
-    for (i, &(content, _budget_us)) in items.iter().enumerate() {
-        if hits.get(i).copied().unwrap_or(false) {
-            hit_n += 1;
-            outcomes.push(FWD_HIT);
-        } else {
-            // Holder miss: origin serves at the requesting edge;
-            // under LRU the holder admits its coordinated content so
-            // traffic attracts the slice into place.
-            let id = ContentId(content);
-            if engine.provision.policy == StorePolicy::Lru
-                && engine.routing.holder(id) == Some(shared.config.id)
-            {
-                engine.handle.apply(id);
-            }
-            miss_n += 1;
-            outcomes.push(FWD_MISS);
-        }
-    }
-    stats.forward_hits.fetch_add(hit_n, Ordering::Relaxed);
-    stats.forward_misses.fetch_add(miss_n, Ordering::Relaxed);
+    outcomes.extend(ops.iter().map(|&(_, hit)| if hit { FWD_HIT } else { FWD_MISS }));
+    let hits = ops.iter().filter(|&&(_, hit)| hit).count() as u64;
+    stats.forward_hits.fetch_add(hits, Ordering::Relaxed);
+    stats.forward_misses.fetch_add(ops.len() as u64 - hits, Ordering::Relaxed);
 }
 
 /// Copies the shared wire meter into the stats counters so a
@@ -1078,6 +1065,70 @@ mod tests {
             "warm frame I/O must not allocate, saw {} allocations over 32 round trips",
             after - before
         );
+        shutdown(conn);
+        join.join().expect("join").expect("run");
+    }
+
+    /// The serve path itself, proven allocation-free under LRU: this
+    /// thread plays node 0's connection thread — it calls
+    /// [`serve_batch`] and [`serve_forward_batch`] directly, so the
+    /// thread-local counter sees exactly what a connection thread
+    /// would do — against a live node 1. Every frame mixes local
+    /// hits, edge admits, holder admits and forwards over the peer
+    /// link.
+    #[test]
+    fn warm_lru_serve_path_allocates_nothing() {
+        let (addr1, join) = spawn_node(NodeConfig::new(1));
+        let node0 = NodeServer::bind(NodeConfig::new(0)).expect("bind");
+        let mut spec = WireSpec::new(2);
+        spec.policy = StorePolicy::Lru;
+        let provision = spec.provision(1, vec![node0.local_addr().to_string(), addr1.clone()]);
+        let mut conn = connect(&addr1);
+        assert_eq!(push_epoch(&mut conn, provision.clone()), Response::EpochAck { epoch: 1 });
+        provision_node(&node0.shared, provision.clone()).expect("provision node 0");
+        let shared = &*node0.shared;
+        let engine = shared.current_engine().expect("provisioned");
+        let held_by = |node: u32| {
+            let slice = provision.slices.iter().find(|s| s.node == node).expect("slice");
+            slice.start..slice.end
+        };
+        // 16 ranks node 0 holds, 16 node 1 holds, 32 nobody coordinates;
+        // `shift` moves every window so each frame also evicts.
+        let frame = |shift: u64| -> Vec<u64> {
+            let mine = held_by(0).skip(shift as usize % 8).take(16);
+            let theirs = held_by(1).skip(shift as usize % 8).take(16);
+            mine.chain(theirs).chain((0..32).map(|i| 5_000 + 40 * shift + i)).collect()
+        };
+        let frames: Vec<Vec<u64>> = (0..8).map(frame).collect();
+        let mut scratch = ServeScratch::default();
+        let serve = |scratch: &mut ServeScratch, contents: &[u64]| {
+            scratch.contents.clear();
+            scratch.contents.extend_from_slice(contents);
+            let (local, peer, origin) = serve_batch(shared, &engine, scratch);
+            assert_eq!(local + peer + origin, contents.len() as u64);
+            scratch.items.clear();
+            scratch.items.extend(contents.iter().map(|&c| (c, 1_000_000)));
+            serve_forward_batch(shared, &engine, scratch);
+            assert_eq!(scratch.outcomes.len(), contents.len());
+        };
+        // Warm-up: dials the peer link, grows every scratch buffer.
+        for contents in &frames {
+            serve(&mut scratch, contents);
+        }
+        let before = crate::alloc_count::allocations();
+        for _ in 0..4 {
+            for contents in &frames {
+                serve(&mut scratch, contents);
+            }
+        }
+        let allocated = crate::alloc_count::allocations() - before;
+        assert_eq!(allocated, 0, "warm LRU serve path allocated {allocated} times over 32 frames");
+        let stats = shared.stats.snapshot();
+        assert!(stats.forwards_out > 0 && stats.peer > 0, "frames must cross the peer link");
+        assert!(stats.forward_hits > 0, "the holder must have admitted what it missed");
+        assert_eq!(stats.degraded + stats.deadline_expired + stats.retried, 0);
+        drop(engine);
+        drop(node0);
         shutdown(conn);
         join.join().expect("join").expect("run");
     }

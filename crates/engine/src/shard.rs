@@ -21,24 +21,34 @@
 //! and idle with a configurable spin → yield → park escalation
 //! ([`IdleStrategy`]) instead of blocking inside a channel `recv()`.
 //!
-//! # Completion batching
+//! # Synchronous runs
 //!
-//! Synchronous ops ([`ShardHandle::apply`],
-//! [`ShardHandle::apply_batch`], [`ShardHandle::shard_contents`])
-//! carry no mutex or condvar: each submitter checks a completion set
-//! out of a pool — one SPSC completion ring per shard — workers
-//! publish tagged replies into the submitter's lane for their shard,
-//! and the submitter drains them in bulk. A batched submitter
-//! ([`ShardHandle::apply_batch`]) therefore never blocks per-op: a
-//! whole window of churn is in flight before the first reply is
-//! awaited, and tags restore input order across shards. Once the
-//! pool is warm the paths allocate nothing per call.
+//! A synchronous op ([`ShardHandle::apply`], [`ShardHandle::probe`],
+//! their batch forms, and the crate-private `run_ops` underneath all
+//! four) is run-granular: the ops bound for one shard travel as
+//! **one** message carrying a buffer of `(content, flag)` pairs, the
+//! worker executes them in order in one loop — hit → touch, miss →
+//! admit iff the op's flag asks for it — writes each verdict over
+//! the op's flag, and answers with **one** reply that hands the same
+//! buffer back. The buffer is owned by whoever holds it (submitter →
+//! message → worker → reply → submitter), so it crosses threads in
+//! safe code, without a lock or a copy on the worker; it lives in a
+//! pooled completion set next to the SPSC reply lanes, so a warm
+//! caller and a warm worker allocate nothing. A run spanning shards
+//! is submitted to every shard before the first reply is awaited; a
+//! shard's run of one travels inline in the message, because bouncing
+//! a heap line between two cores costs more than the op it carries.
+//!
+//! The waiter polls its lane once and then `yield_now`s — no spin
+//! phase, never a sleep or park. Whenever submitter and worker share
+//! a core (every pinned wire node does) a spinning waiter only delays
+//! the worker it is waiting for; yielding at once hands it the core.
 //!
 //! # Every job ring is multi-producer
 //!
 //! A shard's job ring is reached from arbitrary threads: load
 //! generators and peer workers submit jobs, wire connection threads
-//! and the synchronous ops (`apply*`, `probe*`, `shard_contents`)
+//! and the synchronous ops (runs, `shard_contents`, `replace_store`)
 //! push control messages onto the same ring. It is therefore built
 //! [`Mode::Mpsc`], always. The completion lanes are the one place
 //! single-producer is structural — only a lane's shard worker ever
@@ -60,8 +70,8 @@ use crate::ring::{ring, ring_with, Consumer, Mode, Producer};
 /// Poison-tolerant lock: a worker that panicked while holding one of
 /// the engine's mutexes (fault injection makes that survivable rather
 /// than hypothetical) must not cascade the panic into every other
-/// thread touching the lock. The protected data here (reply slots,
-/// pooled `Arc`s, fault logs) is valid at every instruction, so the
+/// thread touching the lock. The protected data here (pooled
+/// completion sets, fault logs) is valid at every instruction, so the
 /// poison flag carries no information — recover the guard.
 pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     match mutex.lock() {
@@ -193,12 +203,34 @@ impl Default for IdleStrategy {
     }
 }
 
+/// One op of a synchronous run. The flag travels both ways: towards
+/// the worker it says whether a miss admits the content, on the way
+/// back it is the hit verdict.
+pub(crate) type RunOp = (ContentId, bool);
+
+/// The ops of one shard's run, as they travel: the buffer itself, or
+/// — for a run of one — the op inline. A pooled buffer's heap line
+/// bounces submitter → worker → submitter; for a single op that
+/// round trip costs more than the op, and the message already
+/// crosses.
+enum RunBuf {
+    One(RunOp),
+    Many(Vec<RunOp>),
+}
+
+impl RunBuf {
+    fn ops_mut(&mut self) -> &mut [RunOp] {
+        match self {
+            Self::One(op) => std::slice::from_mut(op),
+            Self::Many(ops) => ops,
+        }
+    }
+}
+
 /// Reply payload for the synchronous shard ops.
 enum Reply {
-    /// `apply` answer: was the content already present? `tag` is the
-    /// submitter-chosen index, so a batch spanning shards can restore
-    /// input order however the per-shard completions interleave.
-    Hit { tag: u32, hit: bool },
+    /// `Run` answer: the run's own ops, each flag now the verdict.
+    Run(RunBuf),
     /// `shard_contents` answer.
     Contents(Vec<ContentId>),
     /// `replace_store` answer: the old store has been retired and the
@@ -206,33 +238,29 @@ enum Reply {
     Replaced,
 }
 
-/// Capacity of each completion ring — also the apply-batch window
-/// (max replies in flight per lane), so a worker's publish can stall
-/// only while the submitter is actively draining.
-const COMPLETION_CAPACITY: usize = 256;
-
 /// One submitter's reply channel from one shard worker. The ring is
 /// SPSC by construction: exactly one worker (the lane's shard) ever
 /// publishes into it, and the lane is owned exclusively by whoever
-/// checked the set out of the pool.
+/// checked the set out of the pool. A submitter has at most one
+/// message per shard outstanding, so one slot is all a lane needs.
 struct CompletionLane {
     tx: Producer<Reply>,
     rx: Consumer<Reply>,
 }
 
-/// Per-submitter completion queues, one lane per shard. Pooled and
-/// reused — replaces the old pooled `Mutex<Option<Reply>>`+`Condvar`
-/// slots, so completion costs two atomics instead of a lock and a
-/// condvar wake, and batched submitters drain replies in bulk.
+/// Per-submitter completion state, one lane and one run buffer per
+/// shard. Pooled and reused, so the synchronous ops cost a couple of
+/// atomics per shard touched and allocate nothing once warm.
 struct CompletionSet {
     lanes: Vec<CompletionLane>,
-    /// Reusable per-shard submission runs for `apply_batch`: the
-    /// `(content, tag)` ops destined for each shard in the current
-    /// window. Pooled with the set so a warm batch submitter builds
-    /// its shard runs without allocating.
-    pending: Vec<Vec<(ContentId, u32)>>,
-    /// Reusable bulk-drain buffer for completion replies.
-    drained: Vec<Reply>,
+    /// The ops bound for each shard. A buffer of two or more moves
+    /// into its shard's `ShardMsg::Run` and comes back in the
+    /// `Reply::Run`; see [`RunBuf`].
+    runs: Vec<Vec<RunOp>>,
+    /// Shards the current run touches, in first-seen order.
+    touched: Vec<usize>,
+    /// Staging for the slice-of-ids batch wrappers.
+    ops: Vec<RunOp>,
 }
 
 impl CompletionSet {
@@ -243,57 +271,48 @@ impl CompletionSet {
                 // thread that ever pushes into a lane is the worker
                 // of the shard the lane indexes, and workers process
                 // their queue serially.
-                let (tx, rx) = ring_with(COMPLETION_CAPACITY, Mode::Spsc);
+                let (tx, rx) = ring_with(1, Mode::Spsc);
                 CompletionLane { tx, rx }
             })
             .collect();
         Self {
             lanes,
-            pending: (0..shards).map(|_| Vec::new()).collect(),
-            drained: Vec::with_capacity(COMPLETION_CAPACITY),
+            runs: (0..shards).map(|_| Vec::new()).collect(),
+            touched: Vec::with_capacity(shards),
+            ops: Vec::new(),
         }
     }
 }
 
-/// Worker-side publish: retries until the lane has room (the
-/// submitter is draining, so room appears).
-fn publish_reply(done: &Producer<Reply>, mut reply: Reply) {
-    loop {
-        match done.try_push(reply) {
-            Ok(()) => return,
-            Err(returned) => {
-                reply = returned;
-                std::thread::yield_now();
-            }
-        }
+/// Worker-side publish. The lane always has room: its submitter
+/// awaits each reply before sending that shard another message.
+fn publish_reply(done: &Producer<Reply>, reply: Reply) {
+    if done.try_push(reply).is_err() {
+        unreachable!("a completion lane never holds more than one reply");
     }
 }
 
-/// Submitter-side wait for a single reply: spin briefly, then yield.
-/// No park/wake protocol is needed — the worker is already awake
-/// (it is processing the message we are waiting on).
+/// Submitter-side wait for a reply: poll, then yield until it is
+/// there. No park/wake protocol is needed — the worker is already
+/// awake (it is processing the message we are waiting on) — and no
+/// spin phase is wanted: see *Synchronous runs* in the module docs.
 fn await_reply(rx: &mut Consumer<Reply>) -> Reply {
-    let mut spins = 0u32;
     loop {
         if let Some(reply) = rx.pop() {
             return reply;
         }
-        if spins < 64 {
-            spins += 1;
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
-        }
+        std::thread::yield_now();
     }
 }
 
 enum ShardMsg<J> {
     /// An asynchronous unit of work handled by the engine's callback.
     Job(J),
-    /// Synchronous churn op: hit → touch; miss → insert when `insert`
-    /// is set, otherwise the store is left untouched (a pure probe).
-    /// Publishes `Reply::Hit` tagged with `tag` into `done`.
-    Apply { content: ContentId, insert: bool, tag: u32, done: Producer<Reply> },
+    /// Synchronous run: the worker executes `ops` in order (hit →
+    /// touch; miss → insert iff the op's flag is set), overwrites
+    /// each flag with the hit verdict and publishes the ops back as
+    /// `Reply::Run` into `done`.
+    Run { ops: RunBuf, done: Producer<Reply> },
     /// Synchronous eviction-order snapshot of one shard's store.
     Snapshot { done: Producer<Reply> },
     /// Synchronous store swap: the worker retires its current store
@@ -372,9 +391,9 @@ struct HandleInner<J> {
     capacity: usize,
     /// Workers that successfully pinned themselves to a core.
     pinned_workers: Arc<AtomicUsize>,
-    /// Reusable per-submitter completion sets for `apply`/
-    /// `apply_batch`/`shard_contents`; grown on first use per
-    /// concurrent caller, then recycled forever.
+    /// Reusable per-submitter completion sets for the synchronous
+    /// ops; grown on first use per concurrent caller, then recycled
+    /// forever.
     completion_pool: Mutex<Vec<CompletionSet>>,
 }
 
@@ -511,15 +530,16 @@ impl<J: Send + 'static> ShardHandle<J> {
     /// adapter adds over calling the store directly — benchmarked in
     /// `ccn-bench`'s `engine` bench, deliberately not hidden (and
     /// amortized by [`ShardHandle::try_submit_batch`] on the serve
-    /// path, by [`ShardHandle::apply_batch`] on the churn path). The
-    /// reply rides a pooled completion lane, so the call allocates
-    /// nothing once the pool is warm.
+    /// path, by [`ShardHandle::apply_batch`] on the churn path). A
+    /// run of one: the call allocates nothing once the pool is warm.
     ///
     /// # Panics
     ///
     /// Panics if the owning [`ShardedStore`] has been shut down.
     pub fn apply(&self, content: ContentId) -> bool {
-        self.apply_inner(content, true)
+        let mut op = [(content, true)];
+        self.run_ops(&mut op);
+        op[0].1
     }
 
     /// Synchronous read-mostly lookup against the owning shard: on a
@@ -527,130 +547,114 @@ impl<J: Send + 'static> ShardHandle<J> {
     /// exactly as a served request would) and `true` comes back; on a
     /// miss the store is **left untouched** and `false` comes back.
     ///
-    /// This is the wire tier's local-lookup primitive: unlike
-    /// [`ShardHandle::apply`], a miss must not insert, because whether
-    /// the content is admitted at the edge depends on the routing
-    /// decision that *follows* the probe (coordinated content belongs
-    /// to its holder, not to whichever edge node was asked first).
-    ///
     /// # Panics
     ///
     /// Panics if the owning [`ShardedStore`] has been shut down.
     pub fn probe(&self, content: ContentId) -> bool {
-        self.apply_inner(content, false)
-    }
-
-    fn apply_inner(&self, content: ContentId, insert: bool) -> bool {
-        let mut set = self.inner.checkout_completion_set();
-        let index = shard_of(content, self.shards());
-        let lane = &mut set.lanes[index];
-        self.inner.shards[index].send_control(ShardMsg::Apply {
-            content,
-            insert,
-            tag: 0,
-            done: lane.tx.clone(),
-        });
-        let Reply::Hit { hit, .. } = await_reply(&mut lane.rx) else {
-            unreachable!("apply always answers Hit");
-        };
-        self.inner.return_completion_set(set);
-        hit
+        let mut op = [(content, false)];
+        self.run_ops(&mut op);
+        op[0].1
     }
 
     /// Batched synchronous churn: every content in `run` is applied
     /// to its owning shard (hit → touch, miss → insert) and `hits`
     /// is filled with the per-op hit verdicts **in input order**.
-    ///
-    /// Unlike a loop over [`ShardHandle::apply`], the submitter never
-    /// blocks per-op: a window of up to [`COMPLETION_CAPACITY`] ops
-    /// is in flight across all shards before the first reply is
-    /// awaited, submissions ride the batch claim, and completions
-    /// drain in bulk from the per-shard lanes — tags restore input
-    /// order however the shards interleave.
+    /// One message and one reply per shard touched, whatever the
+    /// length of `run`.
     ///
     /// # Panics
     ///
-    /// Panics if the owning [`ShardedStore`] has been shut down or
-    /// `run` exceeds `u32::MAX` ops.
+    /// Panics if the owning [`ShardedStore`] has been shut down.
     pub fn apply_batch(&self, run: &[ContentId], hits: &mut Vec<bool>) {
-        self.apply_batch_inner(run, hits, true);
+        self.run_uniform(run, hits, true);
     }
 
     /// Batched [`ShardHandle::probe`]: every content in `run` is
     /// probed against its owning shard (hit → touch, miss → store
     /// untouched) and `hits` is filled with per-op verdicts in input
-    /// order, with the same windowed in-flight pipeline as
-    /// [`ShardHandle::apply_batch`].
+    /// order.
     ///
     /// # Panics
     ///
-    /// Panics if the owning [`ShardedStore`] has been shut down or
-    /// `run` exceeds `u32::MAX` ops.
+    /// Panics if the owning [`ShardedStore`] has been shut down.
     pub fn probe_batch(&self, run: &[ContentId], hits: &mut Vec<bool>) {
-        self.apply_batch_inner(run, hits, false);
+        self.run_uniform(run, hits, false);
     }
 
-    fn apply_batch_inner(&self, run: &[ContentId], hits: &mut Vec<bool>, insert: bool) {
-        hits.clear();
-        hits.resize(run.len(), false);
-        if run.is_empty() {
-            return;
-        }
-        assert!(u32::try_from(run.len()).is_ok(), "apply_batch run too long to tag");
-        let shards = self.shards();
+    /// The slice-of-ids form of a run: every op carries the same
+    /// `admit` flag, staged through the set's pooled op buffer.
+    fn run_uniform(&self, run: &[ContentId], hits: &mut Vec<bool>, admit: bool) {
         let mut set = self.inner.checkout_completion_set();
-        // The shard runs and the drain buffer live in the pooled set,
-        // so a warm submitter allocates nothing per batch.
-        let CompletionSet { lanes, pending, drained } = &mut set;
-        for window_start in (0..run.len()).step_by(COMPLETION_CAPACITY) {
-            let window = &run[window_start..run.len().min(window_start + COMPLETION_CAPACITY)];
-            for (offset, &content) in window.iter().enumerate() {
-                let tag = (window_start + offset) as u32;
-                pending[shard_of(content, shards)].push((content, tag));
+        let mut ops = std::mem::take(&mut set.ops);
+        ops.clear();
+        ops.extend(run.iter().map(|&content| (content, admit)));
+        self.run_in(&mut set, &mut ops);
+        hits.clear();
+        hits.extend(ops.iter().map(|&(_, hit)| hit));
+        set.ops = ops;
+        self.inner.return_completion_set(set);
+    }
+
+    /// Executes `ops` synchronously, in order, each on its owning
+    /// shard: a hit touches the store; a miss inserts (evicting per
+    /// policy) iff the op's flag is set and otherwise leaves the
+    /// store untouched. On return each op's flag has been overwritten
+    /// with its hit verdict.
+    ///
+    /// Whether a miss admits is per op because, on the wire tier, it
+    /// depends on routing: coordinated content belongs to its holder,
+    /// not to whichever edge node was asked first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the owning [`ShardedStore`] has been shut down.
+    pub(crate) fn run_ops(&self, ops: &mut [RunOp]) {
+        let mut set = self.inner.checkout_completion_set();
+        self.run_in(&mut set, ops);
+        self.inner.return_completion_set(set);
+    }
+
+    fn run_in(&self, set: &mut CompletionSet, ops: &mut [RunOp]) {
+        let shards = self.shards();
+        let CompletionSet { lanes, runs, touched, .. } = set;
+        touched.clear();
+        for &op in ops.iter() {
+            let index = shard_of(op.0, shards);
+            if runs[index].is_empty() {
+                touched.push(index);
             }
-            // Submit the whole window before awaiting anything: one
-            // batch claim and one wake per shard with work.
-            for (index, ops) in pending.iter_mut().enumerate() {
-                if ops.is_empty() {
-                    continue;
+            runs[index].push(op);
+        }
+        // Every shard gets its run before any reply is awaited, so
+        // the shards of a multi-shard run work concurrently.
+        for &index in touched.iter() {
+            let run = &mut runs[index];
+            let ops = match run[..] {
+                [op] => {
+                    run.clear();
+                    RunBuf::One(op)
                 }
-                let shard = &self.inner.shards[index];
-                let done = &lanes[index].tx;
-                while !ops.is_empty() {
-                    let accepted = shard.queue.try_push_batch_map(ops, |(content, tag)| {
-                        ShardMsg::Apply { content, insert, tag, done: done.clone() }
-                    });
-                    if accepted == 0 {
-                        std::thread::yield_now();
-                    } else {
-                        shard.wake();
-                    }
-                }
-            }
-            // Drain the window's replies in bulk; the window bound
-            // (≤ lane capacity) guarantees no lane ever stalls a
-            // worker for longer than this loop takes to come around.
-            let mut outstanding = window.len();
-            while outstanding > 0 {
-                let mut progressed = false;
-                for lane in lanes.iter_mut() {
-                    drained.clear();
-                    lane.rx.pop_batch(drained, COMPLETION_CAPACITY);
-                    for reply in drained.drain(..) {
-                        let Reply::Hit { tag, hit } = reply else {
-                            unreachable!("apply always answers Hit");
-                        };
-                        hits[tag as usize] = hit;
-                        outstanding -= 1;
-                        progressed = true;
-                    }
-                }
-                if !progressed {
-                    std::thread::yield_now();
-                }
+                _ => RunBuf::Many(std::mem::take(run)),
+            };
+            self.inner.shards[index]
+                .send_control(ShardMsg::Run { ops, done: lanes[index].tx.clone() });
+        }
+        for &index in touched.iter() {
+            match await_reply(&mut lanes[index].rx) {
+                Reply::Run(RunBuf::One(op)) => runs[index].push(op),
+                Reply::Run(RunBuf::Many(run)) => runs[index] = run,
+                _ => unreachable!("a run always answers Run"),
             }
         }
-        self.inner.return_completion_set(set);
+        // Each shard's buffer holds its ops in input order, so walking
+        // the input backwards and popping restores input order across
+        // shards and leaves every buffer empty for the next run.
+        for op in ops.iter_mut().rev() {
+            let (content, hit) =
+                runs[shard_of(op.0, shards)].pop().expect("a run answers every op it carried");
+            debug_assert_eq!(content, op.0);
+            op.1 = hit;
+        }
     }
 
     /// Synchronously swaps one shard worker's store for `store`,
@@ -990,14 +994,17 @@ fn worker_loop<J, H>(
                         jobs += 1;
                         handler(store.as_mut(), job);
                     }
-                    ShardMsg::Apply { content, insert, tag, done } => {
-                        let hit = store.contains(content);
-                        if hit {
-                            store.on_hit(content);
-                        } else if insert {
-                            store.on_data(content);
+                    ShardMsg::Run { mut ops, done } => {
+                        for (content, flag) in ops.ops_mut() {
+                            let hit = store.contains(*content);
+                            if hit {
+                                store.on_hit(*content);
+                            } else if *flag {
+                                store.on_data(*content);
+                            }
+                            *flag = hit;
                         }
-                        publish_reply(&done, Reply::Hit { tag, hit });
+                        publish_reply(&done, Reply::Run(ops));
                     }
                     ShardMsg::Snapshot { done } => {
                         publish_reply(&done, Reply::Contents(store.contents()));
@@ -1048,6 +1055,9 @@ fn worker_loop<J, H>(
 mod tests {
     use super::*;
     use ccn_sim::store::LruStore;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn noop() -> Arc<impl Fn(&mut dyn ContentStore, ()) + Send + Sync> {
         Arc::new(|_: &mut dyn ContentStore, (): ()| {})
@@ -1382,7 +1392,7 @@ mod tests {
         batched_handle.apply_batch(&stream, &mut batched_hits);
         assert_eq!(batched_hits, serial_hits, "hit verdicts diverged");
         assert_eq!(batched_handle.contents(), serial_handle.contents(), "stores diverged");
-        // Windowing: a run far longer than one completion window.
+        // A run far longer than the shard buffers have grown to.
         let long: Vec<ContentId> = (0..3 * 256 + 17).map(|i| ContentId(mix(i) % 60 + 1)).collect();
         let mut a = Vec::new();
         batched_handle.apply_batch(&long, &mut a);
@@ -1390,6 +1400,174 @@ mod tests {
         assert_eq!(a, b);
         serial.shutdown();
         batched.shutdown();
+    }
+
+    /// The oracle of the run property: an LRU as a plain vector, least
+    /// recently used first, every operation a linear scan.
+    struct VecLru {
+        capacity: usize,
+        order: Vec<ContentId>,
+    }
+
+    impl VecLru {
+        /// One run op: the hit verdict, after touching or admitting.
+        fn op(&mut self, content: ContentId, admit: bool) -> bool {
+            let at = self.order.iter().position(|&c| c == content);
+            if let Some(at) = at {
+                self.order.remove(at);
+            } else if !admit {
+                return false;
+            } else if self.order.len() == self.capacity {
+                self.order.remove(0);
+            }
+            self.order.push(content);
+            at.is_some()
+        }
+    }
+
+    proptest! {
+        /// A run is a sequential replay: whatever its length, shard
+        /// spread, duplicates and mix of admit flags, the verdicts, the
+        /// final contents and the eviction order of every shard equal
+        /// those of the same ops applied one by one to a raw
+        /// `LruStore` and to the vector oracle — through `run_ops`, and
+        /// through the four public wrappers carrying the same ops as
+        /// same-flag segments, alternately batched and per op.
+        #[test]
+        fn runs_match_a_sequential_lru_replay(
+            shards in 1usize..=4,
+            len in prop::sample::select(vec![0usize, 1, 63, 64, 65, 257, 1000]),
+            seed in 0u64..1_000_000,
+        ) {
+            const CAPACITY: usize = 5;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let ops: Vec<RunOp> = (0..len)
+                .map(|_| (ContentId(rng.gen_range(1..=40u64)), rng.gen_range(0u32..3) > 0))
+                .collect();
+            let mut raw: Vec<LruStore> = (0..shards).map(|_| LruStore::new(CAPACITY)).collect();
+            let mut oracle: Vec<VecLru> =
+                (0..shards).map(|_| VecLru { capacity: CAPACITY, order: Vec::new() }).collect();
+            let mut want = Vec::with_capacity(len);
+            for &(content, admit) in &ops {
+                let shard = shard_of(content, shards);
+                let hit = raw[shard].contains(content);
+                if hit {
+                    raw[shard].on_hit(content);
+                } else if admit {
+                    raw[shard].on_data(content);
+                }
+                prop_assert_eq!(oracle[shard].op(content, admit), hit);
+                want.push(hit);
+            }
+
+            let mut by_run = spawn_lru(shards, 64, CAPACITY);
+            let mut by_wrappers = spawn_lru(shards, 64, CAPACITY);
+            let handle = by_run.handle();
+            let mut ran = ops.clone();
+            handle.run_ops(&mut ran);
+            let got: Vec<bool> = ran.iter().map(|&(_, hit)| hit).collect();
+            prop_assert_eq!(&got, &want, "run_ops verdicts");
+            prop_assert!(ran.iter().zip(&ops).all(|(a, b)| a.0 == b.0), "run_ops moved an id");
+
+            let wrapped = by_wrappers.handle();
+            let mut got = Vec::with_capacity(len);
+            let mut hits = Vec::new();
+            for (turn, segment) in ops.chunk_by(|a, b| a.1 == b.1).enumerate() {
+                let admit = segment[0].1;
+                let ids: Vec<ContentId> = segment.iter().map(|&(content, _)| content).collect();
+                match (turn % 2 == 0, admit) {
+                    (true, true) => wrapped.apply_batch(&ids, &mut hits),
+                    (true, false) => wrapped.probe_batch(&ids, &mut hits),
+                    (false, true) => {
+                        hits.clear();
+                        hits.extend(ids.iter().map(|&c| wrapped.apply(c)));
+                    }
+                    (false, false) => {
+                        hits.clear();
+                        hits.extend(ids.iter().map(|&c| wrapped.probe(c)));
+                    }
+                }
+                got.extend_from_slice(&hits);
+            }
+            prop_assert_eq!(&got, &want, "wrapper verdicts");
+
+            for shard in 0..shards {
+                let order = raw[shard].contents();
+                prop_assert_eq!(&oracle[shard].order, &order, "oracle vs raw store");
+                prop_assert_eq!(handle.shard_contents(shard), order.clone(), "run_ops store");
+                prop_assert_eq!(wrapped.shard_contents(shard), order, "wrapper store");
+            }
+            by_run.shutdown();
+            by_wrappers.shutdown();
+        }
+    }
+
+    /// A warm run allocates nothing, on either side of the ring: the
+    /// caller's count is read directly, each worker's through a job
+    /// whose handler runs on the worker thread and reports that
+    /// thread's count.
+    #[test]
+    fn warm_runs_allocate_nothing_on_the_caller_or_the_workers() {
+        use crate::alloc_count::allocations;
+        let shards = 2;
+        let reported = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let reports = Arc::new(AtomicUsize::new(0));
+        let (sum, count) = (Arc::clone(&reported), Arc::clone(&reports));
+        let handler = Arc::new(move |_: &mut dyn ContentStore, (): ()| {
+            sum.fetch_add(allocations(), Ordering::Relaxed);
+            count.fetch_add(1, Ordering::Release);
+        });
+        let mut sharded = ShardedStore::spawn(
+            shards,
+            64,
+            IdleStrategy::default(),
+            |_| Box::new(LruStore::new(16)),
+            handler,
+        );
+        let handle = sharded.handle();
+        let one_per_shard: Vec<ContentId> = (0..shards)
+            .map(|s| (1..).map(ContentId).find(|&c| shard_of(c, shards) == s).unwrap())
+            .collect();
+        // Sum of the workers' allocation counts so far.
+        let worker_allocations = || {
+            let before = reports.load(Ordering::Acquire);
+            for &content in &one_per_shard {
+                handle.try_job(content, ()).expect("empty queue");
+            }
+            while reports.load(Ordering::Acquire) < before + shards {
+                std::thread::yield_now();
+            }
+            reported.swap(0, Ordering::Relaxed)
+        };
+        let ids: Vec<ContentId> = (0..257).map(|i| ContentId(mix(i) % 90 + 1)).collect();
+        let mut ops: Vec<RunOp> = Vec::with_capacity(ids.len());
+        let mut hits: Vec<bool> = Vec::with_capacity(ids.len());
+        let mut round = |len: usize| {
+            ops.clear();
+            ops.extend(ids[..len].iter().enumerate().map(|(i, &c)| (c, i % 3 > 0)));
+            handle.run_ops(&mut ops);
+            handle.apply_batch(&ids[..len], &mut hits);
+            handle.probe_batch(&ids[..len], &mut hits);
+            handle.apply(ids[len - 1]);
+            handle.probe(ids[len - 1]);
+        };
+        // Warm-up: grows the pooled buffers and the stores to steady state.
+        for len in [257, 64, 1] {
+            round(len);
+        }
+        let workers_before = worker_allocations();
+        assert!(workers_before > 0, "the report job must read the workers' own counters");
+        let caller_before = allocations();
+        for _ in 0..8 {
+            for len in [1, 64, 257, 2] {
+                round(len);
+            }
+        }
+        let caller = allocations() - caller_before;
+        let workers = worker_allocations() - workers_before;
+        assert_eq!(caller, 0, "a warm caller allocated {caller} times over 32 rounds");
+        assert_eq!(workers, 0, "warm workers allocated {workers} times over 32 rounds");
+        sharded.shutdown();
     }
 
     /// The high-water mark uses `fetch_max`, so racing producers can

@@ -14,8 +14,19 @@
 //! The acceptance bar mirrors tests/engine_vs_sim.rs: tier fractions
 //! within a 2% differential tolerance, conservation bit-exact.
 
-use ccn_engine::net::{wire_bench, NodeLaunch, WireOutcome, WireSpec};
+use std::io::{Read as _, Write as _};
+use std::net::TcpStream;
+
+use ccn_engine::net::{
+    wire_bench, NodeConfig, NodeLaunch, NodeServer, NodeStatsSnapshot, Provision, Request,
+    Response, WireOutcome, WireSpec, PROTOCOL_VERSION,
+};
 use ccn_engine::{serve_bench, ClusterConfig, OpenLoopConfig, ServeBenchConfig, StorePolicy};
+use ccn_sim::store::{ContentStore as _, LruStore};
+use ccn_sim::ContentId;
+use ccn_zipf::{Zipf, ZipfSampler};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const NODES: usize = 3;
 const CATALOGUE: u64 = 200;
@@ -173,4 +184,267 @@ fn pipelined_wire_matches_stop_and_wait_ledgers_bit_exactly() {
         baseline.per_node, windowed.per_node,
         "pipelined wire changed the per-node tier ledgers"
     );
+}
+
+/// A node of this process: its address and the thread serving it.
+struct ThreadNode {
+    addr: String,
+    serving: std::thread::JoinHandle<NodeStatsSnapshot>,
+}
+
+fn spawn_node(id: usize) -> ThreadNode {
+    let server = NodeServer::bind(NodeConfig::new(id)).expect("bind");
+    let addr = server.local_addr().to_string();
+    let serving = std::thread::spawn(move || server.run().expect("node run"));
+    ThreadNode { addr, serving }
+}
+
+/// A stop-and-wait client over the documented framing (`u32-LE length
+/// | body`) and the public codec.
+struct Client(TcpStream);
+
+impl Client {
+    fn connect(addr: &str) -> Self {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        let mut client = Self(stream);
+        let hello = Request::Hello { node: u32::MAX, version: PROTOCOL_VERSION };
+        assert_eq!(client.call(&hello), Response::HelloAck { version: PROTOCOL_VERSION });
+        client
+    }
+
+    fn call(&mut self, request: &Request) -> Response {
+        let body = request.encode().expect("encode");
+        let len = u32::try_from(body.len()).expect("frame length");
+        self.0.write_all(&len.to_le_bytes()).expect("write length");
+        self.0.write_all(&body).expect("write body");
+        let mut len = [0u8; 4];
+        self.0.read_exact(&mut len).expect("read length");
+        let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
+        self.0.read_exact(&mut body).expect("read body");
+        Response::decode(&body).expect("decode")
+    }
+
+    fn provision(&mut self, provision: &Provision) {
+        let ack = self.call(&Request::ConfigEpoch(provision.clone()));
+        assert_eq!(ack, Response::EpochAck { epoch: provision.epoch });
+    }
+
+    /// One `BatchLookup` frame; its `(local, peer, origin)` tally.
+    fn lookup(&mut self, tag: u32, ranks: &[u64]) -> (u64, u64, u64) {
+        match self.call(&Request::BatchLookup { tag, contents: ranks.to_vec() }) {
+            Response::BatchServed { tag: got, local, peer, origin, shed: 0 } if got == tag => {
+                (local, peer, origin)
+            }
+            other => panic!("frame {tag} answered {other:?}"),
+        }
+    }
+
+    fn stats(&mut self) -> NodeStatsSnapshot {
+        match self.call(&Request::Stats) {
+            Response::StatsReply(stats) => stats,
+            other => panic!("stats answered {other:?}"),
+        }
+    }
+
+    fn shutdown(mut self, node: ThreadNode) -> NodeStatsSnapshot {
+        assert_eq!(self.call(&Request::Shutdown), Response::Bye);
+        node.serving.join().expect("node thread")
+    }
+}
+
+/// `frames` frames of 64 i.i.d. Zipf(`s`) ranks over `catalogue`.
+fn zipf_frames(s: f64, catalogue: u64, seed: u64, frames: usize) -> Vec<Vec<u64>> {
+    let sampler = ZipfSampler::new(s, catalogue).expect("sampler");
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..frames).map(|_| (0..64).map(|_| sampler.sample(&mut rng)).collect()).collect()
+}
+
+/// What one node's counters must read after a replayed schedule.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Ledger {
+    lookups: u64,
+    local: u64,
+    peer: u64,
+    origin: u64,
+    forwards_out: u64,
+    forwards_in: u64,
+    forward_hits: u64,
+    forward_misses: u64,
+}
+
+impl Ledger {
+    fn of(stats: &NodeStatsSnapshot) -> Self {
+        Self {
+            lookups: stats.lookups,
+            local: stats.local,
+            peer: stats.peer,
+            origin: stats.origin,
+            forwards_out: stats.forwards_out,
+            forwards_in: stats.forwards_in,
+            forward_hits: stats.forward_hits,
+            forward_misses: stats.forward_misses,
+        }
+    }
+}
+
+/// The LRU wire tier of two nodes, request by request: a node serves
+/// its frame in order — hit → touch; a miss it keeps for itself
+/// (uncoordinated, or its own slice) → origin, admitted; a miss the
+/// other node holds → forwarded — and then the holder serves the
+/// forwards in order, admitting what it misses.
+struct LruReplay {
+    provision: Provision,
+    stores: [LruStore; 2],
+    ledgers: [Ledger; 2],
+}
+
+impl LruReplay {
+    fn holder(&self, rank: u64) -> Option<usize> {
+        let slice = self.provision.slices.iter().find(|s| (s.start..s.end).contains(&rank))?;
+        Some(slice.node as usize)
+    }
+
+    fn serve(&mut self, node: usize, frame: &[u64]) -> (u64, u64, u64) {
+        let other = 1 - node;
+        let (mut local, mut peer, mut origin) = (0u64, 0u64, 0u64);
+        let mut forwards = Vec::new();
+        for &rank in frame {
+            let id = ContentId(rank);
+            if self.stores[node].contains(id) {
+                self.stores[node].on_hit(id);
+                local += 1;
+            } else if self.holder(rank) == Some(other) {
+                forwards.push(id);
+            } else {
+                self.stores[node].on_data(id);
+                origin += 1;
+            }
+        }
+        for &id in &forwards {
+            if self.stores[other].contains(id) {
+                self.stores[other].on_hit(id);
+                self.ledgers[other].forward_hits += 1;
+                peer += 1;
+            } else {
+                self.stores[other].on_data(id);
+                self.ledgers[other].forward_misses += 1;
+                origin += 1;
+            }
+        }
+        self.ledgers[other].forwards_in += forwards.len() as u64;
+        let ledger = &mut self.ledgers[node];
+        ledger.lookups += frame.len() as u64;
+        ledger.local += local;
+        ledger.peer += peer;
+        ledger.origin += origin;
+        ledger.forwards_out += forwards.len() as u64;
+        (local, peer, origin)
+    }
+}
+
+/// Under `StorePolicy::Lru` the wire tier is per-request LRU in frame
+/// order. Two nodes are driven stop-and-wait from this one thread,
+/// alternating, so the interleaving of their frames — and of the
+/// forwards each frame causes — is fixed; every frame's tier tally
+/// and both nodes' final counters must then equal the offline replay
+/// of the same two rank streams exactly.
+#[test]
+fn two_node_lru_wire_matches_a_per_request_replay() {
+    const FRAMES_PER_NODE: usize = 150;
+    let nodes = [spawn_node(0), spawn_node(1)];
+    let mut spec = WireSpec::new(2);
+    spec.policy = StorePolicy::Lru;
+    spec.catalogue = 2_000;
+    spec.capacity = 60;
+    let provision = spec.provision(1, nodes.iter().map(|n| n.addr.clone()).collect());
+    let mut clients = [Client::connect(&nodes[0].addr), Client::connect(&nodes[1].addr)];
+    for client in &mut clients {
+        client.provision(&provision);
+    }
+    let streams = [
+        zipf_frames(ZIPF_S, spec.catalogue, SEED, FRAMES_PER_NODE),
+        zipf_frames(ZIPF_S, spec.catalogue, SEED + 1, FRAMES_PER_NODE),
+    ];
+    let capacity = usize::try_from(provision.capacity).expect("capacity");
+    let mut replay = LruReplay {
+        provision,
+        stores: [LruStore::new(capacity), LruStore::new(capacity)],
+        ledgers: [Ledger::default(); 2],
+    };
+    for (turn, pair) in streams[0].iter().zip(&streams[1]).enumerate() {
+        for (node, frame) in [pair.0, pair.1].into_iter().enumerate() {
+            let got = clients[node].lookup(turn as u32, frame);
+            assert_eq!(got, replay.serve(node, frame), "node {node} frame {turn}");
+        }
+    }
+    for (node, client) in clients.iter_mut().enumerate() {
+        let stats = client.stats();
+        assert_eq!(Ledger::of(&stats), replay.ledgers[node], "node {node} ledger");
+        assert_eq!(stats.shed + stats.degraded + stats.retried + stats.deadline_expired, 0);
+    }
+    let exercised = replay.ledgers[0];
+    assert!(exercised.peer > 0 && exercised.forward_misses > 0 && exercised.local > 0);
+    for (client, node) in clients.into_iter().zip(nodes) {
+        client.shutdown(node);
+    }
+}
+
+/// Hit ratio of an LRU cache of `capacity` under IRM with popularity
+/// `p`, by the characteristic-time (Che) approximation: the `T` with
+/// `Σᵢ (1 − e^{−pᵢT}) = capacity`, then `Σᵢ pᵢ (1 − e^{−pᵢT})`.
+fn che_hit_ratio(p: &[f64], capacity: f64) -> f64 {
+    let occupancy = |t: f64| p.iter().map(|&pi| 1.0 - (-pi * t).exp()).sum::<f64>();
+    let (mut lo, mut hi) = (0.0, 1.0);
+    while occupancy(hi) < capacity {
+        hi *= 2.0;
+    }
+    for _ in 0..200 {
+        let mid = 0.5 * (lo + hi);
+        if occupancy(mid) < capacity {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    p.iter().map(|&pi| pi * (1.0 - (-pi * hi).exp())).sum()
+}
+
+/// The analytic anchor of the LRU wire tier: one node serving a Zipf
+/// IRM stream in 64-request frames behaves as the LRU cache the
+/// characteristic-time approximation describes. Counts only — the
+/// stream is seeded and stop-and-wait, so the measured ratio is the
+/// same on every run.
+#[test]
+fn lru_node_hit_ratio_matches_the_characteristic_time_approximation() {
+    const CATALOGUE: u64 = 2_000;
+    const CAPACITY: u64 = 200;
+    const S: f64 = 0.7;
+    const WARM_FRAMES: usize = 300;
+    const MEASURED_FRAMES: usize = 1_500;
+    let node = spawn_node(0);
+    let mut spec = WireSpec::new(1);
+    spec.policy = StorePolicy::Lru;
+    spec.catalogue = CATALOGUE;
+    spec.capacity = CAPACITY;
+    let mut client = Client::connect(&node.addr);
+    client.provision(&spec.provision(1, vec![node.addr.clone()]));
+    let frames = zipf_frames(S, CATALOGUE, SEED, WARM_FRAMES + MEASURED_FRAMES);
+    let (mut hits, mut served) = (0u64, 0u64);
+    for (tag, frame) in frames.iter().enumerate() {
+        let (local, peer, origin) = client.lookup(tag as u32, frame);
+        assert_eq!((local + origin, peer), (64, 0), "a lone node serves local or origin");
+        if tag >= WARM_FRAMES {
+            hits += local;
+            served += 64;
+        }
+    }
+    let zipf = Zipf::new(S, CATALOGUE).expect("zipf");
+    let p: Vec<f64> = (1..=CATALOGUE).map(|rank| zipf.pmf(rank)).collect();
+    let (measured, predicted) = (hits as f64 / served as f64, che_hit_ratio(&p, CAPACITY as f64));
+    assert!(
+        (measured - predicted).abs() <= 0.02,
+        "LRU hit ratio {measured:.4} vs characteristic-time {predicted:.4}"
+    );
+    client.shutdown(node);
 }
