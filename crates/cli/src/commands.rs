@@ -89,8 +89,9 @@ COMMANDS
              the wire-bench coordinator spawns); prints `READY <addr>`
              on stdout once the listener is bound, then serves until a
              Shutdown frame arrives
-             --id 0 --listen 127.0.0.1:0 --shards 1 --queue 1024
-             --idle spin-then-park --cores 0 --pin false
+             --id 0 --listen 127.0.0.1:0
+             --shards 1 (store shards = serve workers)
+             --cores 0 --pin false
              --deadline-us 1000000 --retries 2 --backoff-us 5
              --timeout-threshold 16
              --window 8 (credit window on node→peer forward links;
@@ -103,14 +104,14 @@ COMMANDS
              threads) with versioned config epochs and drives the same
              zipf_irm stream as serve-bench through length-prefixed TCP
              frames; writes a JSON report with embedded manifest
-             --nodes 3 --shards 1 --queue 1024
+             --nodes 3 --shards 1
              --catalogue 10000 --capacity 100 --ell 0.5 --s 0.8
              --rate 0.5 --duration 1000 --paced false
              --policy static|lru --seed 42 --batch 64
              --window 8 (frames in flight per driver→node and
                node→peer connection; 1 = PR 8 stop-and-wait)
              --wire-batch 64 --max-conns 1024
-             --idle spin-then-park --cores 0 --pin false
+             --cores 0 --pin false
              --deadline-us --retries --backoff-us --timeout-threshold
              --faults \"kill:1@2000,revive:1@4000\" (forms: kill:N@OP
                revive:N@OP; requires child processes, i.e. not
@@ -776,8 +777,6 @@ fn node_cmd(args: &Args) -> Result<String, ArgError> {
         "id",
         "listen",
         "shards",
-        "queue",
-        "idle",
         "cores",
         "pin",
         "deadline-us",
@@ -792,8 +791,6 @@ fn node_cmd(args: &Args) -> Result<String, ArgError> {
     let mut config = NodeConfig::new(usize_flag(args, "id", 0)?);
     config.listen = args.str_or("listen", "127.0.0.1:0");
     config.shards = usize_flag(args, "shards", 1)?;
-    config.queue_capacity = usize_flag(args, "queue", 1_024)?;
-    config.idle = parse_idle_flag(args)?;
     config.placement =
         ShardPlacement::new(usize_flag(args, "cores", 0)?, parse_bool(args, "pin", "false")?);
     config.degrade = parse_degrade_flags(args)?;
@@ -826,6 +823,11 @@ fn node_cmd(args: &Args) -> Result<String, ArgError> {
         stats.forward_hits,
         stats.connections,
         stats.epochs_accepted
+    );
+    let _ = writeln!(
+        out,
+        "  serve wake-ups {}, cross-shard runs {}",
+        stats.serve_wakeups, stats.cross_shard_runs
     );
     Ok(out)
 }
@@ -967,7 +969,6 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
     let mut known = vec![
         "nodes",
         "shards",
-        "queue",
         "catalogue",
         "capacity",
         "ell",
@@ -981,7 +982,6 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
         "window",
         "wire-batch",
         "max-conns",
-        "idle",
         "cores",
         "pin",
         "deadline-us",
@@ -1000,7 +1000,6 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
     args.ensure_known(&known)?;
     let mut spec = WireSpec::new(usize_flag(args, "nodes", 3)?);
     spec.shards_per_node = usize_flag(args, "shards", 1)?;
-    spec.queue_capacity = usize_flag(args, "queue", 1_024)?;
     spec.catalogue = args.u64_or("catalogue", 10_000)?;
     spec.capacity = args.u64_or("capacity", 100)?;
     spec.ell = args.f64_or("ell", 0.5)?;
@@ -1014,7 +1013,6 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
     spec.window = usize_flag(args, "window", 8)?;
     spec.wire_batch = usize_flag(args, "wire-batch", 64)?;
     spec.max_conns = usize_flag(args, "max-conns", 1_024)?;
-    spec.idle = parse_idle_flag(args)?;
     spec.placement =
         ShardPlacement::new(usize_flag(args, "cores", 0)?, parse_bool(args, "pin", "false")?);
     spec.degrade = parse_degrade_flags(args)?;
@@ -1245,6 +1243,19 @@ mod tests {
         for cmd in ["node", "wire-bench", "serve-bench"] {
             let err = run_tokens(&[cmd, "--ring-mode", "mpsc"]).unwrap_err();
             assert!(err.to_string().contains("unknown flag --ring-mode"), "{cmd}: {err}");
+        }
+    }
+
+    /// A serve worker blocks in its poller and its ring carries only
+    /// what the cluster's shape bounds, so the wire commands take
+    /// neither an idle strategy nor a queue depth.
+    #[test]
+    fn wire_commands_take_no_idle_or_queue_flag() {
+        for cmd in ["node", "wire-bench"] {
+            for (flag, value) in [("--idle", "yield"), ("--queue", "64")] {
+                let err = run_tokens(&[cmd, flag, value]).unwrap_err();
+                assert!(err.to_string().contains(&format!("unknown flag {flag}")), "{cmd}: {err}");
+            }
         }
     }
 

@@ -380,6 +380,9 @@ impl Request {
 }
 
 /// Node-to-client and node-to-node response frames.
+// `StatsReply` carries its snapshot by value: the frozen benchmark
+// matches it out of the variant.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// Config push acknowledged; carries the node's (possibly
@@ -755,8 +758,15 @@ node_stats! {
     /// forwarded miss; `forwards_out / forward_batches` is the
     /// realized coalescing factor).
     forward_batches,
-    /// Connections refused by the accept-loop cap.
+    /// Connections refused by the connection cap.
     rejected_conns,
+    /// Returns of the serve workers' readiness pollers: how often the
+    /// node woke up (tail fields: absent in older replies, decode as
+    /// zero).
+    serve_wakeups,
+    /// Shard runs a serve worker handed to another worker's ring —
+    /// the part of its frames its own shard did not hold.
+    cross_shard_runs,
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use crate::control::{Controller, ControllerConfig, ControllerReport, LayoutStep,
 use crate::error::EngineError;
 use crate::fault::DegradeConfig;
 use crate::load::pace_until;
-use crate::shard::{lock_recover, IdleStrategy};
+use crate::shard::lock_recover;
 
 /// How the driver brings up node serving loops.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,8 +76,6 @@ pub struct WireSpec {
     pub nodes: usize,
     /// Store shards per node.
     pub shards_per_node: usize,
-    /// Per-shard ring capacity.
-    pub queue_capacity: usize,
     /// Catalogue size.
     pub catalogue: u64,
     /// Per-node store capacity `c`.
@@ -111,8 +109,6 @@ pub struct WireSpec {
     /// Per-node accepted-connection cap (excess accepts are refused
     /// with a typed frame).
     pub max_conns: usize,
-    /// Node worker idle strategy.
-    pub idle: IdleStrategy,
     /// Core placement passed through to node processes.
     pub placement: ShardPlacement,
     /// Degradation-ladder knobs passed through to node processes.
@@ -134,7 +130,6 @@ impl WireSpec {
         Self {
             nodes,
             shards_per_node: 1,
-            queue_capacity: 1024,
             catalogue: 10_000,
             capacity: 100,
             ell: 0.5,
@@ -148,7 +143,6 @@ impl WireSpec {
             window: 8,
             wire_batch: 64,
             max_conns: 1024,
-            idle: IdleStrategy::spin_then_park(),
             placement: ShardPlacement::disabled(),
             degrade: DegradeConfig::default(),
             faults: Vec::new(),
@@ -588,8 +582,6 @@ fn push_epoch_to(addr: &str, provision: &Provision) -> Result<(), EngineError> {
 fn spawn_thread_node(spec: &WireSpec, id: usize) -> Result<(RunningNode, String), EngineError> {
     let mut config = NodeConfig::new(id);
     config.shards = spec.shards_per_node;
-    config.queue_capacity = spec.queue_capacity;
-    config.idle = spec.idle;
     config.placement = spec.placement;
     config.degrade = spec.degrade;
     config.window = spec.window;
@@ -619,8 +611,6 @@ fn spawn_proc_node(
         .args(["--id", &id.to_string()])
         .args(["--listen", "127.0.0.1:0"])
         .args(["--shards", &spec.shards_per_node.to_string()])
-        .args(["--queue", &spec.queue_capacity.to_string()])
-        .args(["--idle", &spec.idle.name()])
         .args(["--deadline-us", &spec.degrade.forward_deadline.as_micros().to_string()])
         .args(["--retries", &spec.degrade.forward_retries.to_string()])
         .args(["--backoff-us", &spec.degrade.retry_backoff.as_micros().to_string()])

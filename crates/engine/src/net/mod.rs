@@ -7,9 +7,11 @@
 //! `std::net` only, in the same vendored, dependency-free style as
 //! [`crate::ring`]: no async runtime, no serialization framework. The
 //! submodules split it at its seams — `codec` (frame format), `conn`
-//! (one framed connection), `peer` (a node's link to one peer),
-//! `node` (the server and its ladder), `driver` (the coordinator and
-//! load driver); DESIGN.md §11 has the full map.
+//! (one framed connection), `poll` (the readiness poller), `node`
+//! (the server: configuration, provisioning, prober), `worker` (a
+//! serve worker: its sockets, its shard, the ladder), `peer` (a
+//! worker's link to one peer), `driver` (the coordinator and load
+//! driver); DESIGN.md §11 has the full map.
 //!
 //! # Frame layout
 //!
@@ -48,8 +50,13 @@
 //!   prints its address, and waits for a **config epoch** — the
 //!   coordinator's versioned provisioning push carrying the
 //!   `ccn_coord` slice assignments, store layout, and the peer address
-//!   list. Only then does it build its sharded store (MPSC rings:
-//!   every accepted connection is a producer) and serve lookups.
+//!   list. Only then does it fill its shards' stores and serve
+//!   lookups. A node is `shards` serve workers — each the single
+//!   writer of one shard *and* the reader of its own share of the
+//!   node's sockets — plus the prober; its thread count does not
+//!   depend on its connection count. Linux only: the poller is raw
+//!   `epoll`, and elsewhere [`NodeServer::bind`] fails with a typed
+//!   error.
 //! - **Coordinator / driver** ([`wire_bench`]): provisions every node
 //!   (epoch 1), drives per-node Zipf request streams over the same
 //!   protocol, replays a kill/revive schedule by SIGKILLing node
@@ -71,15 +78,19 @@
 //!
 //! # Failure ladder over sockets
 //!
-//! A `BatchLookup` is served as one synchronous shard run, in frame
-//! order: each op probes, and under LRU a miss this node keeps for
-//! itself (uncoordinated content, or its own slice) is admitted by
-//! the same run. The remaining misses are grouped by holder and each
-//! group walks the ladder:
+//! A `BatchLookup` is served to completion by the worker that read
+//! it, as one shard run in frame order — its own shard's items
+//! inline, the rest through the other workers' rings: each op probes,
+//! and under LRU a miss this node keeps for itself (uncoordinated
+//! content, or its own slice) is admitted by the same run. The
+//! remaining misses are grouped by holder and each group walks the
+//! ladder:
 //!
 //! - **peer**: the group goes out as pipelined `PeerForwardBatch`
-//!   frames on the holder's connection, read back under the forward
-//!   deadline (socket read timeout) shared by the whole group.
+//!   frames on the worker's own link to the holder, read back under
+//!   the forward deadline shared by the whole group. The worker waits
+//!   *pumping*: it keeps executing its ring and serving inbound
+//!   forwards, so nodes waiting on each other still answer each other.
 //! - **retry**: items a holder answers *refused* (not yet
 //!   provisioned) are retried up to the configured budget with linear
 //!   backoff.
@@ -98,17 +109,19 @@
 //!   request offered to a dead process is counted shed, never lost,
 //!   so SIGKILL preserves `offered == completed + shed` bit-exactly.
 //!
-//! This ladder and [`crate::cluster`]'s are deliberately separate
-//! code: the in-process one is per job, runs inside shard workers and
-//! forwards fire-and-forget through rings; this one is per frame,
-//! runs on the connection thread around one shard run and waits on a
-//! socket under a shared deadline (DESIGN.md, *Wire tier*).
+//! This ladder and [`crate::cluster`]'s both run on the shard's owner
+//! thread and are separate code: the in-process one is per job and
+//! forwards fire-and-forget through rings; this one is per frame and
+//! waits on a socket under a shared deadline (DESIGN.md, *Wire
+//! tier*).
 
 mod codec;
 mod conn;
 mod driver;
 mod node;
 mod peer;
+mod poll;
+mod worker;
 
 pub use codec::{
     NodeStatsSnapshot, Provision, Request, Response, SliceAssignment, FWD_HIT, FWD_MISS,

@@ -41,22 +41,36 @@
 //!
 //! The waiter polls its lane once and then `yield_now`s — no spin
 //! phase, never a sleep or park. Whenever submitter and worker share
-//! a core (every pinned wire node does) a spinning waiter only delays
-//! the worker it is waiting for; yielding at once hands it the core.
+//! a core a spinning waiter only delays the worker it is waiting
+//! for; yielding at once hands it the core.
+//!
+//! # Owner threads
+//!
+//! What a shard's single writer holds is a `ShardOwner`: the store
+//! and the consumer end of the ring. A [`ShardedStore`] gives each
+//! owner a worker thread that does nothing else. A wire node
+//! ([`crate::net`]) builds the same shards without threads
+//! (`shard_set`) and runs each owner on a serve worker that also
+//! reads its own sockets: that thread runs its own shard's ops inline
+//! (`ShardOwner::run_ops`), sends only the other shards' share
+//! through their rings, keeps draining its own ring while it waits
+//! for them, and blocks in its poller instead of parking — its
+//! `Waker` is an eventfd.
 //!
 //! # Every job ring is multi-producer
 //!
 //! A shard's job ring is reached from arbitrary threads: load
-//! generators and peer workers submit jobs, wire connection threads
-//! and the synchronous ops (runs, `shard_contents`, `replace_store`)
-//! push control messages onto the same ring. It is therefore built
+//! generators and peer workers submit jobs, a wire node's serve
+//! workers hand each other runs and accepted connections, and the
+//! synchronous ops (runs, `shard_contents`, `replace_store`) push
+//! control messages onto the same ring. It is therefore built
 //! [`Mode::Mpsc`], always. The completion lanes are the one place
 //! single-producer is structural — only a lane's shard worker ever
 //! publishes into it — and they alone are built [`Mode::Spsc`].
 
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::{JoinHandle, Thread};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ccn_sim::store::ContentStore;
@@ -333,12 +347,16 @@ struct Shard<J> {
     /// share a line and every update invalidates the neighbours.
     depth: Arc<CachePadded<AtomicUsize>>,
     /// Set by the worker just before parking; producers that see it
-    /// unpark the worker after publishing. Padded for the same
+    /// wake the worker after publishing. Padded for the same
     /// reason as `depth`.
     sleeping: Arc<CachePadded<AtomicBool>>,
-    /// The worker thread, for unparking.
-    thread: Thread,
+    /// Wakes the parked owner: an unpark for a [`ShardedStore`]
+    /// worker, an eventfd write for a wire node's serve worker.
+    waker: Waker,
 }
+
+/// How a producer wakes a shard's parked owner thread.
+pub(crate) type Waker = Box<dyn Fn() + Send + Sync>;
 
 impl<J: Send + 'static> Shard<J> {
     /// Publishes-then-wakes: called after every successful enqueue.
@@ -348,13 +366,14 @@ impl<J: Send + 'static> Shard<J> {
     /// (store `sleeping`, fence, re-check queue) before parking, so at
     /// least one side always observes the other — either the producer
     /// sees `sleeping` and unparks, or the worker sees the message on
-    /// its final pre-park check. `unpark` is sticky, so racing ahead
-    /// of the actual `park` call still wakes it. A lost wake is
+    /// its final pre-park check. Both wakers are sticky (an `unpark`
+    /// token, an eventfd count), so racing ahead of the actual block
+    /// still wakes it; a [`ShardedStore`] worker's park is
     /// additionally bounded by [`IdleStrategy::PARK_TIMEOUT`].
     fn wake(&self) {
         fence(Ordering::SeqCst);
         if self.sleeping.load(Ordering::Relaxed) {
-            self.thread.unpark();
+            (self.waker)();
         }
     }
 
@@ -424,6 +443,24 @@ impl<J> Clone for ShardHandle<J> {
 }
 
 impl<J: Send + 'static> ShardHandle<J> {
+    fn over(shards: Vec<Shard<J>>, pinned_workers: Arc<AtomicUsize>) -> Self {
+        let inner = HandleInner {
+            capacity: shards.first().map_or(0, |shard| shard.queue.capacity()),
+            shards,
+            max_depth: CachePadded::new(AtomicUsize::new(0)),
+            pinned_workers,
+            completion_pool: Mutex::new(Vec::new()),
+        };
+        Self { inner: Arc::new(inner) }
+    }
+
+    /// Sends the drain sentinel to every shard's owner.
+    pub(crate) fn stop_all(&self) {
+        for shard in &self.inner.shards {
+            shard.send_control(ShardMsg::Stop);
+        }
+    }
+
     /// Number of worker shards behind this handle.
     #[must_use]
     pub fn shards(&self) -> usize {
@@ -588,7 +625,7 @@ impl<J: Send + 'static> ShardHandle<J> {
         let mut ops = std::mem::take(&mut set.ops);
         ops.clear();
         ops.extend(run.iter().map(|&content| (content, admit)));
-        self.run_in(&mut set, &mut ops);
+        self.run_in(&mut set, &mut ops, None);
         hits.clear();
         hits.extend(ops.iter().map(|&(_, hit)| hit));
         set.ops = ops;
@@ -610,17 +647,31 @@ impl<J: Send + 'static> ShardHandle<J> {
     /// Panics if the owning [`ShardedStore`] has been shut down.
     pub(crate) fn run_ops(&self, ops: &mut [RunOp]) {
         let mut set = self.inner.checkout_completion_set();
-        self.run_in(&mut set, ops);
+        self.run_in(&mut set, ops, None);
         self.inner.return_completion_set(set);
     }
 
-    fn run_in(&self, set: &mut CompletionSet, ops: &mut [RunOp]) {
+    /// The run behind every synchronous op. With `local`, the caller
+    /// *is* one of the shards' owner threads: that shard's ops execute
+    /// inline on its store, and while the other shards' replies are
+    /// awaited the owner keeps draining its own ring (two owners
+    /// running through each other would otherwise wait forever).
+    /// Returns how many runs crossed to another thread, or `None` if
+    /// the owner was told to stop while waiting — `ops` then read all
+    /// misses and `set` must not be reused.
+    fn run_in(
+        &self,
+        set: &mut CompletionSet,
+        ops: &mut [RunOp],
+        mut local: Option<(&mut ShardOwner<J>, OnJob<'_, J>)>,
+    ) -> Option<usize> {
         let shards = self.shards();
+        let me = local.as_ref().map(|(owner, _)| owner.index);
         let CompletionSet { lanes, runs, touched, .. } = set;
         touched.clear();
         for &op in ops.iter() {
             let index = shard_of(op.0, shards);
-            if runs[index].is_empty() {
+            if runs[index].is_empty() && Some(index) != me {
                 touched.push(index);
             }
             runs[index].push(op);
@@ -639,11 +690,22 @@ impl<J: Send + 'static> ShardHandle<J> {
             self.inner.shards[index]
                 .send_control(ShardMsg::Run { ops, done: lanes[index].tx.clone() });
         }
+        if let Some((owner, _)) = &mut local {
+            execute(owner.store.as_mut(), &mut runs[owner.index]);
+        }
         for &index in touched.iter() {
-            match await_reply(&mut lanes[index].rx) {
-                Reply::Run(RunBuf::One(op)) => runs[index].push(op),
-                Reply::Run(RunBuf::Many(run)) => runs[index] = run,
-                _ => unreachable!("a run always answers Run"),
+            let reply = match &mut local {
+                Some((owner, on_job)) => owner.await_reply(&mut lanes[index].rx, on_job),
+                None => Some(await_reply(&mut lanes[index].rx)),
+            };
+            match reply {
+                Some(Reply::Run(RunBuf::One(op))) => runs[index].push(op),
+                Some(Reply::Run(RunBuf::Many(run))) => runs[index] = run,
+                Some(_) => unreachable!("a run always answers Run"),
+                None => {
+                    ops.iter_mut().for_each(|op| op.1 = false);
+                    return None;
+                }
             }
         }
         // Each shard's buffer holds its ops in input order, so walking
@@ -655,6 +717,7 @@ impl<J: Send + 'static> ShardHandle<J> {
             debug_assert_eq!(content, op.0);
             op.1 = hit;
         }
+        Some(touched.len())
     }
 
     /// Synchronously swaps one shard worker's store for `store`,
@@ -874,24 +937,10 @@ impl<J: Send + 'static> ShardedStore<J> {
             });
         }
         let pinned_workers = Arc::new(AtomicUsize::new(0));
-        let make_inner = |shards: Vec<Shard<J>>, capacity: usize| HandleInner {
-            shards,
-            max_depth: CachePadded::new(AtomicUsize::new(0)),
-            capacity,
-            pinned_workers: Arc::clone(&pinned_workers),
-            completion_pool: Mutex::new(Vec::new()),
-        };
-        let mut shard_handles = Vec::with_capacity(spec.shards);
+        let mut shards = Vec::with_capacity(spec.shards);
         let mut workers = Vec::with_capacity(spec.shards);
-        let mut capacity = spec.queue_capacity;
         for shard in 0..spec.shards {
-            let (producer, consumer) = ring(spec.queue_capacity);
-            capacity = producer.capacity();
-            let depth = Arc::new(CachePadded::new(AtomicUsize::new(0)));
-            let sleeping = Arc::new(CachePadded::new(AtomicBool::new(false)));
-            let store = store_factory(shard);
-            let worker_depth = Arc::clone(&depth);
-            let worker_sleeping = Arc::clone(&sleeping);
+            let (owner, with_waker) = new_shard(shard, spec.queue_capacity, store_factory(shard));
             let worker_handler = Arc::clone(&handler);
             let worker_pinned = Arc::clone(&pinned_workers);
             let pin_core = spec.pin_cores.get(shard).copied().flatten();
@@ -903,35 +952,22 @@ impl<J: Send + 'static> ShardedStore<J> {
                             worker_pinned.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    worker_loop(
-                        store,
-                        consumer,
-                        &worker_depth,
-                        &worker_sleeping,
-                        idle,
-                        &*worker_handler,
-                    );
+                    worker_loop(owner, idle, &*worker_handler);
                 });
             let worker = match spawned {
                 Ok(worker) => worker,
                 Err(e) => {
                     // Unwind the partial bring-up before reporting.
-                    let mut partial = Self {
-                        handle: ShardHandle {
-                            inner: Arc::new(make_inner(shard_handles, capacity)),
-                        },
-                        workers,
-                    };
-                    partial.shutdown();
+                    let handle = ShardHandle::over(shards, pinned_workers);
+                    Self { handle, workers }.shutdown();
                     return Err(EngineError::Spawn { reason: e.to_string() });
                 }
             };
             let thread = worker.thread().clone();
-            shard_handles.push(Shard { queue: producer, depth, sleeping, thread });
+            shards.push(with_waker(Box::new(move || thread.unpark())));
             workers.push(worker);
         }
-        let inner = make_inner(shard_handles, capacity);
-        Ok(Self { handle: ShardHandle { inner: Arc::new(inner) }, workers })
+        Ok(Self { handle: ShardHandle::over(shards, pinned_workers), workers })
     }
 
     /// A clonable handle for submitting work.
@@ -949,9 +985,7 @@ impl<J: Send + 'static> ShardedStore<J> {
         if self.workers.is_empty() {
             return;
         }
-        for shard in &self.handle.inner.shards {
-            shard.send_control(ShardMsg::Stop);
-        }
+        self.handle.stop_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -968,63 +1002,212 @@ impl<J: Send + 'static> Drop for ShardedStore<J> {
 /// buffer and how long one drain can monopolize the store.
 const DRAIN_MAX: usize = 256;
 
-fn worker_loop<J, H>(
-    mut store: Box<dyn ContentStore>,
-    mut queue: Consumer<ShardMsg<J>>,
-    depth: &AtomicUsize,
-    sleeping: &AtomicBool,
-    idle: IdleStrategy,
-    handler: &H,
-) where
+/// The asynchronous-job callback of a shard's owner thread.
+pub(crate) type OnJob<'a, J> = &'a mut dyn FnMut(&mut dyn ContentStore, J);
+
+/// Executes one run against its store, in order: hit → touch; miss →
+/// insert iff the op's flag is set. Each flag becomes the hit verdict.
+fn execute(store: &mut dyn ContentStore, ops: &mut [RunOp]) {
+    for (content, flag) in ops {
+        let hit = store.contains(*content);
+        if hit {
+            store.on_hit(*content);
+        } else if *flag {
+            store.on_data(*content);
+        }
+        *flag = hit;
+    }
+}
+
+/// The owner thread's half of one shard: its store and the consumer
+/// end of its ring. Whoever holds it is the shard's single writer —
+/// a [`ShardedStore`] worker thread, or a wire node's serve worker,
+/// which also reads its own sockets between drains.
+pub(crate) struct ShardOwner<J> {
+    /// Which shard this is the owner of.
+    pub(crate) index: usize,
+    store: Box<dyn ContentStore>,
+    queue: Consumer<ShardMsg<J>>,
+    depth: Arc<CachePadded<AtomicUsize>>,
+    sleeping: Arc<CachePadded<AtomicBool>>,
+    batch: Vec<ShardMsg<J>>,
+    /// Set once the drain sentinel has been seen.
+    pub(crate) stopped: bool,
+}
+
+impl<J: Send + 'static> ShardOwner<J> {
+    /// Executes up to [`DRAIN_MAX`] queued messages; whether there
+    /// were any. Messages queued behind a `Stop` are dropped.
+    pub(crate) fn drain(&mut self, mut on_job: impl FnMut(&mut dyn ContentStore, J)) -> bool {
+        self.batch.clear();
+        if self.queue.pop_batch(&mut self.batch, DRAIN_MAX) == 0 {
+            return false;
+        }
+        let mut jobs = 0usize;
+        for msg in self.batch.drain(..) {
+            match msg {
+                ShardMsg::Job(job) => {
+                    jobs += 1;
+                    on_job(self.store.as_mut(), job);
+                }
+                ShardMsg::Run { mut ops, done } => {
+                    execute(self.store.as_mut(), ops.ops_mut());
+                    publish_reply(&done, Reply::Run(ops));
+                }
+                ShardMsg::Snapshot { done } => {
+                    publish_reply(&done, Reply::Contents(self.store.contents()));
+                }
+                ShardMsg::Replace { store: replacement, done } => {
+                    self.store = replacement;
+                    publish_reply(&done, Reply::Replaced);
+                }
+                ShardMsg::Stop => {
+                    self.stopped = true;
+                    break;
+                }
+            }
+        }
+        if jobs > 0 {
+            self.depth.fetch_sub(jobs, Ordering::Relaxed);
+        }
+        true
+    }
+
+    /// Blocks in `block` unless the ring has work — the mirror image
+    /// of `Shard::wake` (see its doc comment): publish intent to
+    /// sleep, fence, re-check, then block. `None` means the re-check
+    /// found a message and `block` never ran.
+    pub(crate) fn park_with<T>(&mut self, block: impl FnOnce() -> T) -> Option<T> {
+        self.sleeping.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        let blocked = (!self.queue.has_pending()).then(block);
+        self.sleeping.store(false, Ordering::Relaxed);
+        blocked
+    }
+
+    /// [`ShardHandle::run_ops`] for the owner thread itself: this
+    /// shard's ops run inline on the store — with one shard, all of
+    /// them, and nothing touches a ring. Returns how many runs crossed
+    /// to other shards.
+    pub(crate) fn run_ops(
+        &mut self,
+        handle: &ShardHandle<J>,
+        ops: &mut [RunOp],
+        on_job: OnJob<'_, J>,
+    ) -> usize {
+        if handle.shards() == 1 {
+            execute(self.store.as_mut(), ops);
+            return 0;
+        }
+        let mut set = handle.inner.checkout_completion_set();
+        let crossed = handle.run_in(&mut set, ops, Some((self, on_job)));
+        if crossed.is_some() {
+            handle.inner.return_completion_set(set);
+        }
+        crossed.unwrap_or(0)
+    }
+
+    /// Replaces every shard's store with `build(shard)`: this one
+    /// inline, the others by `ShardMsg::Replace`, returning once every
+    /// owner serves from its replacement (or this one was stopped).
+    pub(crate) fn replace_stores(
+        &mut self,
+        handle: &ShardHandle<J>,
+        mut build: impl FnMut(usize) -> Box<dyn ContentStore>,
+        on_job: OnJob<'_, J>,
+    ) {
+        let mut set = handle.inner.checkout_completion_set();
+        for (shard, lane) in set.lanes.iter().enumerate() {
+            if shard == self.index {
+                self.store = build(shard);
+            } else {
+                let msg = ShardMsg::Replace { store: build(shard), done: lane.tx.clone() };
+                handle.inner.shards[shard].send_control(msg);
+            }
+        }
+        let me = self.index;
+        for shard in (0..handle.shards()).filter(|&shard| shard != me) {
+            if self.await_reply(&mut set.lanes[shard].rx, on_job).is_none() {
+                return;
+            }
+        }
+        handle.inner.return_completion_set(set);
+    }
+
+    /// An owner's wait for another shard's reply: it keeps executing
+    /// its own ring's messages, so two owners waiting on each other
+    /// both get served. `None` once this owner has been told to stop
+    /// (the other one may already be gone).
+    fn await_reply(&mut self, rx: &mut Consumer<Reply>, on_job: OnJob<'_, J>) -> Option<Reply> {
+        loop {
+            if let Some(reply) = rx.pop() {
+                return Some(reply);
+            }
+            if !self.drain(&mut *on_job) {
+                if self.stopped {
+                    return None;
+                }
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+/// Builds one shard: the owner half, and the producer half with the
+/// `waker` that reaches whichever thread will own it.
+fn new_shard<J>(
+    index: usize,
+    queue_capacity: usize,
+    store: Box<dyn ContentStore>,
+) -> (ShardOwner<J>, impl FnOnce(Waker) -> Shard<J>) {
+    let (queue, consumer) = ring(queue_capacity);
+    let depth = Arc::new(CachePadded::new(AtomicUsize::new(0)));
+    let sleeping = Arc::new(CachePadded::new(AtomicBool::new(false)));
+    let owner = ShardOwner {
+        index,
+        store,
+        queue: consumer,
+        depth: Arc::clone(&depth),
+        sleeping: Arc::clone(&sleeping),
+        batch: Vec::with_capacity(DRAIN_MAX),
+        stopped: false,
+    };
+    (owner, move |waker| Shard { queue, depth, sleeping, waker })
+}
+
+/// A shard set without threads: the handle, and one [`ShardOwner`] per
+/// shard for the caller's own threads to run. `wakers[shard]` must
+/// wake whatever [`ShardOwner::park_with`] blocks in on that thread.
+pub(crate) fn shard_set<J: Send + 'static>(
+    queue_capacity: usize,
+    wakers: Vec<Waker>,
+    mut store_factory: impl FnMut(usize) -> Box<dyn ContentStore>,
+) -> (ShardHandle<J>, Vec<ShardOwner<J>>) {
+    let (owners, shards): (Vec<_>, Vec<_>) = wakers
+        .into_iter()
+        .enumerate()
+        .map(|(index, waker)| {
+            let (owner, shard) = new_shard(index, queue_capacity, store_factory(index));
+            (owner, shard(waker))
+        })
+        .unzip();
+    (ShardHandle::over(shards, Arc::default()), owners)
+}
+
+fn worker_loop<J, H>(mut owner: ShardOwner<J>, idle: IdleStrategy, handler: &H)
+where
+    J: Send + 'static,
     H: Fn(&mut dyn ContentStore, J),
 {
-    let mut batch: Vec<ShardMsg<J>> = Vec::with_capacity(DRAIN_MAX);
     let mut spins = 0u32;
     let mut yields = 0u32;
     loop {
-        batch.clear();
-        if queue.pop_batch(&mut batch, DRAIN_MAX) > 0 {
-            spins = 0;
-            yields = 0;
-            let mut jobs = 0usize;
-            let mut stop = false;
-            for msg in batch.drain(..) {
-                match msg {
-                    ShardMsg::Job(job) => {
-                        jobs += 1;
-                        handler(store.as_mut(), job);
-                    }
-                    ShardMsg::Run { mut ops, done } => {
-                        for (content, flag) in ops.ops_mut() {
-                            let hit = store.contains(*content);
-                            if hit {
-                                store.on_hit(*content);
-                            } else if *flag {
-                                store.on_data(*content);
-                            }
-                            *flag = hit;
-                        }
-                        publish_reply(&done, Reply::Run(ops));
-                    }
-                    ShardMsg::Snapshot { done } => {
-                        publish_reply(&done, Reply::Contents(store.contents()));
-                    }
-                    ShardMsg::Replace { store: replacement, done } => {
-                        store = replacement;
-                        publish_reply(&done, Reply::Replaced);
-                    }
-                    ShardMsg::Stop => {
-                        stop = true;
-                        break;
-                    }
-                }
-            }
-            if jobs > 0 {
-                depth.fetch_sub(jobs, Ordering::Relaxed);
-            }
-            if stop {
+        if owner.drain(handler) {
+            if owner.stopped {
                 return;
             }
+            spins = 0;
+            yields = 0;
             continue;
         }
         // Queue dry: escalate spin → yield → park.
@@ -1034,17 +1217,10 @@ fn worker_loop<J, H>(
         } else if yields < idle.yields || !idle.park {
             yields = yields.saturating_add(1);
             std::thread::yield_now();
-        } else {
-            // Mirror image of `Shard::wake` (see its doc comment):
-            // publish intent to sleep, fence, re-check, then park.
-            sleeping.store(true, Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-            if queue.has_pending() {
-                sleeping.store(false, Ordering::Relaxed);
-                continue;
-            }
-            std::thread::park_timeout(IdleStrategy::PARK_TIMEOUT);
-            sleeping.store(false, Ordering::Relaxed);
+        } else if owner
+            .park_with(|| std::thread::park_timeout(IdleStrategy::PARK_TIMEOUT))
+            .is_some()
+        {
             spins = 0;
             yields = 0;
         }

@@ -424,7 +424,6 @@ fn wire_spec(seed: u64, horizon_ms: f64) -> ccn_engine::net::WireSpec {
     spec.rate_per_node_per_ms = RATE_PER_MS;
     spec.horizon_ms = horizon_ms;
     spec.seed = seed;
-    spec.queue_capacity = 8_192;
     // A deliberately non-trivial credit window: frames are in flight
     // on the victim's connection at SIGKILL time, and every request
     // inside them must resolve to shed or completed — never lost.

@@ -21,7 +21,9 @@ use ccn_engine::net::{
     wire_bench, NodeConfig, NodeLaunch, NodeServer, NodeStatsSnapshot, Provision, Request,
     Response, WireOutcome, WireSpec, PROTOCOL_VERSION,
 };
-use ccn_engine::{serve_bench, ClusterConfig, OpenLoopConfig, ServeBenchConfig, StorePolicy};
+use ccn_engine::{
+    serve_bench, shard_of, ClusterConfig, OpenLoopConfig, ServeBenchConfig, StorePolicy,
+};
 use ccn_sim::store::{ContentStore as _, LruStore};
 use ccn_sim::ContentId;
 use ccn_zipf::{Zipf, ZipfSampler};
@@ -63,8 +65,9 @@ fn ccn_exe() -> std::path::PathBuf {
     exe
 }
 
-fn wire_spec(launch: NodeLaunch) -> WireSpec {
+fn wire_spec(launch: NodeLaunch, shards: usize) -> WireSpec {
     let mut spec = WireSpec::new(NODES);
+    spec.shards_per_node = shards;
     spec.catalogue = CATALOGUE;
     spec.capacity = CAPACITY;
     spec.ell = ELL;
@@ -72,7 +75,6 @@ fn wire_spec(launch: NodeLaunch) -> WireSpec {
     spec.rate_per_node_per_ms = RATE_PER_MS;
     spec.horizon_ms = HORIZON_MS;
     spec.seed = SEED;
-    spec.queue_capacity = 8_192;
     spec.launch = launch;
     spec
 }
@@ -141,17 +143,22 @@ fn assert_matches_engine(outcome: &WireOutcome, label: &str) {
 #[test]
 fn multi_process_cluster_matches_in_process_engine_tiers() {
     let outcome =
-        wire_bench(&wire_spec(NodeLaunch::Exe(ccn_exe()))).expect("multi-process wire run");
+        wire_bench(&wire_spec(NodeLaunch::Exe(ccn_exe()), 1)).expect("multi-process wire run");
     assert_eq!(outcome.listen_addrs.len(), NODES);
     assert_matches_engine(&outcome, "processes");
 }
 
 /// The same equivalence holds with node servers as driver threads —
-/// isolating the wire protocol itself from process-spawn effects.
+/// isolating the wire protocol itself from process-spawn effects —
+/// and with every node's store split over three serve workers, where
+/// most of a frame's items cross a ring to another worker's shard.
 #[test]
 fn in_process_wire_threads_match_engine_tiers() {
-    let outcome = wire_bench(&wire_spec(NodeLaunch::InProcess)).expect("threaded wire run");
-    assert_matches_engine(&outcome, "threads");
+    for shards in [1, 3] {
+        let spec = wire_spec(NodeLaunch::InProcess, shards);
+        let outcome = wire_bench(&spec).expect("threaded wire run");
+        assert_matches_engine(&outcome, &format!("threads, {shards} shard(s)"));
+    }
 }
 
 /// Pipelining is an optimization, not a semantics change: the same
@@ -163,27 +170,32 @@ fn in_process_wire_threads_match_engine_tiers() {
 /// window reordered, dropped, or double-counted a frame.
 #[test]
 fn pipelined_wire_matches_stop_and_wait_ledgers_bit_exactly() {
-    let mut stop_and_wait = wire_spec(NodeLaunch::InProcess);
-    stop_and_wait.window = 1;
-    stop_and_wait.wire_batch = 1;
-    let mut pipelined = wire_spec(NodeLaunch::InProcess);
-    pipelined.window = 8;
-    pipelined.wire_batch = 64;
+    for shards in [1, 3] {
+        let mut stop_and_wait = wire_spec(NodeLaunch::InProcess, shards);
+        stop_and_wait.window = 1;
+        stop_and_wait.wire_batch = 1;
+        let mut pipelined = wire_spec(NodeLaunch::InProcess, shards);
+        pipelined.window = 8;
+        pipelined.wire_batch = 64;
 
-    let baseline = wire_bench(&stop_and_wait).expect("stop-and-wait wire run");
-    let windowed = wire_bench(&pipelined).expect("pipelined wire run");
-    baseline.check_conservation().expect("stop-and-wait run conserves");
-    windowed.check_conservation().expect("pipelined run conserves");
+        let baseline = wire_bench(&stop_and_wait).expect("stop-and-wait wire run");
+        let windowed = wire_bench(&pipelined).expect("pipelined wire run");
+        baseline.check_conservation().expect("stop-and-wait run conserves");
+        windowed.check_conservation().expect("pipelined run conserves");
 
-    assert_eq!(
-        baseline.pipeline.max_in_flight, 1,
-        "stop-and-wait run must never have more than one frame in flight"
-    );
-    assert_eq!(windowed.pipeline.max_in_flight, 8, "pipelined run never filled its credit window");
-    assert_eq!(
-        baseline.per_node, windowed.per_node,
-        "pipelined wire changed the per-node tier ledgers"
-    );
+        assert_eq!(
+            baseline.pipeline.max_in_flight, 1,
+            "stop-and-wait run must never have more than one frame in flight"
+        );
+        assert_eq!(
+            windowed.pipeline.max_in_flight, 8,
+            "pipelined run never filled its credit window"
+        );
+        assert_eq!(
+            baseline.per_node, windowed.per_node,
+            "pipelined wire changed the per-node tier ledgers ({shards} shard(s))"
+        );
+    }
 }
 
 /// A node of this process: its address and the thread serving it.
@@ -192,8 +204,10 @@ struct ThreadNode {
     serving: std::thread::JoinHandle<NodeStatsSnapshot>,
 }
 
-fn spawn_node(id: usize) -> ThreadNode {
-    let server = NodeServer::bind(NodeConfig::new(id)).expect("bind");
+fn spawn_node(id: usize, shards: usize) -> ThreadNode {
+    let mut config = NodeConfig::new(id);
+    config.shards = shards;
+    let server = NodeServer::bind(config).expect("bind");
     let addr = server.local_addr().to_string();
     let serving = std::thread::spawn(move || server.run().expect("node run"));
     ThreadNode { addr, serving }
@@ -292,10 +306,11 @@ impl Ledger {
 /// its frame in order — hit → touch; a miss it keeps for itself
 /// (uncoordinated, or its own slice) → origin, admitted; a miss the
 /// other node holds → forwarded — and then the holder serves the
-/// forwards in order, admitting what it misses.
+/// forwards in order, admitting what it misses. A node's store is one
+/// LRU per shard, each with its share of the capacity.
 struct LruReplay {
     provision: Provision,
-    stores: [LruStore; 2],
+    stores: [Vec<LruStore>; 2],
     ledgers: [Ledger; 2],
 }
 
@@ -305,29 +320,43 @@ impl LruReplay {
         Some(slice.node as usize)
     }
 
+    fn new(provision: Provision, shards: usize) -> Self {
+        let capacity = usize::try_from(provision.capacity).expect("capacity");
+        let node = || -> Vec<LruStore> {
+            let share = |shard| capacity / shards + usize::from(shard < capacity % shards);
+            (0..shards).map(|shard| LruStore::new(share(shard).max(1))).collect()
+        };
+        Self { provision, stores: [node(), node()], ledgers: [Ledger::default(); 2] }
+    }
+
+    fn store(&mut self, node: usize, id: ContentId) -> &mut LruStore {
+        let shards = self.stores[node].len();
+        &mut self.stores[node][shard_of(id, shards)]
+    }
+
     fn serve(&mut self, node: usize, frame: &[u64]) -> (u64, u64, u64) {
         let other = 1 - node;
         let (mut local, mut peer, mut origin) = (0u64, 0u64, 0u64);
         let mut forwards = Vec::new();
         for &rank in frame {
             let id = ContentId(rank);
-            if self.stores[node].contains(id) {
-                self.stores[node].on_hit(id);
+            if self.store(node, id).contains(id) {
+                self.store(node, id).on_hit(id);
                 local += 1;
             } else if self.holder(rank) == Some(other) {
                 forwards.push(id);
             } else {
-                self.stores[node].on_data(id);
+                self.store(node, id).on_data(id);
                 origin += 1;
             }
         }
         for &id in &forwards {
-            if self.stores[other].contains(id) {
-                self.stores[other].on_hit(id);
+            if self.store(other, id).contains(id) {
+                self.store(other, id).on_hit(id);
                 self.ledgers[other].forward_hits += 1;
                 peer += 1;
             } else {
-                self.stores[other].on_data(id);
+                self.store(other, id).on_data(id);
                 self.ledgers[other].forward_misses += 1;
                 origin += 1;
             }
@@ -351,8 +380,14 @@ impl LruReplay {
 /// of the same two rank streams exactly.
 #[test]
 fn two_node_lru_wire_matches_a_per_request_replay() {
+    for shards in [1, 3] {
+        two_node_lru_wire_matches_the_replay(shards);
+    }
+}
+
+fn two_node_lru_wire_matches_the_replay(shards: usize) {
     const FRAMES_PER_NODE: usize = 150;
-    let nodes = [spawn_node(0), spawn_node(1)];
+    let nodes = [spawn_node(0, shards), spawn_node(1, shards)];
     let mut spec = WireSpec::new(2);
     spec.policy = StorePolicy::Lru;
     spec.catalogue = 2_000;
@@ -366,16 +401,15 @@ fn two_node_lru_wire_matches_a_per_request_replay() {
         zipf_frames(ZIPF_S, spec.catalogue, SEED, FRAMES_PER_NODE),
         zipf_frames(ZIPF_S, spec.catalogue, SEED + 1, FRAMES_PER_NODE),
     ];
-    let capacity = usize::try_from(provision.capacity).expect("capacity");
-    let mut replay = LruReplay {
-        provision,
-        stores: [LruStore::new(capacity), LruStore::new(capacity)],
-        ledgers: [Ledger::default(); 2],
-    };
+    let mut replay = LruReplay::new(provision, shards);
     for (turn, pair) in streams[0].iter().zip(&streams[1]).enumerate() {
         for (node, frame) in [pair.0, pair.1].into_iter().enumerate() {
             let got = clients[node].lookup(turn as u32, frame);
-            assert_eq!(got, replay.serve(node, frame), "node {node} frame {turn}");
+            assert_eq!(
+                got,
+                replay.serve(node, frame),
+                "node {node} frame {turn}, {shards} shard(s)"
+            );
         }
     }
     for (node, client) in clients.iter_mut().enumerate() {
@@ -422,7 +456,7 @@ fn lru_node_hit_ratio_matches_the_characteristic_time_approximation() {
     const S: f64 = 0.7;
     const WARM_FRAMES: usize = 300;
     const MEASURED_FRAMES: usize = 1_500;
-    let node = spawn_node(0);
+    let node = spawn_node(0, 1);
     let mut spec = WireSpec::new(1);
     spec.policy = StorePolicy::Lru;
     spec.catalogue = CATALOGUE;
