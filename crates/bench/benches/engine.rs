@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ccn_engine::{shard_of, IdleStrategy, ShardHandle, ShardedStore};
+use ccn_engine::{shard_of, ShardHandle, ShardedStore};
 use ccn_sim::store::{ContentStore, LruStore};
 use ccn_sim::ContentId;
 use ccn_zipf::ZipfSampler;
@@ -113,7 +113,6 @@ fn spawn_churn(shards: usize, hits: &Arc<AtomicU64>) -> ShardedStore<u64> {
     ShardedStore::spawn(
         shards,
         QUEUE,
-        IdleStrategy::default(),
         move |_| Box::new(LruStore::new(capacity_per_shard)),
         churn_handler(hits),
     )

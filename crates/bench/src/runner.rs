@@ -95,8 +95,8 @@ pub struct TrialResult {
 ///
 /// The worker count is clamped to the cores actually available
 /// ([`effective_threads`]): oversubscribing a starved machine only
-/// adds scheduler churn and produced the misleading sub-1.0
-/// "speedups" recorded in BENCH_2.json.
+/// adds scheduler churn and yields misleading sub-1.0 "speedups"
+/// (4 requested threads on 1 core read as 0.88x).
 ///
 /// # Errors
 ///
@@ -220,7 +220,7 @@ pub struct ThreadScaling {
     /// Worker count the run actually used: `threads` clamped to the
     /// visible cores ([`effective_threads`]). When this is below
     /// `threads`, the "scaling" row measures a starved machine, not
-    /// the code (the BENCH_2.json pathology).
+    /// the code (4 requested threads on 1 core).
     pub effective_threads: usize,
     /// CPU cores visible to the process when the measurement ran.
     pub available_cores: usize,
@@ -264,7 +264,7 @@ impl ThreadScaling {
 /// Everything `ccn bench` measures, serializable as `BENCH_*.json`.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
-    /// Snapshot name (e.g. `"BENCH_2"`).
+    /// Snapshot name (e.g. `"BENCH"`).
     pub name: String,
     /// Whether sizes were reduced for a CI smoke run.
     pub smoke: bool,
@@ -644,8 +644,8 @@ mod tests {
 
     #[test]
     fn thread_scaling_clamps_and_pins_efficiency() {
-        // Synthetic BENCH_2.json conditions: 4 requested threads on a
-        // 1-core machine, t1 = 83.2 ms, t4 = 94.5 ms.
+        // 4 requested threads on a 1-core machine, t1 = 83.2 ms,
+        // t4 = 94.5 ms.
         let s = ThreadScaling::from_measurement(4, 1, 83.2, 94.5);
         assert_eq!(s.threads, 4);
         assert_eq!(s.effective_threads, 1);

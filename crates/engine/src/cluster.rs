@@ -54,7 +54,7 @@ use crate::fault::{
 };
 use crate::pad::CachePadded;
 use crate::routing::{LiveRouting, RoutingTable};
-use crate::shard::{lock_recover, shard_of, IdleStrategy, ShardHandle, ShardSpec, ShardedStore};
+use crate::shard::{lock_recover, shard_of, ShardHandle, ShardSpec, ShardedStore};
 
 /// Upper bucket edges for the engine's latency histograms: the
 /// in-process tiers complete in microseconds, so the grid extends
@@ -107,8 +107,6 @@ pub struct ClusterConfig {
     pub ell: f64,
     /// Store population policy.
     pub policy: StorePolicy,
-    /// How shard workers wait when their queues run dry.
-    pub idle: IdleStrategy,
     /// Degradation-ladder knobs (forward deadline, retry budget,
     /// health detector). The defaults are far outside the clean-path
     /// envelope, so a fault-free run behaves identically to one
@@ -131,7 +129,6 @@ impl Default for ClusterConfig {
             capacity: 100,
             ell: 0.5,
             policy: StorePolicy::Provisioned,
-            idle: IdleStrategy::default(),
             degrade: DegradeConfig::default(),
             placement: ShardPlacement::disabled(),
         }
@@ -280,11 +277,10 @@ impl Shared {
         self.faults.probation(op, &self.degrade, &self.routing);
     }
 
-    /// Spin-waits the bounded retry backoff (attempt `k` waits
-    /// `k × retry_backoff`); runs on a shard worker, so it must never
-    /// sleep unboundedly.
+    /// Spin-waits the retry backoff ([`DegradeConfig::backoff`]); runs
+    /// on a shard worker, so it must never sleep unboundedly.
     fn backoff(&self, attempt: u32) {
-        let budget = self.degrade.retry_backoff.saturating_mul(attempt);
+        let budget = self.degrade.backoff(attempt);
         let start = Instant::now();
         while start.elapsed() < budget {
             std::hint::spin_loop();
@@ -622,7 +618,6 @@ impl Cluster {
                     Vec::new()
                 };
                 let spec = ShardSpec::new(config.shards_per_node, config.queue_capacity)
-                    .idle(config.idle)
                     .pin_cores(pin_cores);
                 ShardedStore::try_spawn_with(
                     spec,

@@ -27,10 +27,11 @@
 //!    transition.
 //!
 //! The planner ([`Controller`]) is transport-agnostic: it turns
-//! observed ranks into a sequence of [`LayoutStep`]s.
-//! [`ClusterController`] binds it to an in-process [`Cluster`]; the
-//! wire driver in [`crate::net`] binds the same planner to TCP epoch
-//! pushes.
+//! observed ranks into a sequence of [`LayoutStep`]s. Both tiers run it
+//! through one adaptive runner (tap, cursor, ticker, error policy)
+//! and differ only in how a step is installed: [`ClusterController`]
+//! applies it to an in-process [`Cluster`], the wire driver in
+//! [`crate::net`] pushes it to every live node.
 //!
 //! # Budget guarantee
 //!
@@ -72,8 +73,8 @@ struct TapLane {
 
 /// A lock-free sampled tap on the admission path.
 ///
-/// Created by [`ClusterController::attach`] (or directly for the wire
-/// driver) and installed on the cluster; every admitted batch records
+/// Created by the adaptive runner and fed by the load's producers
+/// (the cluster's admission path, the wire drivers); every batch records
 /// a 1-in-`sample_every` stride of its ranks. All stores are relaxed
 /// except the head publish — torn values are impossible (`u64` slots)
 /// and a racily overwritten sample only perturbs the window by one
@@ -193,8 +194,8 @@ pub struct ControllerConfig {
     pub sample_every: u64,
     /// Per-lane tap ring capacity.
     pub tap_capacity: usize,
-    /// Cadence of the threaded runner (ignored by synchronous
-    /// [`ClusterController::step`] calls).
+    /// Cadence of the adaptive runner's ticker (ignored by
+    /// synchronous [`ClusterController::step`] calls).
     pub tick_interval: Duration,
 }
 
@@ -313,6 +314,9 @@ pub struct LayoutStep {
     pub moved_slots: u64,
     /// Chain epochs still pending after this one.
     pub remaining: usize,
+    /// The planner's most recent fitted exponent when it issued this
+    /// step (the wire tier carries it in the `ConfigEpoch` push).
+    pub fitted_s: Option<f64>,
 }
 
 /// Observability snapshot of the controller, exported through
@@ -449,20 +453,6 @@ impl Controller {
         self.chain.len()
     }
 
-    /// Most recent fitted exponent (None before the first fit) —
-    /// cheaper than [`Controller::report`] when only the fit is
-    /// needed per issued epoch.
-    #[must_use]
-    pub fn fitted(&self) -> Option<f64> {
-        self.fitted_s
-    }
-
-    /// The layout currently enacted (or mid-chain) as assignments.
-    #[must_use]
-    pub fn current_assignments(&self) -> Vec<RouterAssignment> {
-        assignments_from(&self.boundaries)
-    }
-
     /// Folds one tick's worth of observed ranks into the decayed
     /// window. Out-of-catalogue ranks (impossible from the tap, but
     /// cheap to guard) are dropped.
@@ -530,14 +520,6 @@ impl Controller {
         Ok(self.advance_chain())
     }
 
-    /// Re-plays the remainder of the current layout unconditionally —
-    /// the wire driver uses this to re-push state to a revived node
-    /// (the cumulative current layout *is* the partial chain's state).
-    #[must_use]
-    pub fn replay_layout(&self) -> Vec<RouterAssignment> {
-        self.current_assignments()
-    }
-
     /// Snapshot for manifests. The decision log is cloned, not
     /// drained.
     #[must_use]
@@ -568,7 +550,12 @@ impl Controller {
         self.slices_moved += moved_slots;
         let remaining = self.chain.len();
         self.decisions.push(ControllerDecision::ChainStep { moved_slots, remaining });
-        Some(LayoutStep { assignments: assignments_from(&self.boundaries), moved_slots, remaining })
+        Some(LayoutStep {
+            assignments: assignments_from(&self.boundaries),
+            moved_slots,
+            remaining,
+            fitted_s: self.fitted_s,
+        })
     }
 
     fn solve_ell(&self, s: f64) -> Result<f64, EngineError> {
@@ -632,20 +619,102 @@ fn build_chain(from: &[u64], to: &[u64], budget: u64, nodes: usize) -> VecDeque<
     chain
 }
 
-/// The in-process binding: a [`Controller`] wired to a [`Cluster`]'s
-/// tap and epoch mechanism.
-pub struct ClusterController {
-    inner: Controller,
+/// The adaptive loop both serving tiers run: a [`Controller`], the
+/// [`RankTap`] its samples come from, and the tap's cursor. How a
+/// [`LayoutStep`] is installed is the caller's `install` —
+/// [`Cluster::apply_layout`] in process, a `ConfigEpoch` push to every
+/// live node on the wire — and any error it or the planner returns
+/// ends the loop with that error.
+pub(crate) struct AdaptiveRunner {
+    planner: Controller,
     tap: Arc<RankTap>,
     cursor: TapCursor,
     scratch: Vec<u64>,
 }
 
+impl AdaptiveRunner {
+    /// A planner for a cluster of `nodes` (see [`Controller::new`])
+    /// and a fresh tap with one lane per node.
+    pub(crate) fn new(
+        nodes: usize,
+        catalogue: u64,
+        capacity: u64,
+        initial_ell: f64,
+        config: ControllerConfig,
+    ) -> Result<Self, EngineError> {
+        let planner = Controller::new(nodes, catalogue, capacity, initial_ell, config)?;
+        let tap = Arc::new(RankTap::new(nodes, config.tap_capacity, config.sample_every)?);
+        let cursor = tap.cursor();
+        Ok(Self { planner, tap, cursor, scratch: Vec::new() })
+    }
+
+    /// The tap the load's producers record into.
+    pub(crate) fn tap(&self) -> Arc<RankTap> {
+        Arc::clone(&self.tap)
+    }
+
+    /// One control tick: drains the tap into the estimator, plans, and
+    /// installs the step the planner emits, if any. Returns what
+    /// `install` returned.
+    pub(crate) fn step<T>(
+        &mut self,
+        install: impl FnOnce(&LayoutStep) -> Result<T, EngineError>,
+    ) -> Result<Option<T>, EngineError> {
+        self.scratch.clear();
+        self.tap.drain(&mut self.cursor, &mut self.scratch);
+        self.planner.observe(&self.scratch);
+        self.planner.plan()?.map(|step| install(&step)).transpose()
+    }
+
+    /// Installs every pending chain step, observing nothing new, so a
+    /// retarget late in the run still lands. Returns the steps issued.
+    pub(crate) fn drain_chain<T>(
+        &mut self,
+        mut install: impl FnMut(&LayoutStep) -> Result<T, EngineError>,
+    ) -> Result<u64, EngineError> {
+        let mut issued = 0;
+        while self.planner.pending_steps() > 0 {
+            if let Some(step) = self.planner.plan()? {
+                install(&step)?;
+                issued += 1;
+            }
+        }
+        Ok(issued)
+    }
+
+    /// The ticker: one [`AdaptiveRunner::step`] every `tick_interval`
+    /// while `done` says the load is still running, exactly one more
+    /// after it flips, then [`AdaptiveRunner::drain_chain`]. Returns
+    /// the planner's report, or the first error, which ends the loop.
+    pub(crate) fn run<T>(
+        mut self,
+        done: impl Fn() -> bool,
+        mut install: impl FnMut(&LayoutStep) -> Result<T, EngineError>,
+    ) -> Result<ControllerReport, EngineError> {
+        loop {
+            let last = done();
+            self.step(&mut install)?;
+            if last {
+                break;
+            }
+            std::thread::sleep(self.planner.config.tick_interval);
+        }
+        self.drain_chain(install)?;
+        Ok(self.planner.report())
+    }
+}
+
+/// The in-process binding: the adaptive loop with its tap on a
+/// [`Cluster`]'s admission path and its steps installed through
+/// [`Cluster::apply_layout`].
+pub struct ClusterController {
+    runner: AdaptiveRunner,
+}
+
 impl ClusterController {
-    /// Builds the controller for `cluster`, creates the rank tap, and
-    /// installs it on the cluster's admission path. Call before
-    /// driving load (the tap only sees requests offered after it is
-    /// installed).
+    /// Builds the controller for `cluster` and installs its rank tap on
+    /// the cluster's admission path. Call before driving load (the tap
+    /// only sees requests offered after it is installed).
     ///
     /// # Errors
     ///
@@ -653,69 +722,51 @@ impl ClusterController {
     /// already has a tap installed.
     pub fn attach(cluster: &Cluster, config: ControllerConfig) -> Result<Self, EngineError> {
         let cc = cluster.config();
-        let inner = Controller::new(cc.nodes, cc.catalogue, cc.capacity, cc.ell, config)?;
-        let tap = Arc::new(RankTap::new(cc.nodes, config.tap_capacity, config.sample_every)?);
-        cluster.install_tap(Arc::clone(&tap))?;
-        let cursor = tap.cursor();
-        Ok(Self { inner, tap, cursor, scratch: Vec::new() })
-    }
-
-    /// The shared tap (for tests and extra producers).
-    #[must_use]
-    pub fn tap(&self) -> Arc<RankTap> {
-        Arc::clone(&self.tap)
+        let runner = AdaptiveRunner::new(cc.nodes, cc.catalogue, cc.capacity, cc.ell, config)?;
+        cluster.install_tap(runner.tap())?;
+        Ok(Self { runner })
     }
 
     /// Read-only access to the planner.
     #[must_use]
     pub fn controller(&self) -> &Controller {
-        &self.inner
+        &self.runner.planner
     }
 
     /// One synchronous control tick: drains the tap, feeds the
-    /// estimator, and — when the planner emits a layout — installs it
-    /// on the cluster through the config-epoch mechanism. Returns the
-    /// installed epoch, if any.
+    /// estimator, and installs the layout the planner emits, if any.
+    /// Returns the installed config epoch.
     ///
     /// # Errors
     ///
     /// Propagates re-solve and layout-installation failures.
     pub fn step(&mut self, cluster: &Cluster) -> Result<Option<u64>, EngineError> {
-        self.scratch.clear();
-        self.tap.drain(&mut self.cursor, &mut self.scratch);
-        let drained = std::mem::take(&mut self.scratch);
-        self.inner.observe(&drained);
-        self.scratch = drained;
-        match self.inner.plan()? {
-            Some(step) => {
-                let epoch = cluster.apply_layout(&step.assignments)?;
-                Ok(Some(epoch))
-            }
-            None => Ok(None),
-        }
+        self.runner.step(|step| cluster.apply_layout(&step.assignments))
     }
 
-    /// Runs [`ClusterController::step`] until the pending chain is
-    /// fully drained (useful in tests and at end of run, so a drift
+    /// Installs every pending chain epoch (at end of run, so a drift
     /// late in the run still converges). Returns epochs issued.
     ///
     /// # Errors
     ///
-    /// Propagates step failures.
+    /// Propagates layout-installation failures.
     pub fn drain_chain(&mut self, cluster: &Cluster) -> Result<u64, EngineError> {
-        let mut issued = 0;
-        while self.inner.pending_steps() > 0 {
-            if self.step(cluster)?.is_some() {
-                issued += 1;
-            }
-        }
-        Ok(issued)
+        self.runner.drain_chain(|step| cluster.apply_layout(&step.assignments))
+    }
+
+    /// The ticker of `serve-bench --adapt`, installing onto `cluster`.
+    pub(crate) fn run(
+        self,
+        cluster: &Cluster,
+        done: impl Fn() -> bool,
+    ) -> Result<ControllerReport, EngineError> {
+        self.runner.run(done, |step| cluster.apply_layout(&step.assignments))
     }
 
     /// Planner snapshot for manifests.
     #[must_use]
     pub fn report(&self) -> ControllerReport {
-        self.inner.report()
+        self.runner.planner.report()
     }
 }
 
@@ -832,6 +883,74 @@ mod tests {
         assert_eq!(report.holds, 1);
         assert_eq!(report.pending_steps, 0);
         assert!(report.slices_moved > 0);
+    }
+
+    /// A runner whose tap holds 5 000 ranks of s = 0.7, far from the
+    /// provisioned ℓ = 0.5: its first tick retargets into a chain.
+    fn drifted_runner(config: ControllerConfig) -> AdaptiveRunner {
+        let runner = AdaptiveRunner::new(4, 10_000, 100, 0.5, config).unwrap();
+        let sampler = ccn_zipf::ZipfSampler::new(0.7, 10_000).unwrap();
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
+        let tap = runner.tap();
+        for rank in sampler.sample_many(&mut rng, 5_000) {
+            tap.record(0, ContentId(rank));
+        }
+        runner
+    }
+
+    /// The ticker both tiers run: one tick after `done` flips, then the
+    /// rest of the chain, one install per issued epoch.
+    #[test]
+    fn runner_ticks_once_after_done_then_drains_the_chain() {
+        let config = ControllerConfig {
+            min_window: 100.0,
+            movement_budget: 64,
+            sample_every: 1,
+            tap_capacity: 8_192,
+            tick_interval: Duration::from_millis(1),
+            ..ControllerConfig::default()
+        };
+        let done = std::cell::Cell::new(false);
+        let mut installed: Vec<LayoutStep> = Vec::new();
+        // The first install (tick 1's retarget) flips `done`.
+        let report = drifted_runner(config)
+            .run(
+                || done.get(),
+                |step| {
+                    done.set(true);
+                    installed.push(step.clone());
+                    Ok(())
+                },
+            )
+            .unwrap();
+        // Every tick ages the window once: tick 1 folded the 5 000
+        // samples in, exactly one more tick decayed them.
+        assert_eq!(report.window_weight, 5_000.0 * config.decay, "ticks after done != 1");
+        assert_eq!(report.retargets, 1);
+        assert_eq!(report.pending_steps, 0, "the chain is drained");
+        assert_eq!(installed.last().map(|s| s.remaining), Some(0));
+        assert!(installed.len() >= 3, "a multi-step chain: {} steps", installed.len());
+        assert_eq!(installed.len() as u64, report.epochs_issued);
+        assert!(installed.iter().all(|s| s.fitted_s == report.fitted_s));
+
+        // An install error ends the run with that error.
+        let refused = EngineError::InvalidConfig { reason: "install refused".into() };
+        let mut calls = 0;
+        let err = drifted_runner(config)
+            .run(
+                || false,
+                |_| {
+                    calls += 1;
+                    if calls == 2 {
+                        Err(refused.clone())
+                    } else {
+                        Ok(())
+                    }
+                },
+            )
+            .unwrap_err();
+        assert_eq!(err, refused);
+        assert_eq!(calls, 2, "nothing is installed after the error");
     }
 
     #[test]

@@ -455,9 +455,8 @@ pub struct DegradeConfig {
     /// Bounded re-enqueue attempts when a peer queue bounces a
     /// forward, before degrading to origin.
     pub forward_retries: u32,
-    /// Base backoff between forward retries (attempt `k` waits
-    /// `k × retry_backoff`, spin-waited — the shard worker never
-    /// sleeps long on this path).
+    /// Base backoff between forward retries: retry `k` waits
+    /// `k × retry_backoff` (linear).
     pub retry_backoff: Duration,
     /// Consecutive forward failures (bounces after retry exhaustion,
     /// deadline expiries, fault-served forwards) against one holder
@@ -466,7 +465,8 @@ pub struct DegradeConfig {
     pub timeout_threshold: u32,
     /// Admission operations a health-marked-down node stays out of
     /// routing before probation puts it back (plan-driven revival
-    /// also clears it).
+    /// also clears it). In process only: a wire node's prober revives
+    /// a peer when it answers, because a dead process emits no ops.
     pub probation_ops: u64,
 }
 
@@ -483,6 +483,12 @@ impl Default for DegradeConfig {
 }
 
 impl DegradeConfig {
+    /// The wait before forward retry `attempt` (1-based): linear,
+    /// `attempt × retry_backoff`, saturating.
+    pub(crate) fn backoff(&self, attempt: u32) -> Duration {
+        self.retry_backoff.saturating_mul(attempt)
+    }
+
     pub(crate) fn validate(&self) -> Result<(), EngineError> {
         if self.forward_deadline.is_zero() {
             return Err(EngineError::InvalidConfig {
@@ -493,6 +499,28 @@ impl DegradeConfig {
             return Err(EngineError::InvalidConfig { reason: "probation_ops must be >= 1".into() });
         }
         Ok(())
+    }
+}
+
+/// The health detector's evidence against one holder, shared by both
+/// serving tiers: consecutive forwarded items it failed (bounces after
+/// retry exhaustion, deadline expiries, socket failures), cleared by
+/// any item it serves.
+#[derive(Default)]
+pub(crate) struct FailureStreak(AtomicU32);
+
+impl FailureStreak {
+    /// The holder served a forward: the streak starts over.
+    pub(crate) fn reset(&self) {
+        self.0.store(0, Ordering::Relaxed);
+    }
+
+    /// Counts `failed` more items against the holder; whether the
+    /// streak has reached `threshold` (`0` disables the detector and
+    /// counts nothing).
+    pub(crate) fn fail(&self, failed: u32, threshold: u32) -> bool {
+        threshold > 0
+            && self.0.fetch_add(failed, Ordering::Relaxed).saturating_add(failed) >= threshold
     }
 }
 
@@ -522,7 +550,7 @@ struct NodeFaultState {
     /// Operation count when health marked it down (probation base).
     health_down_at_op: AtomicU64,
     /// Consecutive forward failures observed against this holder.
-    consecutive_timeouts: AtomicU32,
+    streak: FailureStreak,
     /// Injected per-request latency, nanoseconds (0 = none).
     slow_nanos: AtomicU64,
     /// Stall horizon in nanoseconds since the cluster anchor (0 =
@@ -554,7 +582,7 @@ impl FaultState {
                         killed: AtomicBool::new(false),
                         health_down: AtomicBool::new(false),
                         health_down_at_op: AtomicU64::new(0),
-                        consecutive_timeouts: AtomicU32::new(0),
+                        streak: FailureStreak::default(),
                         slow_nanos: AtomicU64::new(0),
                         stall_until_nanos: AtomicU64::new(0),
                         workers_down: (0..shards_per_node)
@@ -601,9 +629,9 @@ impl FaultState {
         }
     }
 
-    /// Health detector: feeds the consecutive-timeout counter for
-    /// `holder` and, at the threshold, marks it down and bumps the
-    /// routing epoch. Successful peer service resets the streak.
+    /// Health detector: feeds `holder`'s [`FailureStreak`] and, at the
+    /// threshold, marks it down and bumps the routing epoch. Successful
+    /// peer service resets the streak.
     pub(crate) fn note_holder_outcome(
         &self,
         holder: usize,
@@ -612,16 +640,11 @@ impl FaultState {
         now_op: u64,
         routing: &LiveRouting,
     ) {
-        if degrade.timeout_threshold == 0 {
-            return;
-        }
         let s = &self.nodes[holder];
         if ok {
-            s.consecutive_timeouts.store(0, Ordering::Relaxed);
-            return;
+            return s.streak.reset();
         }
-        let streak = s.consecutive_timeouts.fetch_add(1, Ordering::Relaxed) + 1;
-        if streak < degrade.timeout_threshold {
+        if !s.streak.fail(1, degrade.timeout_threshold) {
             return;
         }
         if s.health_down.compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire).is_ok()
@@ -652,7 +675,7 @@ impl FaultState {
                 .compare_exchange(true, false, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                s.consecutive_timeouts.store(0, Ordering::Relaxed);
+                s.streak.reset();
                 self.health_down_count.fetch_sub(1, Ordering::Relaxed);
                 self.health_revived.fetch_add(1, Ordering::Relaxed);
                 self.sync_liveness(node, routing);
@@ -672,7 +695,7 @@ impl FaultState {
                 s.killed.store(false, Ordering::Release);
                 // Revival is a clean slate: any health verdict earned
                 // while dead (or before) is reset with it.
-                s.consecutive_timeouts.store(0, Ordering::Relaxed);
+                s.streak.reset();
                 if s.health_down
                     .compare_exchange(true, false, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()

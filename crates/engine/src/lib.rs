@@ -27,8 +27,8 @@
 //!   ([`ShardedStore`]); the simulator's O(1) LRU/LFU/static stores
 //!   are reused unchanged because only one thread ever mutates each.
 //!   Batched submission ([`ShardHandle::try_submit_batch`]) amortizes
-//!   the queue hop across a run; workers drain in bulk and idle with
-//!   a configurable spin → yield → park strategy ([`IdleStrategy`]).
+//!   the queue hop across a run; workers drain in bulk and, when dry,
+//!   spin briefly, yield, then park until a producer wakes them.
 //! - [`routing`] — a [`RoutingTable`] derived from the coordination
 //!   plane's slice assignments answers "which live node holds this
 //!   coordinated content?", with rendezvous-hash failover that moves
@@ -47,7 +47,8 @@
 //!   retry-with-backoff, dead-mode fault serving) that keeps
 //!   `completed + shed == offered` exact through any fault schedule.
 //! - [`control`] — the live adaptive-provisioning controller
-//!   ([`Controller`] / [`ClusterController`]): a lock-free sampled
+//!   ([`Controller`], run by one adaptive runner on both serving
+//!   tiers; [`ClusterController`] in process): a lock-free sampled
 //!   [`RankTap`] on the admission path feeds a decayed
 //!   maximum-likelihood re-fit of the Zipf exponent; the paper's
 //!   exact optimum is re-solved under hysteresis, and retargets are

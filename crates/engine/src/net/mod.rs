@@ -110,10 +110,12 @@
 //!   so SIGKILL preserves `offered == completed + shed` bit-exactly.
 //!
 //! This ladder and [`crate::cluster`]'s both run on the shard's owner
-//! thread and are separate code: the in-process one is per job and
-//! forwards fire-and-forget through rings; this one is per frame and
-//! waits on a socket under a shared deadline (DESIGN.md, *Wire
-//! tier*).
+//! thread and their bodies are separate code: the in-process one is
+//! per job and forwards fire-and-forget through rings; this one is per
+//! frame and waits on a socket under a shared deadline (DESIGN.md,
+//! *Wire tier*). The rungs' rules are written once, in
+//! [`crate::fault`]: the failure streak that marks a holder down and
+//! the linear retry backoff.
 
 mod codec;
 mod conn;
@@ -127,8 +129,5 @@ pub use codec::{
     NodeStatsSnapshot, Provision, Request, Response, SliceAssignment, FWD_HIT, FWD_MISS,
     FWD_REFUSED, MAX_FRAME, PROTOCOL_VERSION, TIER_LOCAL, TIER_ORIGIN, TIER_PEER,
 };
-pub use driver::{
-    wire_bench, NodeLaunch, WireFault, WireFaultKind, WireLedger, WireOutcome, WirePipelineStats,
-    WireSpec,
-};
+pub use driver::{wire_bench, NodeLaunch, WireLedger, WireOutcome, WirePipelineStats, WireSpec};
 pub use node::{NodeConfig, NodeServer};

@@ -197,11 +197,13 @@ impl NodeShared {
 /// second of slack. A frame's misses form one group per holder — at
 /// most `nodes − 1`, walked one after another — and each group gets
 /// one `forward_deadline` across all its retries, extended only by its
-/// backoff waits (`retry_backoff × 1, 2, …, retries`). Anything slower
-/// is a wedged node, and the driver sheds its frames.
+/// backoff waits. Anything slower is a wedged node, and the driver
+/// sheds its frames.
 pub(super) fn frame_reply_timeout(nodes: usize, degrade: &DegradeConfig) -> Duration {
+    // The backoff is linear, so the waits of retries 1..=r add up to
+    // the wait of retry r(r+1)/2.
     let retries = degrade.forward_retries;
-    let backoff = degrade.retry_backoff.saturating_mul(retries.saturating_mul(retries + 1) / 2);
+    let backoff = degrade.backoff(retries.saturating_mul(retries + 1) / 2);
     let groups = u32::try_from(nodes.saturating_sub(1)).unwrap_or(u32::MAX);
     degrade
         .forward_deadline
@@ -227,15 +229,16 @@ impl NodeServer {
     ///
     /// # Errors
     ///
-    /// [`EngineError::InvalidConfig`] for zero shards,
-    /// [`EngineError::Net`] if the bind fails or the platform has no
-    /// readiness poller (anything but Linux x86_64 / aarch64).
+    /// [`EngineError::InvalidConfig`] for zero shards or invalid ladder
+    /// settings, [`EngineError::Net`] if the bind fails or the platform
+    /// has no readiness poller (anything but Linux x86_64 / aarch64).
     pub fn bind(config: NodeConfig) -> Result<Self, EngineError> {
         if config.shards == 0 {
             return Err(EngineError::InvalidConfig {
                 reason: "node needs at least one shard".into(),
             });
         }
+        config.degrade.validate()?;
         let listener = TcpListener::bind(&config.listen)
             .map_err(|e| net_err("bind", format!("{}: {e}", config.listen)))?;
         let local_addr = listener.local_addr().map_err(|e| net_io_err("bind", &e))?;
@@ -348,7 +351,7 @@ fn health_prober(shared: &NodeShared) {
                 continue;
             }
             if link.probe_health(my_id).is_some() {
-                link.failures.store(0, Ordering::Relaxed);
+                link.streak.reset();
                 if engine.routing.set_live(link.node, true).is_some() {
                     shared.stats.add(&shared.stats.revived);
                 }

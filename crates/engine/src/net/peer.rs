@@ -3,7 +3,6 @@
 //! serve worker's own [`Link`] carrying the pipelined
 //! `PeerForwardBatch` conversation.
 
-use std::sync::atomic::AtomicU32;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -11,6 +10,7 @@ use super::codec::{encode_forward_batch_from, parse_forward_batch_reply, Request
 use super::conn::{check_hello_ack, connect, connect_hello, hello, is_timeout, Conn};
 use super::poll::READABLE;
 use super::worker::{Worker, LINK_BASE};
+use crate::fault::FailureStreak;
 use crate::shard::lock_recover;
 
 /// Link-local outcome codes for forwarded items whose round-trip
@@ -37,12 +37,12 @@ pub(super) struct PeerLink {
     pub(super) node: usize,
     addr: String,
     probe: Mutex<Option<Conn>>,
-    pub(super) failures: AtomicU32,
+    pub(super) streak: FailureStreak,
 }
 
 impl PeerLink {
     pub(super) fn new(node: usize, addr: String) -> Self {
-        Self { node, addr, probe: Mutex::new(None), failures: AtomicU32::new(0) }
+        Self { node, addr, probe: Mutex::new(None), streak: FailureStreak::default() }
     }
 
     /// Health probe on the prober's connection, lazily redialled after

@@ -725,19 +725,17 @@ impl Worker {
                 }
             }
             if answered {
-                peer_link.failures.store(0, Ordering::Relaxed);
+                peer_link.streak.reset();
                 stats.record_rtt(sent.elapsed());
             }
             // Consecutive failed items (not frames) against one holder
             // mark it down, bumping the routing epoch so HRW failover
             // moves exactly that node's share.
-            if degrade.timeout_threshold > 0 && failed_items > 0 {
-                let streak = peer_link.failures.fetch_add(failed_items, Ordering::Relaxed);
-                if streak.saturating_add(failed_items) >= degrade.timeout_threshold
-                    && engine.routing.set_live(holder, false).is_some()
-                {
-                    stats.add(&stats.marked_down);
-                }
+            if failed_items > 0
+                && peer_link.streak.fail(failed_items, degrade.timeout_threshold)
+                && engine.routing.set_live(holder, false).is_some()
+            {
+                stats.add(&stats.marked_down);
             }
             if retry.is_empty() {
                 break;
@@ -749,7 +747,7 @@ impl Worker {
             }
             attempt += 1;
             stats.retried.fetch_add(retry.len() as u64, Ordering::Relaxed);
-            self.pump(NOTHING, Instant::now() + degrade.retry_backoff * attempt);
+            self.pump(NOTHING, Instant::now() + degrade.backoff(attempt));
             std::mem::swap(pending, retry);
         }
         (peer, origin)

@@ -205,7 +205,6 @@ impl ToJson for ServeBenchOutcome {
             .field("pinned_generators", self.pinned_generators as u64)
             .field("queue_capacity", self.cluster.queue_capacity as u64)
             .field("batch", self.load.batch as u64)
-            .field("idle", self.cluster.idle.name().as_str())
             .field("catalogue", self.cluster.catalogue)
             .field("capacity", self.cluster.capacity)
             .field("ell", self.cluster.ell)
@@ -339,30 +338,20 @@ pub fn serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchOutcome, Engin
     })
 }
 
-/// Drives the load with a live controller riding the run on its own
-/// thread: ticks every `adapt.tick_interval` while the generators
-/// offer traffic, then — once the load stops — drains any pending
-/// epoch chain and takes one final fit over the tail of the window,
-/// so a drift late in the run still converges.
+/// Drives the load with the controller's ticker riding the run on its
+/// own thread; the ticker's final tick and chain drain let a drift late
+/// in the run still converge.
 fn drive_adaptive(
     cluster: &Cluster,
     load: &OpenLoopConfig,
     adapt: ControllerConfig,
 ) -> Result<(LoadReport, ControllerReport), EngineError> {
     use std::sync::atomic::{AtomicBool, Ordering};
-    let mut controller = ClusterController::attach(cluster, adapt)?;
+    let controller = ClusterController::attach(cluster, adapt)?;
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let stop = &stop;
-        let ticker = scope.spawn(move || -> Result<ControllerReport, EngineError> {
-            while !stop.load(Ordering::Acquire) {
-                controller.step(cluster)?;
-                std::thread::sleep(adapt.tick_interval);
-            }
-            controller.step(cluster)?;
-            controller.drain_chain(cluster)?;
-            Ok(controller.report())
-        });
+        let ticker = scope.spawn(move || controller.run(cluster, || stop.load(Ordering::Acquire)));
         let load_result = drive(cluster, load);
         stop.store(true, Ordering::Release);
         let report = ticker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
@@ -401,7 +390,6 @@ mod tests {
         assert_eq!(json.get("offered").and_then(Json::as_u64), Some(outcome.offered));
         assert_eq!(json.get("provisioning").and_then(Json::as_str), Some("coordinated"));
         assert_eq!(json.get("batch").and_then(Json::as_u64), Some(1));
-        assert_eq!(json.get("idle").and_then(Json::as_str), Some("spin-then-park"));
         let fractions: f64 = [ServedBy::Local, ServedBy::Peer, ServedBy::Origin]
             .iter()
             .map(|&t| outcome.fraction(t))
@@ -413,12 +401,10 @@ mod tests {
     fn batched_pipeline_accounts_and_reports_its_knobs() {
         let mut config = smoke_config();
         config.load.batch = 64;
-        config.cluster.idle = crate::shard::IdleStrategy::yielding();
         let outcome = serve_bench(&config).unwrap();
         assert_eq!(outcome.offered, outcome.completed + outcome.shed);
         let json = outcome.to_json();
         assert_eq!(json.get("batch").and_then(Json::as_u64), Some(64));
-        assert_eq!(json.get("idle").and_then(Json::as_str), Some("yield"));
     }
 
     #[test]

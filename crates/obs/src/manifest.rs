@@ -2,11 +2,11 @@
 //! `ccn` CLI emit before (or alongside) their results.
 //!
 //! A manifest answers "under what conditions was this number
-//! measured?" — the question BENCH_2.json could not answer honestly
-//! when it reported a 4-thread scaling run executed on a 1-core
-//! machine. Every manifest records the seed, the *requested* and the
-//! *effective* (clamped-to-cores) thread counts, the available cores,
-//! the git revision, the smoke flag, and per-phase wall-clock /
+//! measured?" — the question a 4-thread scaling run executed on a
+//! 1-core machine cannot answer honestly by itself. Every manifest
+//! records the seed, the *requested* and the *effective*
+//! (clamped-to-cores) thread counts, the available cores, the git
+//! revision, the smoke flag, and per-phase wall-clock /
 //! event-throughput timings.
 
 use std::time::Instant;
@@ -29,8 +29,8 @@ pub fn available_cores() -> usize {
 ///
 /// This is the single definition of the clamp the bench runner and the
 /// scaling report share, so "speedup" can no longer be computed
-/// against phantom workers (BENCH_2.json: 4 requested threads on 1
-/// core reported as 0.88x scaling).
+/// against phantom workers (4 requested threads on 1 core would
+/// report 0.88x scaling).
 #[must_use]
 pub fn effective_threads(requested: usize, cores: usize) -> usize {
     requested.min(cores.max(1)).max(1)
@@ -758,7 +758,7 @@ mod tests {
 
     #[test]
     fn effective_threads_clamps_to_cores() {
-        // The BENCH_2.json pathology: 4 requested threads on 1 core.
+        // 4 requested threads on 1 core.
         assert_eq!(effective_threads(4, 1), 1);
         assert_eq!(effective_threads(2, 8), 2);
         assert_eq!(effective_threads(8, 8), 8);

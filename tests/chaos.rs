@@ -450,7 +450,7 @@ fn wire_spec(seed: u64, horizon_ms: f64) -> ccn_engine::net::WireSpec {
 ///    tolerance.
 #[test]
 fn sigkilled_node_process_sheds_only_its_own_share_and_reconverges() {
-    use ccn_engine::net::{wire_bench, WireFault, WireFaultKind, WireOutcome};
+    use ccn_engine::net::{wire_bench, WireOutcome};
 
     const SEED: u64 = 7;
     // Long enough that the op-5000 revival leaves a judgeable tail
@@ -461,10 +461,7 @@ fn sigkilled_node_process_sheds_only_its_own_share_and_reconverges() {
     const VICTIM: usize = 1;
 
     let mut faulted_spec = wire_spec(SEED, HORIZON_MS);
-    faulted_spec.faults = vec![
-        WireFault { at_op: 2_400, kind: WireFaultKind::Kill(VICTIM) },
-        WireFault { at_op: 5_000, kind: WireFaultKind::Revive(VICTIM) },
-    ];
+    faulted_spec.faults = FaultPlan::none().with_node_outage(VICTIM, 2_400, Some(5_000));
     let faulted = wire_bench(&faulted_spec).expect("faulted wire run");
     let clean = wire_bench(&wire_spec(SEED, HORIZON_MS)).expect("clean wire run");
 
@@ -534,7 +531,7 @@ fn sigkilled_node_process_sheds_only_its_own_share_and_reconverges() {
 /// stays bit-exact through kill, chain epochs, and revival alike.
 #[test]
 fn sigkill_mid_rollout_revives_onto_the_controllers_current_layout() {
-    use ccn_engine::net::{wire_bench, WireFault, WireFaultKind};
+    use ccn_engine::net::wire_bench;
     use ccn_engine::ControllerConfig;
 
     const SEED: u64 = 19;
@@ -554,10 +551,7 @@ fn sigkill_mid_rollout_revives_onto_the_controllers_current_layout() {
         tick_interval: Duration::from_millis(2),
         ..ControllerConfig::default()
     });
-    spec.faults = vec![
-        WireFault { at_op: 2_400, kind: WireFaultKind::Kill(VICTIM) },
-        WireFault { at_op: 5_000, kind: WireFaultKind::Revive(VICTIM) },
-    ];
+    spec.faults = FaultPlan::none().with_node_outage(VICTIM, 2_400, Some(5_000));
     let outcome = wire_bench(&spec).expect("adaptive faulted wire run");
 
     // Conservation, bit-exact, per node and in total — across the
