@@ -2,7 +2,6 @@
 
 use std::fmt::Write as _;
 
-use ccn_bench::runner::{run_bench, BenchOptions};
 use ccn_coord::{CoordinatorConfig, ResilientCoordinator, RetryPolicy, RoundOutcome};
 use ccn_engine::net::{
     wire_bench, NodeConfig, NodeLaunch, NodeServer, NodeStatsSnapshot, WireLedger, WireOutcome,
@@ -48,11 +47,6 @@ COMMANDS
              --topology <name|file> --max-failed 2 --loss 0.1
              --s 0.8 --catalogue 50000 --capacity 100 --ell 0.5
              --rate 0.02 --horizon 30000 --seed 42
-  bench      performance snapshot: store micro-benchmarks, before/after
-             simulator throughput, and a multi-seed parallel validation
-             sweep with thread-scaling; writes a BENCH_*.json report
-             --threads 0 (auto) --seeds 5 --smoke false
-             --name BENCH --out BENCH.json
   serve-bench
              run the concurrent serving engine under open-loop load:
              sharded cache nodes, coordinated peer routing, bounded
@@ -125,9 +119,10 @@ COMMANDS
              --smoke false --name WIRE --out WIRE.json
   validate-manifest
              check that a JSON file carries a valid ccn.run-manifest/v1
-             (standalone, or embedded under \"manifest\" in a bench or
-             serve-bench report); exits non-zero on schema violations
-             --file BENCH.json
+             (standalone, or embedded under \"manifest\" in a
+             serve-bench or wire-bench report); exits non-zero on schema
+             violations
+             --file SERVE.json
   help       this text
 ";
 
@@ -439,38 +434,6 @@ fn resilience_cmd(args: &Args) -> Result<String, ArgError> {
     Ok(out)
 }
 
-fn bench_cmd(args: &Args) -> Result<String, ArgError> {
-    args.ensure_known(&["threads", "seeds", "smoke", "name", "out"])?;
-    let smoke = parse_bool(args, "smoke", "false")?;
-    let opts = BenchOptions {
-        threads: usize::try_from(args.u64_or("threads", 0)?)
-            .map_err(|e| ArgError(format!("--threads: {e}")))?,
-        seeds: usize::try_from(args.u64_or("seeds", 5)?)
-            .map_err(|e| ArgError(format!("--seeds: {e}")))?,
-        smoke,
-    };
-    if opts.seeds == 0 {
-        return Err(ArgError("--seeds must be at least 1".into()));
-    }
-    let name = args.str_or("name", "BENCH");
-    let report = run_bench(&name, &opts).map_err(|e| ArgError(e.to_string()))?;
-    let out_path = args.str_or("out", "BENCH.json");
-    std::fs::write(&out_path, report.to_json())
-        .map_err(|e| ArgError(format!("--out {out_path:?}: {e}")))?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "bench {name}: stores {:.0}/{:.0} ns/op (lru/lfu), \
-         parallel efficiency {:.0}% at {} threads",
-        report.stores.first().map_or(f64::NAN, |s| s.fast_ns_per_op),
-        report.stores.get(1).map_or(f64::NAN, |s| s.fast_ns_per_op),
-        report.scaling.efficiency * 100.0,
-        report.scaling.threads
-    );
-    let _ = writeln!(out, "report written to {out_path}");
-    Ok(out)
-}
-
 fn parse_bool(args: &Args, flag: &str, default: &str) -> Result<bool, ArgError> {
     match args.str_or(flag, default).as_str() {
         "true" | "1" | "yes" => Ok(true),
@@ -480,35 +443,8 @@ fn parse_bool(args: &Args, flag: &str, default: &str) -> Result<bool, ArgError> 
 }
 
 fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
-    let mut known = vec![
-        "nodes",
-        "shards",
-        "generators",
-        "queue",
-        "catalogue",
-        "capacity",
-        "ell",
-        "s",
-        "rate",
-        "duration",
-        "paced",
-        "policy",
-        "seed",
-        "batch",
-        "cores",
-        "pin",
-        "faults",
-        "deadline-us",
-        "retries",
-        "timeout-threshold",
-        "probation-ops",
-        "smoke",
-        "name",
-        "out",
-        "drift",
-    ];
-    known.extend(ADAPT_FLAGS);
-    args.ensure_known(&known)?;
+    let extra = ["generators", "queue", "probation-ops", "drift"];
+    args.ensure_known(&[&BENCH_FLAGS[..], &WORKER_FLAGS, &extra].concat())?;
     let nodes = usize_flag(args, "nodes", 4)?;
     let shards_per_node = usize_flag(args, "shards", 1)?;
     let rate = args.f64_or("rate", 2.0)?;
@@ -553,22 +489,17 @@ fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
         // the manifest carries the fault dimension of the run.
         clock.lap_events("faults", outcome.fault_log.len() as u64);
     }
-    let mut manifest =
+    let manifest =
         RunManifest::capture("ccn", &name, config.load.seed, outcome.worker_threads, smoke)
             .with_engine_threads(outcome.worker_threads, outcome.generators)
             .with_phases(clock.finish());
-    if let Some(ctl) = &outcome.controller {
-        manifest = manifest.with_controller(controller_manifest(ctl));
-    }
-    // Header to stderr, like `simulate`: stdout carries the summary.
-    eprintln!("{}", manifest.to_header_line());
-    let report = Json::object()
-        .field("bench", name.as_str())
-        .field("manifest", manifest.to_json())
-        .field("serve", outcome.to_json());
-    let out_path = args.str_or("out", "SERVE.json");
-    std::fs::write(&out_path, report.to_string_pretty())
-        .map_err(|e| ArgError(format!("--out {out_path:?}: {e}")))?;
+    let out_path = write_serving_report(
+        args,
+        manifest,
+        outcome.controller.as_ref(),
+        "serve",
+        outcome.to_json(),
+    )?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -684,10 +615,26 @@ fn parse_degrade_flags(args: &Args) -> Result<DegradeConfig, ArgError> {
     })
 }
 
-/// Every `--adapt*` flag both serving benches accept — `--adapt true`
-/// turns the run closed-loop, the rest tune the controller around its
-/// defaults.
-const ADAPT_FLAGS: [&str; 6] = [
+/// Flags both serving benches take: the cluster and workload shape,
+/// the fault schedule, the report, and the adaptive controller
+/// (`--adapt true` turns the run closed-loop, the rest tune the
+/// controller around its defaults).
+const BENCH_FLAGS: [&str; 21] = [
+    "nodes",
+    "catalogue",
+    "capacity",
+    "ell",
+    "s",
+    "rate",
+    "duration",
+    "paced",
+    "policy",
+    "seed",
+    "batch",
+    "faults",
+    "smoke",
+    "name",
+    "out",
     "adapt",
     "adapt-interval-ms",
     "adapt-budget",
@@ -695,6 +642,15 @@ const ADAPT_FLAGS: [&str; 6] = [
     "adapt-min-window",
     "adapt-decay",
 ];
+
+/// Flags of every command that runs serve workers: shards, placement
+/// and the degradation ladder.
+const WORKER_FLAGS: [&str; 6] =
+    ["shards", "cores", "pin", "deadline-us", "retries", "timeout-threshold"];
+
+/// Flags of every command that runs `ccn node` servers: their peer
+/// links and listener.
+const LINK_FLAGS: [&str; 4] = ["backoff-us", "window", "wire-batch", "max-conns"];
 
 fn parse_adapt_flags(args: &Args) -> Result<Option<ControllerConfig>, ArgError> {
     if !parse_bool(args, "adapt", "false")? {
@@ -736,20 +692,45 @@ fn parse_drift_flag(spec: &str) -> Result<Vec<DriftSegment>, ArgError> {
     Ok(segments)
 }
 
-/// The manifest's `engine_controller` block, mirroring the report's
+/// The manifest's `engine_controller` section, mirroring the report's
 /// `controller` JSON.
-fn controller_manifest(report: &ControllerReport) -> ccn_obs::ControllerManifest {
-    ccn_obs::ControllerManifest {
-        fitted_s: report.fitted_s,
-        window_weight: report.window_weight,
-        refits: report.refits,
-        holds: report.holds,
-        retargets: report.retargets,
-        epochs_issued: report.epochs_issued,
-        slices_moved: report.slices_moved,
-        final_ell: report.current_ell,
-        movement_budget: report.movement_budget,
+fn controller_manifest(report: &ControllerReport) -> Json {
+    Json::object()
+        .field("fitted_s", report.fitted_s)
+        .field("window_weight", report.window_weight)
+        .field("refits", report.refits)
+        .field("holds", report.holds)
+        .field("retargets", report.retargets)
+        .field("epochs_issued", report.epochs_issued)
+        .field("slices_moved", report.slices_moved)
+        .field("final_ell", report.current_ell)
+        .field("movement_budget", report.movement_budget)
+}
+
+/// The one writer both serving benches report through: adds the
+/// controller section when a controller rode the run, prints the
+/// manifest header on stderr (its wall-clock timings stay off stdout),
+/// and writes `{bench, manifest, <mode>: body}` to `--out`
+/// (default `SERVE.json` / `WIRE.json`). Returns the path written.
+fn write_serving_report(
+    args: &Args,
+    mut manifest: RunManifest,
+    controller: Option<&ControllerReport>,
+    mode: &str,
+    body: Json,
+) -> Result<String, ArgError> {
+    if let Some(ctl) = controller {
+        manifest = manifest.with_section("engine_controller", controller_manifest(ctl));
     }
+    eprintln!("{}", manifest.to_header_line());
+    let report = Json::object()
+        .field("bench", manifest.name.as_str())
+        .field("manifest", manifest.to_json())
+        .field(mode, body);
+    let out_path = args.str_or("out", &format!("{}.json", mode.to_ascii_uppercase()));
+    std::fs::write(&out_path, report.to_string_pretty())
+        .map_err(|e| ArgError(format!("--out {out_path:?}: {e}")))?;
+    Ok(out_path)
 }
 
 /// One human summary line for an adaptive run's controller.
@@ -770,20 +751,7 @@ fn controller_summary(out: &mut String, report: &ControllerReport) {
 }
 
 fn node_cmd(args: &Args) -> Result<String, ArgError> {
-    args.ensure_known(&[
-        "id",
-        "listen",
-        "shards",
-        "cores",
-        "pin",
-        "deadline-us",
-        "retries",
-        "backoff-us",
-        "timeout-threshold",
-        "window",
-        "wire-batch",
-        "max-conns",
-    ])?;
+    args.ensure_known(&[&WORKER_FLAGS[..], &LINK_FLAGS, &["id", "listen"]].concat())?;
     let mut config = NodeConfig::new(usize_flag(args, "id", 0)?);
     config.listen = args.str_or("listen", "127.0.0.1:0");
     config.shards = usize_flag(args, "shards", 1)?;
@@ -829,9 +797,9 @@ fn node_cmd(args: &Args) -> Result<String, ArgError> {
 }
 
 /// Aggregates node-side forward RTT counters into the manifest's
-/// cluster-wide summary; `None` when no forward completed anywhere
-/// (e.g. `ℓ = 0` or a single-node cluster).
-fn aggregate_rtt(stats: &[Option<NodeStatsSnapshot>]) -> Option<ccn_obs::PeerRttUs> {
+/// cluster-wide `(min, mean, max)` in microseconds; `None` when no
+/// forward completed anywhere (e.g. `ℓ = 0` or a single-node cluster).
+fn aggregate_rtt(stats: &[Option<NodeStatsSnapshot>]) -> Option<(u64, f64, u64)> {
     let mut count = 0u64;
     let mut sum = 0u64;
     let mut min = u64::MAX;
@@ -845,7 +813,30 @@ fn aggregate_rtt(stats: &[Option<NodeStatsSnapshot>]) -> Option<ccn_obs::PeerRtt
         }
     }
     #[allow(clippy::cast_precision_loss)]
-    (count > 0).then(|| ccn_obs::PeerRttUs { min, mean: sum as f64 / count as f64, max })
+    (count > 0).then(|| (min, sum as f64 / count as f64, max))
+}
+
+/// How one node counter renders in the report: under its own name,
+/// except the fitted exponent's bit pattern, which renders as the
+/// float under `fitted_s`.
+fn stats_entry(name: &'static str, value: u64) -> (&'static str, Json) {
+    match name {
+        "fitted_s_bits" => ("fitted_s", Json::from(f64::from_bits(value))),
+        _ => (name, Json::from(value)),
+    }
+}
+
+/// One node's counters: every field of the snapshot, in wire order.
+fn stats_json(stats: &NodeStatsSnapshot) -> Json {
+    let fields = NodeStatsSnapshot::FIELD_NAMES.iter().zip(stats.fields());
+    Json::Obj(
+        fields
+            .map(|(&name, value)| {
+                let (key, value) = stats_entry(name, value);
+                (key.to_owned(), value)
+            })
+            .collect(),
+    )
 }
 
 fn ledger_json(ledger: &WireLedger) -> Json {
@@ -857,73 +848,29 @@ fn ledger_json(ledger: &WireLedger) -> Json {
         .field("shed", ledger.shed)
 }
 
+/// A string list as a JSON array.
+fn strings(list: &[String]) -> Json {
+    Json::Arr(list.iter().map(|s| Json::from(s.as_str())).collect())
+}
+
 fn wire_outcome_json(outcome: &WireOutcome) -> Json {
-    let ledgers =
-        |list: &[WireLedger]| Json::from(list.iter().map(ledger_json).collect::<Vec<_>>());
-    let stats_json = |s: &NodeStatsSnapshot| {
-        Json::object()
-            .field("lookups", s.lookups)
-            .field("local", s.local)
-            .field("peer", s.peer)
-            .field("origin", s.origin)
-            .field("shed", s.shed)
-            .field("forwards_in", s.forwards_in)
-            .field("forward_hits", s.forward_hits)
-            .field("forwards_out", s.forwards_out)
-            .field("retried", s.retried)
-            .field("failed_over", s.failed_over)
-            .field("deadline_expired", s.deadline_expired)
-            .field("degraded", s.degraded)
-            .field("marked_down", s.marked_down)
-            .field("revived", s.revived)
-            .field("epochs_accepted", s.epochs_accepted)
-            .field("connections", s.connections)
-            .field("epoch", s.epoch)
-            .field("fitted_s", f64::from_bits(s.fitted_s_bits))
-            .field("frames_in", s.frames_in)
-            .field("frames_out", s.frames_out)
-            .field("bytes_in", s.bytes_in)
-            .field("bytes_out", s.bytes_out)
-            .field("forward_batches", s.forward_batches)
-            .field("rejected_conns", s.rejected_conns)
-    };
-    let mut json = Json::object()
+    let ledgers = |list: &[WireLedger]| Json::Arr(list.iter().map(ledger_json).collect());
+    let stats = outcome.node_stats.iter().map(|s| s.as_ref().map_or(Json::Null, stats_json));
+    let offered = outcome.offered();
+    let p = &outcome.pipeline;
+    Json::object()
         .field("nodes", outcome.nodes)
         .field("epoch", outcome.epoch)
         .field("wall_ms", outcome.wall_ms)
-        .field("offered", outcome.offered())
+        .field("offered", offered)
         .field("completed", outcome.completed())
         .field("shed", outcome.shed())
-        .field(
-            "listen_addrs",
-            Json::from(
-                outcome.listen_addrs.iter().map(|a| Json::from(a.as_str())).collect::<Vec<_>>(),
-            ),
-        )
+        .field("listen_addrs", strings(&outcome.listen_addrs))
         .field("per_node", ledgers(&outcome.per_node))
-        .field(
-            "node_stats",
-            Json::from(
-                outcome
-                    .node_stats
-                    .iter()
-                    .map(|s| s.as_ref().map_or(Json::Null, &stats_json))
-                    .collect::<Vec<_>>(),
-            ),
-        )
-        .field(
-            "fault_log",
-            Json::from(
-                outcome.fault_log.iter().map(|f| Json::from(f.as_str())).collect::<Vec<_>>(),
-            ),
-        );
-    json = match &outcome.tail_per_node {
-        Some(tail) => json.field("tail_per_node", ledgers(tail)),
-        None => json.field("tail_per_node", Json::Null),
-    };
-    let offered = outcome.offered();
-    let p = &outcome.pipeline;
-    json.field("adaptive", outcome.controller.is_some())
+        .field("node_stats", Json::Arr(stats.collect()))
+        .field("fault_log", strings(&outcome.fault_log))
+        .field("tail_per_node", outcome.tail_per_node.as_deref().map_or(Json::Null, ledgers))
+        .field("adaptive", outcome.controller.is_some())
         .field("controller", outcome.controller.as_ref().map_or_else(Json::object, controller_json))
         .field(
             "pipeline",
@@ -941,37 +888,8 @@ fn wire_outcome_json(outcome: &WireOutcome) -> Json {
 }
 
 fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
-    let mut known = vec![
-        "nodes",
-        "shards",
-        "catalogue",
-        "capacity",
-        "ell",
-        "s",
-        "rate",
-        "duration",
-        "paced",
-        "policy",
-        "seed",
-        "batch",
-        "window",
-        "wire-batch",
-        "max-conns",
-        "cores",
-        "pin",
-        "deadline-us",
-        "retries",
-        "backoff-us",
-        "timeout-threshold",
-        "faults",
-        "in-process",
-        "node-exe",
-        "smoke",
-        "name",
-        "out",
-    ];
-    known.extend(ADAPT_FLAGS);
-    args.ensure_known(&known)?;
+    let extra = ["in-process", "node-exe"];
+    args.ensure_known(&[&BENCH_FLAGS[..], &WORKER_FLAGS, &LINK_FLAGS, &extra].concat())?;
     let mut spec = WireSpec::new(usize_flag(args, "nodes", 3)?);
     spec.shards_per_node = usize_flag(args, "shards", 1)?;
     spec.catalogue = args.u64_or("catalogue", 10_000)?;
@@ -1013,38 +931,42 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
 
     let mut clock = PhaseClock::new();
     let outcome = wire_bench(&spec).map_err(|e| ArgError(e.to_string()))?;
-    clock.lap_events("wire_serve", outcome.offered());
+    let offered = outcome.offered();
+    clock.lap_events("wire_serve", offered);
     if !spec.faults.is_empty() {
         clock.lap_events("faults", outcome.fault_log.len() as u64);
     }
-    outcome.check_conservation().map_err(|e| ArgError(e.to_string()))?;
-
-    let mut manifest =
+    let rtt = aggregate_rtt(&outcome.node_stats);
+    let pipeline = &outcome.pipeline;
+    let wire = Json::object()
+        .field("listen_addrs", strings(&outcome.listen_addrs))
+        .field("config_epoch", outcome.epoch)
+        .field(
+            "peer_rtt_us",
+            rtt.map_or(Json::Null, |(min, mean, max)| {
+                Json::object().field("min", min).field("mean", mean).field("max", max)
+            }),
+        )
+        .field(
+            "pipeline",
+            Json::object()
+                .field("window", pipeline.window)
+                .field("wire_batch", pipeline.wire_batch)
+                .field("max_in_flight", pipeline.max_in_flight)
+                .field("frames_per_op", pipeline.frames_per_op(offered))
+                .field("bytes_per_op", pipeline.bytes_per_op(offered)),
+        );
+    let manifest =
         RunManifest::capture("ccn", &name, spec.seed, spec.nodes * spec.shards_per_node, smoke)
-            .with_wire(ccn_obs::WireManifest {
-                listen_addrs: outcome.listen_addrs.clone(),
-                config_epoch: outcome.epoch,
-                peer_rtt_us: aggregate_rtt(&outcome.node_stats),
-                pipeline: Some(ccn_obs::WirePipelineManifest {
-                    window: outcome.pipeline.window,
-                    wire_batch: outcome.pipeline.wire_batch,
-                    max_in_flight: outcome.pipeline.max_in_flight,
-                    frames_per_op: outcome.pipeline.frames_per_op(outcome.offered()),
-                    bytes_per_op: outcome.pipeline.bytes_per_op(outcome.offered()),
-                }),
-            })
+            .with_section("engine_wire", wire)
             .with_phases(clock.finish());
-    if let Some(ctl) = &outcome.controller {
-        manifest = manifest.with_controller(controller_manifest(ctl));
-    }
-    eprintln!("{}", manifest.to_header_line());
-    let report = Json::object()
-        .field("bench", name.as_str())
-        .field("manifest", manifest.to_json())
-        .field("wire", wire_outcome_json(&outcome));
-    let out_path = args.str_or("out", "WIRE.json");
-    std::fs::write(&out_path, report.to_string_pretty())
-        .map_err(|e| ArgError(format!("--out {out_path:?}: {e}")))?;
+    let out_path = write_serving_report(
+        args,
+        manifest,
+        outcome.controller.as_ref(),
+        "wire",
+        wire_outcome_json(&outcome),
+    )?;
 
     let (local, peer, origin) = WireOutcome::tier_fractions(&outcome.per_node);
     let launch = match &spec.launch {
@@ -1059,8 +981,7 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
     );
     let _ = writeln!(
         out,
-        "  offered {} over {:.0} ms, completed {}, shed {}",
-        outcome.offered(),
+        "  offered {offered} over {:.0} ms, completed {}, shed {}",
         outcome.wall_ms,
         outcome.completed(),
         outcome.shed()
@@ -1068,9 +989,9 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
     let _ = writeln!(
         out,
         "  wire: {:.3} frames/op, {:.1} bytes/op, max {} in flight (window {}, wire-batch {})",
-        outcome.pipeline.frames_per_op(outcome.offered()),
-        outcome.pipeline.bytes_per_op(outcome.offered()),
-        outcome.pipeline.max_in_flight,
+        pipeline.frames_per_op(offered),
+        pipeline.bytes_per_op(offered),
+        pipeline.max_in_flight,
         spec.window,
         spec.wire_batch
     );
@@ -1083,10 +1004,9 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
     );
     let _ = writeln!(
         out,
-        "  accounting: completed + shed == offered ({} + {} == {})",
+        "  accounting: completed + shed == offered ({} + {} == {offered})",
         outcome.completed(),
         outcome.shed(),
-        outcome.offered()
     );
     if let Some(ctl) = &outcome.controller {
         controller_summary(&mut out, ctl);
@@ -1106,12 +1026,8 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
     if !outcome.fault_log.is_empty() {
         let _ = writeln!(out, "  faults applied: {}", outcome.fault_log.join(", "));
     }
-    if let Some(rtt) = aggregate_rtt(&outcome.node_stats) {
-        let _ = writeln!(
-            out,
-            "  peer RTT: min {} us, mean {:.1} us, max {} us",
-            rtt.min, rtt.mean, rtt.max
-        );
+    if let Some((min, mean, max)) = rtt {
+        let _ = writeln!(out, "  peer RTT: min {min} us, mean {mean:.1} us, max {max} us");
     }
     let _ = writeln!(out, "report written to {out_path}");
     Ok(out)
@@ -1119,7 +1035,7 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
 
 fn validate_manifest(args: &Args) -> Result<String, ArgError> {
     args.ensure_known(&["file"])?;
-    let path = args.str_or("file", "BENCH.json");
+    let path = args.str_or("file", "SERVE.json");
     let text =
         std::fs::read_to_string(&path).map_err(|e| ArgError(format!("--file {path:?}: {e}")))?;
     let doc = Json::parse(&text).map_err(|e| ArgError(format!("{path}: not valid JSON: {e}")))?;
@@ -1157,7 +1073,6 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
         "simulate" => simulate(args),
         "capacity" => capacity_cmd(args),
         "resilience" => resilience_cmd(args),
-        "bench" => bench_cmd(args),
         "serve-bench" => serve_bench_cmd(args),
         "node" => node_cmd(args),
         "wire-bench" => wire_bench_cmd(args),
@@ -1187,7 +1102,6 @@ mod tests {
             "simulate",
             "capacity",
             "resilience",
-            "bench",
             "serve-bench",
             "node",
             "wire-bench",
@@ -1317,6 +1231,17 @@ mod tests {
         let validated =
             run_tokens(&["validate-manifest", "--file", out.to_str().unwrap()]).unwrap();
         assert!(validated.contains("valid ccn.run-manifest/v1"), "{validated}");
+        // Every counter the node snapshot carries reaches the report.
+        let doc = Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+        let node_stats = doc.get("wire").and_then(|w| w.get("node_stats")).unwrap();
+        let node_stats = node_stats.as_array().unwrap();
+        assert_eq!(node_stats.len(), 3);
+        for stats in node_stats {
+            for &name in NodeStatsSnapshot::FIELD_NAMES {
+                let (key, _) = stats_entry(name, 0);
+                assert!(stats.get(key).is_some(), "node_stats lacks {key}: {stats:?}");
+            }
+        }
     }
 
     #[test]
@@ -1487,36 +1412,6 @@ mod tests {
         let err =
             run_tokens(&["resilience", "--topology", "abilene", "--max-failed", "11"]).unwrap_err();
         assert!(err.to_string().contains("alive"), "{err}");
-    }
-
-    #[test]
-    fn bench_smoke_writes_a_json_report() {
-        let dir = std::env::temp_dir().join("ccn-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench_smoke.json");
-        let text = run_tokens(&[
-            "bench",
-            "--smoke",
-            "true",
-            "--seeds",
-            "1",
-            "--threads",
-            "2",
-            "--out",
-            path.to_str().unwrap(),
-        ])
-        .unwrap();
-        assert!(text.contains("report written"), "{text}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"smoke\": true"), "{json}");
-        assert!(json.contains("\"stores\""), "{json}");
-        let err = run_tokens(&["bench", "--smoke", "maybe"]).unwrap_err();
-        assert!(err.to_string().contains("--smoke"), "{err}");
-
-        // The freshly written report must carry a valid embedded manifest.
-        let verdict = run_tokens(&["validate-manifest", "--file", path.to_str().unwrap()]).unwrap();
-        assert!(verdict.contains("valid ccn.run-manifest/v1"), "{verdict}");
-        assert!(verdict.contains("embedded manifest"), "{verdict}");
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   misses, and requests *degraded* to origin because a peer queue
 //!   was full.
 //!
-//! Admission is bounded: [`Cluster::try_submit`] fails (the request is
-//! *shed*) when the target shard queue is full, so overload produces
+//! Admission is bounded: [`BatchSubmitter::submit_run`] sheds what the
+//! target shard queue cannot take, so overload produces
 //! backpressure instead of queue collapse, and every offered request
 //! is accounted: `completed + shed == offered`.
 //!
@@ -653,48 +653,10 @@ impl Cluster {
         self.stores.iter().map(|s| s.handle().pinned_workers()).sum()
     }
 
-    /// Admits a request from `node`'s clients for `content`.
-    ///
-    /// Returns `false` — the request is **shed** — when the target
-    /// shard's bounded queue is full or `node` is currently killed by
-    /// the fault plan. Accepted requests always complete and are
-    /// counted by exactly one tier.
-    ///
-    /// Every call advances the global operation counter, the clock
-    /// fault-plan events are scheduled against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn try_submit(&self, node: usize, content: ContentId) -> bool {
-        let Some(peers) = self.shared.peers.get() else {
-            return false; // unreachable by construction: shed, not panic
-        };
-        let op = self.shared.ops.fetch_add(1, Ordering::AcqRel) + 1;
-        self.shared.tick(op);
-        if let Some(tap) = self.shared.tap.get() {
-            tap.record(node, content);
-        }
-        if self.shared.faults.node_killed(node) {
-            self.shared.recorders[node].shed_node_down.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        self.shared.in_flight.fetch_add(1, Ordering::AcqRel);
-        #[allow(clippy::cast_possible_truncation)]
-        let job = Job { content, client: node as u32, issued: Instant::now(), stage: Stage::Local };
-        match peers[node].try_job(content, job) {
-            Ok(()) => true,
-            Err(_) => {
-                self.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-                false
-            }
-        }
-    }
-
-    /// A reusable batch-submission cursor for this cluster: requests
-    /// grouped by owning shard move through one queue claim per run
-    /// instead of one per request. Each producer thread should hold
-    /// its own submitter (the scratch buffer inside is not shared).
+    /// The cluster's one admission path: requests grouped by owning
+    /// shard move through one queue claim per run (a run may hold a
+    /// single request). Each producer thread should hold its own
+    /// submitter (the scratch buffer inside is not shared).
     #[must_use]
     pub fn batch_submitter(&self) -> BatchSubmitter<'_> {
         BatchSubmitter { cluster: self, scratch: Vec::new() }
@@ -903,8 +865,10 @@ impl BatchSubmitter<'_> {
     /// Admits a run of requests from `node`'s clients, all owned by
     /// `shard` (the caller groups by [`shard_of`] over
     /// `shards_per_node` before calling). Drains `contents` entirely;
-    /// returns how many were admitted. The remainder (queue full) is
-    /// **shed** — dropped here, to be counted by the caller.
+    /// returns how many were admitted. The remainder (queue full, or
+    /// `node` killed by the fault plan) is **shed** — dropped here, to
+    /// be counted by the caller. Admitted requests always complete and
+    /// are counted by exactly one tier.
     ///
     /// Latency note: the whole run shares one issue timestamp, so
     /// per-tier latency resolution coarsens to the run length under
@@ -967,8 +931,14 @@ impl BatchSubmitter<'_> {
 mod tests {
     use super::*;
 
+    /// Admits one request as a run of one; `true` iff it was admitted.
+    fn submit_one(cluster: &Cluster, node: usize, content: ContentId) -> bool {
+        let shard = shard_of(content, cluster.config().shards_per_node);
+        cluster.batch_submitter().submit_run(node, shard, &mut vec![content]) == 1
+    }
+
     fn drive_to_completion(cluster: &Cluster, node: usize, content: ContentId) {
-        while !cluster.try_submit(node, content) {
+        while !submit_one(cluster, node, content) {
             std::thread::yield_now();
         }
     }
@@ -1116,18 +1086,18 @@ mod tests {
         };
         let plan = FaultPlan::none().with_node_outage(1, 2, Some(4));
         let cluster = Cluster::with_faults(config, plan).unwrap();
-        assert!(cluster.try_submit(1, ContentId(1)), "op 1: healthy"); // local
+        assert!(submit_one(&cluster, 1, ContentId(1)), "op 1: healthy"); // local
         cluster.drain(); // op 1 completes before the kill can land
-        assert!(!cluster.try_submit(1, ContentId(1)), "op 2: kill applies, shed");
+        assert!(!submit_one(&cluster, 1, ContentId(1)), "op 2: kill applies, shed");
         assert_eq!(cluster.routing_epoch(), 2, "kill bumped the epoch");
         // op 3 from a survivor: node 1's slice re-homes via HRW; the
         // survivor holder misses it, so origin serves — never node 1.
-        assert!(cluster.try_submit(0, ContentId(12)), "op 3: survivors admit");
+        assert!(submit_one(&cluster, 0, ContentId(12)), "op 3: survivors admit");
         cluster.drain();
-        assert!(cluster.try_submit(2, ContentId(20)), "op 4: revive applies");
+        assert!(submit_one(&cluster, 2, ContentId(20)), "op 4: revive applies");
         assert_eq!(cluster.routing_epoch(), 3, "revive bumped the epoch");
         cluster.drain();
-        assert!(cluster.try_submit(1, ContentId(1)), "op 5: node 1 is back");
+        assert!(submit_one(&cluster, 1, ContentId(1)), "op 5: node 1 is back");
         cluster.drain();
         let metrics = cluster.finish();
         assert_eq!(metrics.completed(), 4, "every admitted op completed");
@@ -1151,12 +1121,12 @@ mod tests {
         };
         let plan = FaultPlan::none().with_worker_outage(0, 0, 2, Some(3));
         let cluster = Cluster::with_faults(config, plan).unwrap();
-        assert!(cluster.try_submit(0, ContentId(1)), "op 1: local hit");
+        assert!(submit_one(&cluster, 0, ContentId(1)), "op 1: local hit");
         cluster.drain();
         // Node stays admittable while only the worker is dead.
-        assert!(cluster.try_submit(0, ContentId(1)), "op 2: admitted into dead worker");
+        assert!(submit_one(&cluster, 0, ContentId(1)), "op 2: admitted into dead worker");
         cluster.drain();
-        assert!(cluster.try_submit(0, ContentId(1)), "op 3: worker revived");
+        assert!(submit_one(&cluster, 0, ContentId(1)), "op 3: worker revived");
         cluster.drain();
         let metrics = cluster.finish();
         assert_eq!(metrics.completed(), 3);

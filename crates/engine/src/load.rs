@@ -9,11 +9,11 @@
 //! When admission pushes back the request is counted as **shed**, not
 //! retried — exactly the overload behavior a closed loop would mask.
 //!
-//! With [`OpenLoopConfig::batch`] > 1 the generator runs the
-//! **batched pipeline**: requests are grouped into per-`(node,
-//! shard)` runs (by [`crate::shard::shard_of`], the same routing the
-//! cluster applies) and each full run is admitted through a single
-//! queue claim ([`crate::cluster::BatchSubmitter`]). In paced mode
+//! Requests are grouped into per-`(node, shard)` runs of up to
+//! [`OpenLoopConfig::batch`] (by [`crate::shard::shard_of`], the same
+//! routing the cluster applies) and each full run is admitted through a
+//! single queue claim ([`BatchSubmitter`]); `batch = 1` admits
+//! every request as a run of one. In paced mode
 //! every buffered run is flushed before the generator sleeps, so
 //! batching never delays a request past its own arrival time; only
 //! already-due backlog is coalesced.
@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use ccn_sim::workload::{self, Request};
 
-use crate::cluster::Cluster;
+use crate::cluster::{BatchSubmitter, Cluster};
 use crate::error::EngineError;
 use crate::shard::shard_of;
 
@@ -68,11 +68,11 @@ pub struct OpenLoopConfig {
     /// Workload seed. With a single generator the request stream is
     /// identical to the simulator's for the same seed and parameters.
     pub seed: u64,
-    /// Maximum requests admitted per queue operation. `1` submits
-    /// per-op (the pre-batching pipeline); larger values group
-    /// requests by owning shard and admit each run with one queue
-    /// claim. Tier attribution and (single-shard) determinism are
-    /// batch-size invariant — property-tested in this module.
+    /// Maximum requests admitted per queue operation: requests are
+    /// grouped by owning shard and each run is admitted with one queue
+    /// claim (`1` = one request per claim). Tier attribution and
+    /// (single-shard) determinism are batch-size invariant —
+    /// property-tested in this module.
     pub batch: usize,
     /// Scripted popularity drift: each segment switches the offered
     /// exponent at its `at_ms`. Must be strictly increasing and
@@ -169,10 +169,9 @@ pub(crate) fn pace_until(start: Instant, at_ms: f64) {
     }
 }
 
-/// One generator's view of the workload: issues requests per-op or in
-/// per-shard runs, tracking offered/shed counts.
-struct Generator<'a> {
-    cluster: &'a Cluster,
+/// One generator's view of the workload: issues requests in per-shard
+/// runs, tracking offered/shed counts.
+struct Generator {
     /// Per-`(owned-node, shard)` pending runs, indexed
     /// `local_node * shards + shard`.
     buffers: Vec<Vec<ccn_sim::ContentId>>,
@@ -186,15 +185,14 @@ struct Generator<'a> {
     rejected: u64,
 }
 
-impl<'a> Generator<'a> {
-    fn new(cluster: &'a Cluster, owned: &[usize], batch: usize) -> Self {
+impl Generator {
+    fn new(cluster: &Cluster, owned: &[usize], batch: usize) -> Self {
         let shards = cluster.config().shards_per_node;
         let mut local_index = vec![usize::MAX; cluster.config().nodes];
         for (slot, &node) in owned.iter().enumerate() {
             local_index[node] = slot;
         }
         Self {
-            cluster,
             buffers: vec![Vec::with_capacity(batch); owned.len() * shards],
             local_index,
             owned: owned.to_vec(),
@@ -206,15 +204,9 @@ impl<'a> Generator<'a> {
     }
 
     /// Queues one request, flushing its run if it reached the batch
-    /// size. With `batch == 1` this is the per-op path (no buffering).
-    fn issue(&mut self, submitter: &mut crate::cluster::BatchSubmitter<'a>, request: &Request) {
+    /// size (with `batch == 1`, every request is a run of one).
+    fn issue(&mut self, submitter: &mut BatchSubmitter<'_>, request: &Request) {
         self.issued += 1;
-        if self.batch <= 1 {
-            if !self.cluster.try_submit(request.router, request.content) {
-                self.rejected += 1;
-            }
-            return;
-        }
         let shard = shard_of(request.content, self.shards);
         let slot = self.local_index[request.router] * self.shards + shard;
         self.buffers[slot].push(request.content);
@@ -223,7 +215,7 @@ impl<'a> Generator<'a> {
         }
     }
 
-    fn flush_slot(&mut self, submitter: &mut crate::cluster::BatchSubmitter<'a>, slot: usize) {
+    fn flush_slot(&mut self, submitter: &mut BatchSubmitter<'_>, slot: usize) {
         let run = &mut self.buffers[slot];
         if run.is_empty() {
             return;
@@ -236,7 +228,7 @@ impl<'a> Generator<'a> {
 
     /// Flushes every pending run — called before a paced sleep and at
     /// end of stream, so batching never holds back due requests.
-    fn flush_all(&mut self, submitter: &mut crate::cluster::BatchSubmitter<'a>) {
+    fn flush_all(&mut self, submitter: &mut BatchSubmitter<'_>) {
         for slot in 0..self.buffers.len() {
             self.flush_slot(submitter, slot);
         }

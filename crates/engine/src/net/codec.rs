@@ -650,8 +650,9 @@ pub(super) fn parse_forward_batch_reply(body: &[u8]) -> Result<(u32, &[u8]), Eng
     Ok((tag, outcomes))
 }
 
-// One field list generates the node's live counters and the snapshot
-// that `StatsReply` carries, so the two cannot drift apart.
+// One field list generates the node's live counters, the snapshot
+// that `StatsReply` carries and the names reports render it under, so
+// the three cannot drift apart.
 
 macro_rules! node_stats {
     ($($(#[$doc:meta])* $field:ident),+ $(,)?) => {
@@ -680,7 +681,13 @@ macro_rules! node_stats {
         }
 
         impl NodeStatsSnapshot {
-            fn fields(&self) -> Vec<u64> {
+            /// Every counter's name, in wire order.
+            pub const FIELD_NAMES: &'static [&'static str] = &[$(stringify!($field),)+];
+
+            /// Every counter's value, in wire order (the order of
+            /// [`Self::FIELD_NAMES`]).
+            #[must_use]
+            pub fn fields(&self) -> Vec<u64> {
                 vec![$(self.$field,)+]
             }
 

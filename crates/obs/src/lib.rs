@@ -20,7 +20,9 @@
 //! - [`manifest`] — [`RunManifest`]: the JSON header every benchmark
 //!   binary and the `ccn` CLI emit, capturing seed, requested and
 //!   effective thread counts, available cores, git revision, smoke
-//!   flag, and per-phase wall/throughput timings ([`PhaseClock`]).
+//!   flag, per-phase wall/throughput timings ([`PhaseClock`]), and the
+//!   serving runs' `engine_*` sections, each checked against one
+//!   static field table.
 //!
 //! # Example
 //!
@@ -48,8 +50,8 @@ pub mod trace;
 
 pub use json::{Json, JsonError, ToJson};
 pub use manifest::{
-    available_cores, effective_threads, git_describe, ControllerManifest, ManifestError, PeerRttUs,
-    PhaseClock, PhaseTiming, RunManifest, WireManifest, WirePipelineManifest, MANIFEST_SCHEMA,
+    available_cores, effective_threads, git_describe, ManifestError, PhaseClock, PhaseTiming,
+    RunManifest, MANIFEST_SCHEMA,
 };
 pub use metrics::{Counter, Gauge, Histogram, Metric, Registry};
 pub use trace::{Span, SpanRecord, TraceSink, Tracer};

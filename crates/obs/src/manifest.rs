@@ -8,6 +8,12 @@
 //! (clamped-to-cores) thread counts, the available cores, the git
 //! revision, the smoke flag, and per-phase wall-clock /
 //! event-throughput timings.
+//!
+//! A serving run adds `engine_*` sections. A section is the [`Json`]
+//! object its emitter built; validation walks it against that
+//! section's static field table (key, kind, presence), then checks the
+//! section's contradiction rules, so each key is named by its emitter
+//! and its table entry and nowhere else.
 
 use std::time::Instant;
 
@@ -139,81 +145,185 @@ impl PhaseClock {
     }
 }
 
-/// Peer-forward round-trip statistics measured over real sockets,
-/// microseconds — only a wire-mode (multi-process) run can produce
-/// these.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PeerRttUs {
-    /// Fastest observed forward round-trip.
-    pub min: u64,
-    /// Mean forward round-trip.
-    pub mean: f64,
-    /// Slowest observed forward round-trip.
-    pub max: u64,
+/// What a section field holds.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// A non-negative integer.
+    U64,
+    /// A number, stored as a float even when it was written without a
+    /// fraction: `Json::Num(2.0)` prints as `2` and parses back as
+    /// `Json::Int(2)`.
+    F64,
+    /// A list of strings.
+    Strs,
+    /// An object checked against its own field table.
+    Obj(&'static [Field]),
 }
 
-/// Wire-tier dimensions of a run: present iff the run drove real node
-/// processes over TCP. Mutually exclusive with the in-process
-/// `engine_worker_threads` / `engine_generator_threads` pair — a
-/// manifest carries one serving mode, never both, so a wire-mode
-/// report cannot masquerade as an in-process one (or vice versa).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireManifest {
-    /// Listen address of every node process, indexed by node id.
-    pub listen_addrs: Vec<String>,
-    /// Final config epoch the cluster converged on (1 + one bump per
-    /// revival).
-    pub config_epoch: u64,
-    /// Measured peer-forward RTT stats, when any forward completed.
-    pub peer_rtt_us: Option<PeerRttUs>,
-    /// Driver-side pipelining dimensions and wire efficiency. `None`
-    /// for manifests written before the pipelined wire existed.
-    pub pipeline: Option<WirePipelineManifest>,
+/// Whether a section field may be absent or null.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Presence {
+    /// Present, of its kind.
+    Required,
+    /// Present, null or of its kind.
+    Nullable,
+    /// Absent, null, or of its kind.
+    Optional,
 }
 
-/// Pipelined-wire dimensions of a run: the credit window it was
-/// driven under and the realized per-operation wire cost.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WirePipelineManifest {
-    /// Configured credit window (frames in flight per connection);
-    /// 1 = stop-and-wait.
-    pub window: u64,
-    /// Peer-forward coalescing cap (misses per `PeerForwardBatch`).
-    pub wire_batch: u64,
-    /// High-water mark of frames actually in flight — ≤ `window`.
-    pub max_in_flight: u64,
-    /// Wire frames (both directions) per offered request.
-    pub frames_per_op: f64,
-    /// Wire bytes (both directions) per offered request.
-    pub bytes_per_op: f64,
+/// One row of a section's field table: key, kind, presence.
+type Field = (&'static str, Kind, Presence);
+
+/// One `engine_*` section: the field table its object is walked
+/// against, then the contradiction rules its values must satisfy.
+struct Section {
+    name: &'static str,
+    fields: &'static [Field],
+    rules: fn(&Json) -> Result<(), String>,
 }
 
-/// Adaptive-controller dimensions of a run: present iff a live
-/// controller rode the run, re-fitting the popularity exponent and
-/// re-slicing the cluster through incremental config epochs. Composes
-/// with either serving mode (in-process or wire) but requires one —
-/// a controller cannot have steered a run that served nothing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ControllerManifest {
-    /// Final fitted Zipf exponent (`None` = the decayed sample window
-    /// never reached `min_window`, so no fit happened).
-    pub fitted_s: Option<f64>,
-    /// Decayed sample-window weight when the run ended.
-    pub window_weight: f64,
-    /// Exponent re-fits performed.
-    pub refits: u64,
-    /// Re-fits absorbed by hysteresis (target unchanged).
-    pub holds: u64,
-    /// Times the controller adopted a new target ℓ*.
-    pub retargets: u64,
-    /// Incremental config epochs issued (each ≤ the movement budget).
-    pub epochs_issued: u64,
-    /// Store slots moved across all issued epochs.
-    pub slices_moved: u64,
-    /// Coordination level ℓ the run converged on.
-    pub final_ell: f64,
-    /// Per-epoch movement budget B the chain was split under.
-    pub movement_budget: u64,
+/// Wire-tier dimensions: present iff the run drove real node processes
+/// over TCP.
+const WIRE_FIELDS: &[Field] = &[
+    ("listen_addrs", Kind::Strs, Presence::Required),
+    ("config_epoch", Kind::U64, Presence::Required),
+    (
+        "peer_rtt_us",
+        Kind::Obj(&[
+            ("min", Kind::U64, Presence::Required),
+            ("mean", Kind::F64, Presence::Required),
+            ("max", Kind::U64, Presence::Required),
+        ]),
+        Presence::Nullable,
+    ),
+    (
+        "pipeline",
+        Kind::Obj(&[
+            ("window", Kind::U64, Presence::Required),
+            ("wire_batch", Kind::U64, Presence::Required),
+            ("max_in_flight", Kind::U64, Presence::Required),
+            ("frames_per_op", Kind::F64, Presence::Required),
+            ("bytes_per_op", Kind::F64, Presence::Required),
+        ]),
+        Presence::Optional,
+    ),
+];
+
+/// Adaptive-controller dimensions: present iff a live controller
+/// re-fitted the exponent and re-sliced the cluster during the run.
+const CONTROLLER_FIELDS: &[Field] = &[
+    ("fitted_s", Kind::F64, Presence::Nullable),
+    ("window_weight", Kind::F64, Presence::Required),
+    ("refits", Kind::U64, Presence::Required),
+    ("holds", Kind::U64, Presence::Required),
+    ("retargets", Kind::U64, Presence::Required),
+    ("epochs_issued", Kind::U64, Presence::Required),
+    ("slices_moved", Kind::U64, Presence::Required),
+    ("final_ell", Kind::F64, Presence::Required),
+    ("movement_budget", Kind::U64, Presence::Required),
+];
+
+/// Every section a manifest may carry.
+const SECTIONS: [Section; 2] = [
+    Section { name: "engine_wire", fields: WIRE_FIELDS, rules: wire_rules },
+    Section { name: "engine_controller", fields: CONTROLLER_FIELDS, rules: controller_rules },
+];
+
+/// An integer field the walker has already checked.
+fn int(section: &Json, key: &str) -> u64 {
+    section.get(key).and_then(Json::as_u64).unwrap_or(0)
+}
+
+/// A float field the walker has already checked.
+fn num(section: &Json, key: &str) -> f64 {
+    section.get(key).and_then(Json::as_f64).unwrap_or(0.0)
+}
+
+fn wire_rules(wire: &Json) -> Result<(), String> {
+    if wire.get("listen_addrs").and_then(Json::as_array).is_some_and(<[Json]>::is_empty) {
+        return Err("engine_wire.listen_addrs is empty — a wire run has at least one node".into());
+    }
+    if int(wire, "config_epoch") == 0 {
+        return Err(
+            "engine_wire.config_epoch is 0 — a provisioned cluster starts at epoch 1".into()
+        );
+    }
+    if let Some(rtt @ Json::Obj(_)) = wire.get("peer_rtt_us") {
+        let (min, max) = (int(rtt, "min"), int(rtt, "max"));
+        if min > max {
+            return Err(format!("peer_rtt_us min {min} exceeds max {max}"));
+        }
+    }
+    if let Some(pipeline @ Json::Obj(_)) = wire.get("pipeline") {
+        let (window, in_flight) = (int(pipeline, "window"), int(pipeline, "max_in_flight"));
+        if window == 0 || int(pipeline, "wire_batch") == 0 {
+            return Err("engine_wire.pipeline window/wire_batch of 0 — even stop-and-wait has \
+                        one frame in flight"
+                .into());
+        }
+        if in_flight > window {
+            return Err(format!(
+                "engine_wire.pipeline claims {in_flight} frames in flight under a window of \
+                 {window}"
+            ));
+        }
+        if num(pipeline, "frames_per_op") < 0.0 || num(pipeline, "bytes_per_op") < 0.0 {
+            return Err("engine_wire.pipeline per-op costs cannot be negative".into());
+        }
+    }
+    Ok(())
+}
+
+fn controller_rules(ctl: &Json) -> Result<(), String> {
+    if int(ctl, "movement_budget") == 0 {
+        return Err(
+            "engine_controller.movement_budget is 0 — no epoch could ever move anything".into()
+        );
+    }
+    if int(ctl, "slices_moved") > 0 && int(ctl, "epochs_issued") == 0 {
+        return Err("engine_controller moved slices without issuing an epoch".into());
+    }
+    if ctl.get("fitted_s").is_some_and(|s| *s != Json::Null) && int(ctl, "refits") == 0 {
+        return Err("engine_controller carries a fitted exponent but zero refits".into());
+    }
+    Ok(())
+}
+
+/// Walks `value` against `fields` and returns the copy to store, each
+/// number in its table kind so a manifest round-trips through its
+/// printed form. A missing key or a wrong type is `MissingKey`, a key
+/// the table does not name is `UnknownEngineKey`; both carry the
+/// dotted path `path.key`.
+fn check(fields: &[Field], value: &Json, path: &str) -> Result<Json, ManifestError> {
+    let Json::Obj(entries) = value else {
+        return Err(ManifestError::MissingKey(path.to_owned()));
+    };
+    let mut checked = Vec::with_capacity(entries.len());
+    for (key, v) in entries {
+        let at = format!("{path}.{key}");
+        let Some(&(_, kind, presence)) = fields.iter().find(|(name, ..)| name == key) else {
+            return Err(ManifestError::UnknownEngineKey(at));
+        };
+        let v = match kind {
+            _ if *v == Json::Null && presence != Presence::Required => Json::Null,
+            Kind::U64 => v.as_u64().map(Json::from).ok_or(ManifestError::MissingKey(at))?,
+            Kind::F64 => v.as_f64().map(Json::Num).ok_or(ManifestError::MissingKey(at))?,
+            Kind::Strs => match v.as_array() {
+                Some(items) if items.iter().all(|item| item.as_str().is_some()) => v.clone(),
+                Some(_) => return Err(ManifestError::MissingKey(format!("{at}[]"))),
+                None => return Err(ManifestError::MissingKey(at)),
+            },
+            Kind::Obj(inner) => check(inner, v, &at)?,
+        };
+        checked.push((key.clone(), v));
+    }
+    match fields
+        .iter()
+        .find(|(key, _, presence)| *presence != Presence::Optional && value.get(key).is_none())
+    {
+        Some((key, ..)) => Err(ManifestError::MissingKey(format!("{path}.{key}"))),
+        None => Ok(Json::Obj(checked)),
+    }
 }
 
 /// The conditions a run was measured under — see [`MANIFEST_SCHEMA`].
@@ -238,12 +348,12 @@ pub struct RunManifest {
     /// Engine load-generator threads, when the run drove the serving
     /// engine — same distinction as `engine_worker_threads`.
     pub engine_generator_threads: Option<usize>,
-    /// Wire-tier dimensions, when the run drove node *processes* over
-    /// TCP; mutually exclusive with the two fields above.
-    pub engine_wire: Option<WireManifest>,
-    /// Adaptive-controller dimensions, when a live controller rode the
-    /// run; requires one of the serving modes above.
-    pub engine_controller: Option<ControllerManifest>,
+    /// Checked engine sections as `(name, object)`, in emission order:
+    /// `engine_wire` when the run drove node *processes* over TCP
+    /// (mutually exclusive with the two fields above), and
+    /// `engine_controller` when a live controller rode the run (which
+    /// requires a serving mode).
+    pub sections: Vec<(String, Json)>,
     /// Logical CPUs available to the process.
     pub available_cores: usize,
     /// `git describe --always --dirty`, or `"unknown"`.
@@ -263,8 +373,9 @@ pub enum ManifestError {
     WrongSchema(String),
     /// A required key is missing or has the wrong type.
     MissingKey(String),
-    /// An `engine_*` key this schema does not define — a typo or a
-    /// forged dimension, either way not a manifest to trust.
+    /// An `engine_*` key, or a key inside an engine section, that this
+    /// schema does not define — a typo or a forged dimension, either
+    /// way not a manifest to trust.
     UnknownEngineKey(String),
     /// Engine fields are present but mutually contradictory (a thread
     /// count with no engine phase, wire fields alongside in-process
@@ -316,8 +427,7 @@ impl RunManifest {
             effective_threads: effective_threads(requested_threads, cores),
             engine_worker_threads: None,
             engine_generator_threads: None,
-            engine_wire: None,
-            engine_controller: None,
+            sections: Vec::new(),
             available_cores: cores,
             git: git_describe(),
             smoke,
@@ -342,24 +452,16 @@ impl RunManifest {
         self
     }
 
-    /// Records the wire-tier dimensions of a multi-process run
-    /// (builder style). Mutually exclusive with
-    /// [`RunManifest::with_engine_threads`] — validation rejects a
-    /// manifest carrying both serving modes.
+    /// Adds an engine section (builder style): `engine_wire` for a
+    /// multi-process run, `engine_controller` for an adaptive one.
+    /// Sections are emitted in insertion order; validation walks each
+    /// against its field table, then checks its rules and the
+    /// cross-section ones (`engine_wire` excludes
+    /// [`RunManifest::with_engine_threads`], `engine_controller`
+    /// requires one of the two serving modes).
     #[must_use]
-    pub fn with_wire(mut self, wire: WireManifest) -> Self {
-        self.engine_wire = Some(wire);
-        self
-    }
-
-    /// Records the adaptive-controller dimensions of a run (builder
-    /// style). Requires a serving mode —
-    /// [`RunManifest::with_engine_threads`] or
-    /// [`RunManifest::with_wire`] — or validation rejects the
-    /// manifest.
-    #[must_use]
-    pub fn with_controller(mut self, controller: ControllerManifest) -> Self {
-        self.engine_controller = Some(controller);
+    pub fn with_section(mut self, name: &str, section: Json) -> Self {
+        self.sections.push((name.to_owned(), section));
         self
     }
 
@@ -434,32 +536,30 @@ impl RunManifest {
         // Engine-field discipline. The engine dimensions are the part
         // of a manifest most worth forging (they say what actually
         // served the requests), so they get strict checks: no unknown
-        // engine keys, no lone halves of a pair, no serving mode
-        // without an engine phase, and never both modes at once.
+        // engine keys, every section walked against its field table and
+        // its rules, no lone halves of a pair, no serving mode without
+        // an engine phase, and never both modes at once.
+        let mut sections = Vec::new();
         if let Json::Obj(fields) = doc {
-            for (key, _) in fields {
-                if key.starts_with("engine")
-                    && !matches!(
-                        key.as_str(),
-                        "engine_worker_threads"
-                            | "engine_generator_threads"
-                            | "engine_wire"
-                            | "engine_controller"
-                    )
+            for (key, value) in fields {
+                if !key.starts_with("engine")
+                    || matches!(key.as_str(), "engine_worker_threads" | "engine_generator_threads")
                 {
-                    return Err(ManifestError::UnknownEngineKey(key.clone()));
+                    continue;
                 }
+                let Some(section) = SECTIONS.iter().find(|s| s.name == key) else {
+                    return Err(ManifestError::UnknownEngineKey(key.clone()));
+                };
+                let checked = check(section.fields, value, key)?;
+                (section.rules)(&checked).map_err(ManifestError::Contradiction)?;
+                sections.push((key.clone(), checked));
             }
         }
         // Optional, but present-with-wrong-type is an error — only
         // truly absent keys (pre-existing manifests) may be None.
-        let opt_u64 = |key: &str| -> Result<Option<u64>, ManifestError> {
-            match doc.get(key) {
-                None => Ok(None),
-                Some(v) => {
-                    v.as_u64().map(Some).ok_or_else(|| ManifestError::MissingKey(key.to_owned()))
-                }
-            }
+        let opt_u64 = |key: &str| {
+            let value = doc.get(key).map(Json::as_u64);
+            value.map(|v| v.ok_or_else(|| ManifestError::MissingKey(key.to_owned()))).transpose()
         };
         let engine_worker_threads = opt_u64("engine_worker_threads")?;
         let engine_generator_threads = opt_u64("engine_generator_threads")?;
@@ -468,188 +568,23 @@ impl RunManifest {
                 "engine_worker_threads and engine_generator_threads must appear together".into(),
             ));
         }
-        let engine_wire = match doc.get("engine_wire") {
-            None => None,
-            Some(wire) => {
-                let addrs_json =
-                    wire.get("listen_addrs").and_then(Json::as_array).ok_or_else(|| {
-                        ManifestError::MissingKey("engine_wire.listen_addrs".to_owned())
-                    })?;
-                if addrs_json.is_empty() {
-                    return Err(ManifestError::Contradiction(
-                        "engine_wire.listen_addrs is empty — a wire run has at least one node"
-                            .into(),
-                    ));
-                }
-                let mut listen_addrs = Vec::with_capacity(addrs_json.len());
-                for addr in addrs_json {
-                    listen_addrs.push(
-                        addr.as_str()
-                            .ok_or_else(|| {
-                                ManifestError::MissingKey("engine_wire.listen_addrs[]".to_owned())
-                            })?
-                            .to_owned(),
-                    );
-                }
-                let config_epoch =
-                    wire.get("config_epoch").and_then(Json::as_u64).ok_or_else(|| {
-                        ManifestError::MissingKey("engine_wire.config_epoch".to_owned())
-                    })?;
-                if config_epoch == 0 {
-                    return Err(ManifestError::Contradiction(
-                        "engine_wire.config_epoch is 0 — a provisioned cluster starts at epoch 1"
-                            .into(),
-                    ));
-                }
-                let peer_rtt_us = match wire.get("peer_rtt_us") {
-                    None => {
-                        return Err(ManifestError::MissingKey("engine_wire.peer_rtt_us".to_owned()))
-                    }
-                    Some(Json::Null) => None,
-                    Some(rtt) => {
-                        let field = |key: &str| {
-                            rtt.get(key).and_then(Json::as_u64).ok_or_else(|| {
-                                ManifestError::MissingKey(format!("engine_wire.peer_rtt_us.{key}"))
-                            })
-                        };
-                        let min = field("min")?;
-                        let max = field("max")?;
-                        let mean = rtt.get("mean").and_then(Json::as_f64).ok_or_else(|| {
-                            ManifestError::MissingKey("engine_wire.peer_rtt_us.mean".to_owned())
-                        })?;
-                        if min > max {
-                            return Err(ManifestError::Contradiction(format!(
-                                "peer_rtt_us min {min} exceeds max {max}"
-                            )));
-                        }
-                        Some(PeerRttUs { min, mean, max })
-                    }
-                };
-                // Absent *or* null: manifests written before the
-                // pipelined wire carry no pipeline block.
-                let pipeline = match wire.get("pipeline") {
-                    None | Some(Json::Null) => None,
-                    Some(p) => {
-                        let field = |key: &str| {
-                            p.get(key).and_then(Json::as_u64).ok_or_else(|| {
-                                ManifestError::MissingKey(format!("engine_wire.pipeline.{key}"))
-                            })
-                        };
-                        let f64_field = |key: &str| {
-                            p.get(key).and_then(Json::as_f64).ok_or_else(|| {
-                                ManifestError::MissingKey(format!("engine_wire.pipeline.{key}"))
-                            })
-                        };
-                        let window = field("window")?;
-                        let wire_batch = field("wire_batch")?;
-                        let max_in_flight = field("max_in_flight")?;
-                        if window == 0 || wire_batch == 0 {
-                            return Err(ManifestError::Contradiction(
-                                "engine_wire.pipeline window/wire_batch of 0 — even \
-                                 stop-and-wait has one frame in flight"
-                                    .into(),
-                            ));
-                        }
-                        if max_in_flight > window {
-                            return Err(ManifestError::Contradiction(format!(
-                                "engine_wire.pipeline claims {max_in_flight} frames in flight \
-                                 under a window of {window}"
-                            )));
-                        }
-                        let frames_per_op = f64_field("frames_per_op")?;
-                        let bytes_per_op = f64_field("bytes_per_op")?;
-                        if frames_per_op < 0.0 || bytes_per_op < 0.0 {
-                            return Err(ManifestError::Contradiction(
-                                "engine_wire.pipeline per-op costs cannot be negative".into(),
-                            ));
-                        }
-                        Some(WirePipelineManifest {
-                            window,
-                            wire_batch,
-                            max_in_flight,
-                            frames_per_op,
-                            bytes_per_op,
-                        })
-                    }
-                };
-                Some(WireManifest { listen_addrs, config_epoch, peer_rtt_us, pipeline })
-            }
-        };
-        if engine_wire.is_some() && engine_worker_threads.is_some() {
+        let has = |name: &str| sections.iter().any(|(key, _)| key == name);
+        let wire = has("engine_wire");
+        if wire && engine_worker_threads.is_some() {
             return Err(ManifestError::Contradiction(
                 "engine_wire and engine_worker_threads are mutually exclusive — a run serves \
                  either over the wire or in-process, never both"
                     .into(),
             ));
         }
-        let engine_controller = match doc.get("engine_controller") {
-            None => None,
-            Some(ctl) => {
-                let field = |key: &str| {
-                    ctl.get(key).and_then(Json::as_u64).ok_or_else(|| {
-                        ManifestError::MissingKey(format!("engine_controller.{key}"))
-                    })
-                };
-                let f64_field = |key: &str| {
-                    ctl.get(key).and_then(Json::as_f64).ok_or_else(|| {
-                        ManifestError::MissingKey(format!("engine_controller.{key}"))
-                    })
-                };
-                let fitted_s = match ctl.get("fitted_s") {
-                    None => {
-                        return Err(ManifestError::MissingKey(
-                            "engine_controller.fitted_s".to_owned(),
-                        ))
-                    }
-                    Some(Json::Null) => None,
-                    Some(v) => Some(v.as_f64().ok_or_else(|| {
-                        ManifestError::MissingKey("engine_controller.fitted_s".to_owned())
-                    })?),
-                };
-                let refits = field("refits")?;
-                let epochs_issued = field("epochs_issued")?;
-                let slices_moved = field("slices_moved")?;
-                let movement_budget = field("movement_budget")?;
-                if movement_budget == 0 {
-                    return Err(ManifestError::Contradiction(
-                        "engine_controller.movement_budget is 0 — no epoch could ever move \
-                         anything"
-                            .into(),
-                    ));
-                }
-                if slices_moved > 0 && epochs_issued == 0 {
-                    return Err(ManifestError::Contradiction(
-                        "engine_controller moved slices without issuing an epoch".into(),
-                    ));
-                }
-                if fitted_s.is_some() && refits == 0 {
-                    return Err(ManifestError::Contradiction(
-                        "engine_controller carries a fitted exponent but zero refits".into(),
-                    ));
-                }
-                Some(ControllerManifest {
-                    fitted_s,
-                    window_weight: f64_field("window_weight")?,
-                    refits,
-                    holds: field("holds")?,
-                    retargets: field("retargets")?,
-                    epochs_issued,
-                    slices_moved,
-                    final_ell: f64_field("final_ell")?,
-                    movement_budget,
-                })
-            }
-        };
-        if engine_controller.is_some() && engine_worker_threads.is_none() && engine_wire.is_none() {
+        if has("engine_controller") && engine_worker_threads.is_none() && !wire {
             return Err(ManifestError::Contradiction(
                 "engine_controller present without a serving mode — a controller cannot have \
                  steered a run that served nothing"
                     .into(),
             ));
         }
-        if (engine_worker_threads.is_some() || engine_wire.is_some())
-            && !phases.iter().any(|p| p.events.is_some())
-        {
+        if (engine_worker_threads.is_some() || wire) && !phases.iter().any(|p| p.events.is_some()) {
             return Err(ManifestError::Contradiction(
                 "engine fields present but no phase carries events — nothing was served".into(),
             ));
@@ -667,8 +602,7 @@ impl RunManifest {
             engine_worker_threads: engine_worker_threads.map(|v| v as usize),
             #[allow(clippy::cast_possible_truncation)]
             engine_generator_threads: engine_generator_threads.map(|v| v as usize),
-            engine_wire,
-            engine_controller,
+            sections,
             available_cores: u64_key("available_cores")? as usize,
             git: str_key("git")?,
             smoke: doc
@@ -697,53 +631,8 @@ impl ToJson for RunManifest {
         if let Some(generators) = self.engine_generator_threads {
             doc = doc.field("engine_generator_threads", generators);
         }
-        if let Some(wire) = &self.engine_wire {
-            let rtt = match &wire.peer_rtt_us {
-                Some(rtt) => Json::object()
-                    .field("min", rtt.min)
-                    .field("mean", rtt.mean)
-                    .field("max", rtt.max),
-                None => Json::Null,
-            };
-            let pipeline = match &wire.pipeline {
-                Some(p) => Json::object()
-                    .field("window", p.window)
-                    .field("wire_batch", p.wire_batch)
-                    .field("max_in_flight", p.max_in_flight)
-                    .field("frames_per_op", p.frames_per_op)
-                    .field("bytes_per_op", p.bytes_per_op),
-                None => Json::Null,
-            };
-            doc = doc.field(
-                "engine_wire",
-                Json::object()
-                    .field(
-                        "listen_addrs",
-                        Json::Arr(wire.listen_addrs.iter().map(|a| Json::Str(a.clone())).collect()),
-                    )
-                    .field("config_epoch", wire.config_epoch)
-                    .field("peer_rtt_us", rtt)
-                    .field("pipeline", pipeline),
-            );
-        }
-        if let Some(ctl) = &self.engine_controller {
-            let fitted = match ctl.fitted_s {
-                Some(s) => Json::from(s),
-                None => Json::Null,
-            };
-            doc = doc.field(
-                "engine_controller",
-                Json::object()
-                    .field("fitted_s", fitted)
-                    .field("window_weight", ctl.window_weight)
-                    .field("refits", ctl.refits)
-                    .field("holds", ctl.holds)
-                    .field("retargets", ctl.retargets)
-                    .field("epochs_issued", ctl.epochs_issued)
-                    .field("slices_moved", ctl.slices_moved)
-                    .field("final_ell", ctl.final_ell)
-                    .field("movement_budget", ctl.movement_budget),
-            );
+        for (name, section) in &self.sections {
+            doc = doc.field(name, section.clone());
         }
         doc.field("available_cores", self.available_cores)
             .field("git", self.git.as_str())
@@ -785,8 +674,7 @@ mod tests {
             effective_threads: 1,
             engine_worker_threads: None,
             engine_generator_threads: None,
-            engine_wire: None,
-            engine_controller: None,
+            sections: Vec::new(),
             available_cores: 1,
             git: "abc1234-dirty".into(),
             smoke: true,
@@ -862,122 +750,144 @@ mod tests {
         vec![PhaseTiming { phase: "serve".into(), wall_ms: 10.0, events: Some(100) }]
     }
 
-    fn sample_wire() -> WireManifest {
-        WireManifest {
-            listen_addrs: vec!["127.0.0.1:4000".into(), "127.0.0.1:4001".into()],
-            config_epoch: 2,
-            peer_rtt_us: Some(PeerRttUs { min: 40, mean: 95.5, max: 800 }),
-            pipeline: Some(WirePipelineManifest {
-                window: 8,
-                wire_batch: 64,
-                max_in_flight: 8,
-                frames_per_op: 0.031,
-                bytes_per_op: 9.4,
-            }),
+    /// `section` with `key` set to `value`, replaced in place or
+    /// appended.
+    fn set(mut section: Json, key: &str, value: impl Into<Json>) -> Json {
+        let Json::Obj(fields) = &mut section else { unreachable!() };
+        let value = value.into();
+        match fields.iter_mut().find(|(k, _)| k == key) {
+            Some((_, slot)) => *slot = value,
+            None => fields.push((key.to_owned(), value)),
         }
+        section
+    }
+
+    /// `section` without `key`.
+    fn without(mut section: Json, key: &str) -> Json {
+        let Json::Obj(fields) = &mut section else { unreachable!() };
+        fields.retain(|(k, _)| k != key);
+        section
+    }
+
+    fn sample_rtt() -> Json {
+        Json::object().field("min", 40u64).field("mean", 95.5).field("max", 800u64)
+    }
+
+    fn sample_pipeline() -> Json {
+        Json::object()
+            .field("window", 8u64)
+            .field("wire_batch", 64u64)
+            .field("max_in_flight", 8u64)
+            .field("frames_per_op", 0.031)
+            .field("bytes_per_op", 9.4)
+    }
+
+    fn sample_wire() -> Json {
+        Json::object()
+            .field("listen_addrs", vec![Json::from("127.0.0.1:4000"), Json::from("127.0.0.1:4001")])
+            .field("config_epoch", 2u64)
+            .field("peer_rtt_us", sample_rtt())
+            .field("pipeline", sample_pipeline())
+    }
+
+    fn sample_controller() -> Json {
+        Json::object()
+            .field("fitted_s", 1.097)
+            .field("window_weight", 2_413.5)
+            .field("refits", 14u64)
+            .field("holds", 9u64)
+            .field("retargets", 2u64)
+            .field("epochs_issued", 6u64)
+            .field("slices_moved", 310u64)
+            .field("final_ell", 0.6812)
+            .field("movement_budget", 64u64)
+    }
+
+    fn wire_run(wire: Json) -> RunManifest {
+        RunManifest::capture("ccn", "wire-bench", 3, 1, false)
+            .with_phases(served_phase())
+            .with_section("engine_wire", wire)
+    }
+
+    fn adaptive_in_process_run(controller: Json) -> RunManifest {
+        RunManifest::capture("ccn", "serve-bench", 1, 2, false)
+            .with_phases(served_phase())
+            .with_engine_threads(4, 1)
+            .with_section("engine_controller", controller)
+    }
+
+    /// Why `m`'s printed form fails validation.
+    fn rejection(m: &RunManifest) -> ManifestError {
+        RunManifest::from_json(&m.to_header_line()).unwrap_err()
+    }
+
+    fn round_trips(m: &RunManifest) {
+        assert_eq!(&RunManifest::from_json(&m.to_header_line()).unwrap(), m);
     }
 
     #[test]
     fn wire_fields_round_trip() {
-        let m = RunManifest::capture("ccn", "wire-bench", 3, 1, false)
-            .with_phases(served_phase())
-            .with_wire(sample_wire());
-        let back = RunManifest::from_json(&m.to_header_line()).unwrap();
-        assert_eq!(back, m);
-        let wire = back.engine_wire.expect("wire fields survive");
-        assert_eq!(wire.listen_addrs.len(), 2);
-        assert_eq!(wire.config_epoch, 2);
-        assert_eq!(wire.peer_rtt_us.unwrap().max, 800);
-        // No measured forwards: peer_rtt_us serializes as null and
-        // round-trips as None.
-        let quiet = RunManifest::capture("ccn", "wire-bench", 3, 1, false)
-            .with_phases(served_phase())
-            .with_wire(WireManifest { peer_rtt_us: None, pipeline: None, ..sample_wire() });
-        let back = RunManifest::from_json(&quiet.to_header_line()).unwrap();
-        let wire = back.engine_wire.unwrap();
-        assert_eq!(wire.peer_rtt_us, None);
-        // Pre-pipeline manifests round-trip with no pipeline block.
-        assert_eq!(wire.pipeline, None);
+        let m = wire_run(sample_wire());
+        round_trips(&m);
+        let (_, wire) = &m.sections[0];
+        assert_eq!(wire.get("listen_addrs").and_then(Json::as_array).map(<[Json]>::len), Some(2));
+        assert_eq!(wire.get("peer_rtt_us").and_then(|rtt| rtt.get("max")), Some(&Json::Int(800)));
+        // No measured forwards: peer_rtt_us is null.
+        round_trips(&wire_run(set(sample_wire(), "peer_rtt_us", Json::Null)));
+        // Pre-pipeline manifests carry a null pipeline, or none at all.
+        round_trips(&wire_run(set(sample_wire(), "pipeline", Json::Null)));
+        round_trips(&wire_run(without(sample_wire(), "pipeline")));
+    }
+
+    #[test]
+    fn sections_keep_integral_floats_as_floats() {
+        // 2.0 prints as `2` and parses back as an integer; the walker
+        // stores it as a float again, so the manifest round-trips.
+        let wire = set(
+            set(sample_wire(), "pipeline", set(sample_pipeline(), "frames_per_op", 2.0)),
+            "peer_rtt_us",
+            set(sample_rtt(), "mean", 95.0),
+        );
+        let m = wire_run(wire)
+            .with_section("engine_controller", set(sample_controller(), "final_ell", 1.0));
+        let line = m.to_header_line();
+        for printed in ["\"frames_per_op\": 2,", "\"mean\": 95,", "\"final_ell\": 1,"] {
+            assert!(line.contains(printed), "{printed} not in {line}");
+        }
+        assert_eq!(RunManifest::from_json(&line).unwrap(), m);
     }
 
     #[test]
     fn wire_pipeline_validation_rejects_forged_dimensions() {
-        let base =
-            RunManifest::capture("ccn", "wire-bench", 3, 1, false).with_phases(served_phase());
-        // More frames in flight than the window permits.
-        let m = base.clone().with_wire(WireManifest {
-            pipeline: Some(WirePipelineManifest {
-                window: 4,
-                wire_batch: 64,
-                max_in_flight: 9,
-                frames_per_op: 0.1,
-                bytes_per_op: 1.0,
-            }),
-            ..sample_wire()
-        });
-        assert!(matches!(
-            RunManifest::from_value(&m.to_json()).unwrap_err(),
-            ManifestError::Contradiction(_)
-        ));
-        // A zero window cannot have driven anything.
-        let m = base.with_wire(WireManifest {
-            pipeline: Some(WirePipelineManifest {
-                window: 0,
-                wire_batch: 64,
-                max_in_flight: 0,
-                frames_per_op: 0.1,
-                bytes_per_op: 1.0,
-            }),
-            ..sample_wire()
-        });
-        assert!(matches!(
-            RunManifest::from_value(&m.to_json()).unwrap_err(),
-            ManifestError::Contradiction(_)
-        ));
-    }
-
-    fn sample_controller() -> ControllerManifest {
-        ControllerManifest {
-            fitted_s: Some(1.097),
-            window_weight: 2_413.5,
-            refits: 14,
-            holds: 9,
-            retargets: 2,
-            epochs_issued: 6,
-            slices_moved: 310,
-            final_ell: 0.6812,
-            movement_budget: 64,
+        for pipeline in [
+            // More frames in flight than the window permits.
+            set(set(sample_pipeline(), "window", 4u64), "max_in_flight", 9u64),
+            // A zero window cannot have driven anything.
+            set(set(sample_pipeline(), "window", 0u64), "max_in_flight", 0u64),
+            // A negative per-op cost is not a measurement.
+            set(sample_pipeline(), "bytes_per_op", -1.0),
+        ] {
+            let err = rejection(&wire_run(set(sample_wire(), "pipeline", pipeline)));
+            assert!(matches!(err, ManifestError::Contradiction(_)), "{err}");
         }
     }
 
     #[test]
     fn controller_fields_round_trip_on_both_serving_modes() {
-        let base =
-            RunManifest::capture("ccn", "serve-bench", 1, 2, false).with_phases(served_phase());
-        let in_process =
-            base.clone().with_engine_threads(4, 1).with_controller(sample_controller());
-        let back = RunManifest::from_json(&in_process.to_header_line()).unwrap();
-        assert_eq!(back, in_process);
-        assert_eq!(back.engine_controller.unwrap().epochs_issued, 6);
-        let wire = base.with_wire(sample_wire()).with_controller(sample_controller());
-        let back = RunManifest::from_json(&wire.to_header_line()).unwrap();
-        assert_eq!(back, wire);
-        // A never-fitted controller (window never filled) serializes
-        // fitted_s as null and round-trips as None.
-        let unfitted = ControllerManifest {
-            fitted_s: None,
-            refits: 0,
-            retargets: 0,
-            epochs_issued: 0,
-            slices_moved: 0,
-            ..sample_controller()
-        };
-        let quiet = RunManifest::capture("ccn", "serve-bench", 1, 2, false)
-            .with_phases(served_phase())
-            .with_engine_threads(4, 1)
-            .with_controller(unfitted);
-        let back = RunManifest::from_json(&quiet.to_header_line()).unwrap();
-        assert_eq!(back.engine_controller.unwrap().fitted_s, None);
+        let in_process = adaptive_in_process_run(sample_controller());
+        round_trips(&in_process);
+        let (_, ctl) = &in_process.sections[0];
+        assert_eq!(ctl.get("epochs_issued"), Some(&Json::Int(6)));
+        round_trips(
+            &wire_run(sample_wire()).with_section("engine_controller", sample_controller()),
+        );
+        // A never-fitted controller (window never filled) carries a
+        // null fitted_s.
+        let mut unfitted = set(sample_controller(), "fitted_s", Json::Null);
+        for key in ["refits", "retargets", "epochs_issued", "slices_moved"] {
+            unfitted = set(unfitted, key, 0u64);
+        }
+        round_trips(&adaptive_in_process_run(unfitted));
     }
 
     #[test]
@@ -985,27 +895,19 @@ mod tests {
         // A controller with no serving mode steered nothing.
         let orphan = RunManifest::capture("ccn", "serve-bench", 1, 2, false)
             .with_phases(served_phase())
-            .with_controller(sample_controller());
-        assert!(matches!(
-            RunManifest::from_json(&orphan.to_header_line()),
-            Err(ManifestError::Contradiction(_))
-        ));
-        let reject = |ctl: ControllerManifest| {
-            let m = RunManifest::capture("ccn", "serve-bench", 1, 2, false)
-                .with_phases(served_phase())
-                .with_engine_threads(4, 1)
-                .with_controller(ctl);
-            assert!(matches!(
-                RunManifest::from_json(&m.to_header_line()),
-                Err(ManifestError::Contradiction(_))
-            ));
-        };
-        // Zero budget could never have moved an epoch's worth.
-        reject(ControllerManifest { movement_budget: 0, ..sample_controller() });
-        // Moved slices imply issued epochs.
-        reject(ControllerManifest { epochs_issued: 0, ..sample_controller() });
-        // A fit implies at least one refit happened.
-        reject(ControllerManifest { refits: 0, ..sample_controller() });
+            .with_section("engine_controller", sample_controller());
+        assert!(matches!(rejection(&orphan), ManifestError::Contradiction(_)));
+        for (key, value) in [
+            // Zero budget could never have moved an epoch's worth.
+            ("movement_budget", 0u64),
+            // Moved slices imply issued epochs.
+            ("epochs_issued", 0),
+            // A fit implies at least one refit happened.
+            ("refits", 0),
+        ] {
+            let err = rejection(&adaptive_in_process_run(set(sample_controller(), key, value)));
+            assert!(matches!(err, ManifestError::Contradiction(_)), "{key}: {err}");
+        }
     }
 
     #[test]
@@ -1015,6 +917,50 @@ mod tests {
         fields.push(("engine_worker_treads".into(), Json::Int(8)));
         let err = RunManifest::from_value(&Json::Obj(fields)).unwrap_err();
         assert_eq!(err, ManifestError::UnknownEngineKey("engine_worker_treads".into()));
+    }
+
+    #[test]
+    fn validation_rejects_unnamed_keys_inside_sections() {
+        for (m, path) in [
+            (wire_run(set(sample_wire(), "listen_adrs", 1u64)), "engine_wire.listen_adrs"),
+            (
+                wire_run(set(sample_wire(), "pipeline", set(sample_pipeline(), "windw", 8u64))),
+                "engine_wire.pipeline.windw",
+            ),
+            (
+                adaptive_in_process_run(set(sample_controller(), "fitted_gamma", 2.0)),
+                "engine_controller.fitted_gamma",
+            ),
+        ] {
+            assert_eq!(rejection(&m), ManifestError::UnknownEngineKey(path.into()));
+        }
+    }
+
+    #[test]
+    fn validation_names_missing_and_mistyped_section_keys_by_path() {
+        for (m, path) in [
+            (wire_run(without(sample_wire(), "peer_rtt_us")), "engine_wire.peer_rtt_us"),
+            (
+                wire_run(set(sample_wire(), "peer_rtt_us", without(sample_rtt(), "min"))),
+                "engine_wire.peer_rtt_us.min",
+            ),
+            (
+                wire_run(set(sample_wire(), "peer_rtt_us", set(sample_rtt(), "min", "fast"))),
+                "engine_wire.peer_rtt_us.min",
+            ),
+            (wire_run(set(sample_wire(), "config_epoch", 1.5)), "engine_wire.config_epoch"),
+            (wire_run(set(sample_wire(), "listen_addrs", Json::Null)), "engine_wire.listen_addrs"),
+            (
+                wire_run(set(sample_wire(), "listen_addrs", vec![Json::Int(1)])),
+                "engine_wire.listen_addrs[]",
+            ),
+            (
+                adaptive_in_process_run(without(sample_controller(), "fitted_s")),
+                "engine_controller.fitted_s",
+            ),
+        ] {
+            assert_eq!(rejection(&m), ManifestError::MissingKey(path.into()));
+        }
     }
 
     #[test]
@@ -1036,17 +982,15 @@ mod tests {
         let err = RunManifest::from_value(&m.to_json()).unwrap_err();
         assert!(matches!(err, ManifestError::Contradiction(_)), "{err}");
         // Same rule for wire mode.
-        let m = RunManifest::capture("ccn", "wire", 1, 1, false).with_wire(sample_wire());
+        let m = RunManifest::capture("ccn", "wire", 1, 1, false)
+            .with_section("engine_wire", sample_wire());
         let err = RunManifest::from_value(&m.to_json()).unwrap_err();
         assert!(matches!(err, ManifestError::Contradiction(_)), "{err}");
     }
 
     #[test]
     fn validation_rejects_wire_masquerading_as_in_process() {
-        let m = RunManifest::capture("ccn", "wire", 1, 1, false)
-            .with_phases(served_phase())
-            .with_engine_threads(8, 2)
-            .with_wire(sample_wire());
+        let m = wire_run(sample_wire()).with_engine_threads(8, 2);
         let err = RunManifest::from_value(&m.to_json()).unwrap_err();
         assert!(
             matches!(&err, ManifestError::Contradiction(reason) if reason.contains("mutually")),
@@ -1056,33 +1000,17 @@ mod tests {
 
     #[test]
     fn validation_checks_wire_field_shapes() {
-        let base = RunManifest::capture("ccn", "wire", 1, 1, false).with_phases(served_phase());
-        // Empty address list.
-        let m = base.clone().with_wire(WireManifest {
-            listen_addrs: vec![],
-            config_epoch: 1,
-            peer_rtt_us: None,
-            pipeline: None,
-        });
-        assert!(matches!(
-            RunManifest::from_value(&m.to_json()).unwrap_err(),
-            ManifestError::Contradiction(_)
-        ));
-        // Epoch 0 never exists on a provisioned cluster.
-        let m = base.clone().with_wire(WireManifest { config_epoch: 0, ..sample_wire() });
-        assert!(matches!(
-            RunManifest::from_value(&m.to_json()).unwrap_err(),
-            ManifestError::Contradiction(_)
-        ));
-        // RTT min above max is a forged measurement.
-        let m = base.with_wire(WireManifest {
-            peer_rtt_us: Some(PeerRttUs { min: 900, mean: 95.0, max: 800 }),
-            ..sample_wire()
-        });
-        assert!(matches!(
-            RunManifest::from_value(&m.to_json()).unwrap_err(),
-            ManifestError::Contradiction(_)
-        ));
+        for wire in [
+            // Empty address list.
+            set(sample_wire(), "listen_addrs", Vec::<Json>::new()),
+            // Epoch 0 never exists on a provisioned cluster.
+            set(sample_wire(), "config_epoch", 0u64),
+            // RTT min above max is a forged measurement.
+            set(sample_wire(), "peer_rtt_us", set(sample_rtt(), "min", 900u64)),
+        ] {
+            let err = RunManifest::from_value(&wire_run(wire).to_json()).unwrap_err();
+            assert!(matches!(err, ManifestError::Contradiction(_)), "{err}");
+        }
     }
 
     #[test]

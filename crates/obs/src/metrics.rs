@@ -172,8 +172,8 @@ impl Histogram {
         self.sum
     }
 
-    /// Mean of recorded samples (NaN when empty, matching
-    /// `Stat::of`'s convention in the bench runner).
+    /// Mean of recorded samples (NaN when empty, which serializes as
+    /// `null`).
     #[must_use]
     pub fn mean(&self) -> f64 {
         if self.count == 0 {

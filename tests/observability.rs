@@ -1,8 +1,8 @@
 //! Cross-crate observability contract tests.
 //!
-//! Pins the run-manifest schema emitted by the bench/CLI layers and the
-//! statistical contract of the fixed-bucket latency histogram against
-//! the simulator's exact sorted-vector percentile.
+//! Pins the run-manifest schema emitted by the CLI's serving reports
+//! and the statistical contract of the fixed-bucket latency histogram
+//! against the simulator's exact sorted-vector percentile.
 
 use ccn_obs::{Histogram, Json, RunManifest, ToJson, Tracer, MANIFEST_SCHEMA};
 use proptest::prelude::*;
@@ -22,54 +22,55 @@ fn exact_percentile(samples: &[f64], q: f64) -> f64 {
 }
 
 #[test]
-fn bench_smoke_report_carries_a_valid_manifest_with_phase_timings() {
+fn serve_bench_smoke_report_carries_a_valid_manifest_with_phase_timings() {
     let dir = std::env::temp_dir().join("ccn-obs-integration");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("smoke_report.json");
+    let path = dir.join("serve_smoke_report.json");
     let tokens: Vec<String> = [
-        "bench",
+        "serve-bench",
+        "--nodes",
+        "2",
+        "--rate",
+        "0.5",
+        "--duration",
+        "200",
         "--smoke",
         "true",
-        "--seeds",
-        "1",
-        "--threads",
-        "1",
         "--out",
         path.to_str().unwrap(),
     ]
     .iter()
     .map(|s| (*s).to_owned())
     .collect();
-    ccn_cli::dispatch(&tokens).expect("ccn bench --smoke should succeed");
+    ccn_cli::dispatch(&tokens).expect("ccn serve-bench --smoke should succeed");
 
     let text = std::fs::read_to_string(&path).unwrap();
-    let doc = Json::parse(&text).expect("bench report is valid JSON");
+    let doc = Json::parse(&text).expect("serve-bench report is valid JSON");
     let embedded = doc.get("manifest").expect("report embeds a manifest");
     let manifest = RunManifest::from_value(embedded).expect("embedded manifest validates");
 
     assert_eq!(embedded.get("schema").unwrap().as_str(), Some(MANIFEST_SCHEMA));
-    assert_eq!(manifest.tool, "ccn-bench");
+    assert_eq!(manifest.tool, "ccn");
     assert!(manifest.smoke);
     assert!(manifest.effective_threads >= 1);
     assert!(manifest.effective_threads <= manifest.available_cores.max(1));
+    assert_eq!(manifest.engine_worker_threads, Some(2), "{embedded:?}");
 
-    // Every bench phase must be present, in order, with all timing keys.
+    // The serving phase is present with all timing keys.
     let got: Vec<&str> = manifest.phases.iter().map(|p| p.phase.as_str()).collect();
-    assert_eq!(got, ["stores", "thread_scaling", "sweep"], "{got:?}");
+    assert_eq!(got, ["serve"], "{got:?}");
     let phases_json = embedded.get("phases").unwrap().as_array().unwrap();
     for entry in phases_json {
         for key in ["phase", "wall_ms", "events", "events_per_sec"] {
             assert!(entry.get(key).is_some(), "phase entry missing {key:?}: {entry:?}");
         }
     }
-    for p in &manifest.phases {
-        assert!(p.wall_ms >= 0.0, "{}: negative wall_ms", p.phase);
-    }
-    // Event-bearing phases expose a derivable throughput.
-    let sweep = &manifest.phases[2];
-    assert!(sweep.events.is_some(), "sweep phase should count events");
-    if sweep.wall_ms > 0.0 {
-        assert!(sweep.events_per_sec().unwrap() > 0.0);
+    // The serving phase counts its offered requests as events.
+    let serve = &manifest.phases[0];
+    assert!(serve.wall_ms >= 0.0, "negative wall_ms");
+    assert!(serve.events.is_some_and(|events| events > 0), "serve phase should count events");
+    if serve.wall_ms > 0.0 {
+        assert!(serve.events_per_sec().unwrap() > 0.0);
     }
 }
 
