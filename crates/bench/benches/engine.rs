@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ccn_engine::{shard_of, ShardHandle, ShardedStore};
+use ccn_engine::{shard_of, ShardHandle, ShardSpec, ShardedStore};
 use ccn_sim::store::{ContentStore, LruStore};
 use ccn_sim::ContentId;
 use ccn_zipf::ZipfSampler;
@@ -110,12 +110,12 @@ fn churn_batched(handle: &ShardHandle<u64>, by_shard: &[Vec<u64>], batch: usize)
 
 fn spawn_churn(shards: usize, hits: &Arc<AtomicU64>) -> ShardedStore<u64> {
     let capacity_per_shard = CAPACITY.div_ceil(shards);
-    ShardedStore::spawn(
-        shards,
-        QUEUE,
+    ShardedStore::try_spawn_with(
+        ShardSpec::new(shards, QUEUE),
         move |_| Box::new(LruStore::new(capacity_per_shard)),
         churn_handler(hits),
     )
+    .expect("shard workers spawn")
 }
 
 fn queue_hop_benches(c: &mut Criterion) {

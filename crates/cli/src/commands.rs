@@ -8,8 +8,9 @@ use ccn_engine::net::{
     WireSpec,
 };
 use ccn_engine::{
-    controller_json, serve_bench, ClusterConfig, ControllerConfig, ControllerReport, DegradeConfig,
-    DriftSegment, FaultPlan, OpenLoopConfig, ServeBenchConfig, ShardPlacement, StorePolicy,
+    controller_json, fault_log_json, serve_bench, ClusterConfig, ControllerConfig,
+    ControllerReport, DegradeConfig, DriftSegment, FaultPlan, OpenLoopConfig, ServeBenchConfig,
+    ShardPlacement, StorePolicy,
 };
 use ccn_model::planner::{capacity_for_target_origin_load, plan, PlannerConfig};
 use ccn_model::{CacheModel, ModelParams};
@@ -483,15 +484,16 @@ fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
     let name = args.str_or("name", "SERVE");
     let mut clock = PhaseClock::new();
     let outcome = serve_bench(&config).map_err(|e| ArgError(e.to_string()))?;
-    clock.lap_events("serve", outcome.offered);
+    let (m, run, completed) = (&outcome.metrics, &outcome.report, outcome.completed());
+    clock.lap_events("serve", run.offered);
     if !config.faults.is_empty() {
         // Zero-length lap recording how many plan events fired, so
         // the manifest carries the fault dimension of the run.
-        clock.lap_events("faults", outcome.fault_log.len() as u64);
+        clock.lap_events("faults", m.fault_log.len() as u64);
     }
     let manifest =
-        RunManifest::capture("ccn", &name, config.load.seed, outcome.worker_threads, smoke)
-            .with_engine_threads(outcome.worker_threads, outcome.generators)
+        RunManifest::capture("ccn", &name, config.load.seed, outcome.worker_threads(), smoke)
+            .with_engine_threads(outcome.worker_threads(), run.generators)
             .with_phases(clock.finish());
     let out_path = write_serving_report(
         args,
@@ -506,39 +508,39 @@ fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
         "serve-bench {name}: {} nodes x {} shard(s), {} generator(s), batch {}, {} offered",
         config.cluster.nodes,
         config.cluster.shards_per_node,
-        outcome.generators,
+        run.generators,
         config.load.batch,
-        outcome.offered,
+        run.offered,
     );
     let _ = writeln!(
         out,
         "  completed {} ({:.0} req/s over {} ms), shed {}, degraded-to-origin {}",
-        outcome.completed,
-        outcome.requests_per_sec,
-        outcome.wall_ms,
-        outcome.shed,
-        outcome.degraded_to_origin
+        completed,
+        outcome.requests_per_sec(),
+        run.wall_ms,
+        run.shed,
+        m.degraded_to_origin
     );
     let _ = writeln!(
         out,
         "  placement: {} core(s) available, budget {}, pinned {} worker(s) + {} lane(s)",
         outcome.available_cores,
-        outcome.placement_cores,
-        outcome.pinned_workers,
-        outcome.pinned_generators,
+        config.cluster.placement.cores(),
+        m.pinned_workers,
+        run.pinned_generators,
     );
     let _ = writeln!(
         out,
         "  tiers: local {:.1}%, peer {:.1}%, origin {:.1}%  (max queue depth {})",
-        outcome.fraction(ccn_sim::ServedBy::Local) * 100.0,
-        outcome.fraction(ccn_sim::ServedBy::Peer) * 100.0,
-        outcome.fraction(ccn_sim::ServedBy::Origin) * 100.0,
-        outcome.max_queue_depth
+        m.fraction(ccn_sim::ServedBy::Local) * 100.0,
+        m.fraction(ccn_sim::ServedBy::Peer) * 100.0,
+        m.fraction(ccn_sim::ServedBy::Origin) * 100.0,
+        m.max_queue_depth
     );
     let _ = writeln!(
         out,
         "  accounting: completed + shed == offered ({} + {} == {})",
-        outcome.completed, outcome.shed, outcome.offered
+        completed, run.shed, run.offered
     );
     if let Some(ctl) = &outcome.controller {
         controller_summary(&mut out, ctl);
@@ -547,20 +549,16 @@ fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
         let _ = writeln!(
             out,
             "  faults: {} applied, routing epoch {}, fault-served {}, shed-node-down {}",
-            outcome.fault_log.len(),
-            outcome.routing_epoch,
-            outcome.fault_served,
-            outcome.shed_node_down
+            m.fault_log.len(),
+            m.routing_epoch,
+            m.fault_served,
+            m.shed_node_down
         );
         let _ = writeln!(
             out,
             "  degradation: retried {}, failed-over {}, deadline-expired {}, \
              health down/up {}/{}",
-            outcome.retried,
-            outcome.failed_over,
-            outcome.deadline_expired,
-            outcome.health_marked_down,
-            outcome.health_revived
+            m.retried, m.failed_over, m.deadline_expired, m.health_marked_down, m.health_revived
         );
     }
     let _ = writeln!(out, "report written to {out_path}");
@@ -868,7 +866,7 @@ fn wire_outcome_json(outcome: &WireOutcome) -> Json {
         .field("listen_addrs", strings(&outcome.listen_addrs))
         .field("per_node", ledgers(&outcome.per_node))
         .field("node_stats", Json::Arr(stats.collect()))
-        .field("fault_log", strings(&outcome.fault_log))
+        .field("fault_log", fault_log_json(&outcome.fault_log))
         .field("tail_per_node", outcome.tail_per_node.as_deref().map_or(Json::Null, ledgers))
         .field("adaptive", outcome.controller.is_some())
         .field("controller", outcome.controller.as_ref().map_or_else(Json::object, controller_json))
@@ -1024,7 +1022,8 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
         );
     }
     if !outcome.fault_log.is_empty() {
-        let _ = writeln!(out, "  faults applied: {}", outcome.fault_log.join(", "));
+        let applied: Vec<String> = outcome.fault_log.iter().map(ToString::to_string).collect();
+        let _ = writeln!(out, "  faults applied: {}", applied.join(", "));
     }
     if let Some((min, mean, max)) = rtt {
         let _ = writeln!(out, "  peer RTT: min {min} us, mean {mean:.1} us, max {max} us");

@@ -268,12 +268,9 @@ impl Shared {
 
     /// Advances the fault clock past `op`: applies due plan events and
     /// runs the health detector's probation pass. Called on every
-    /// admission; both branches are a single relaxed load when
-    /// nothing is pending.
+    /// admission; both are a single load when nothing is pending.
     fn tick(&self, op: u64) {
-        if self.controller.due(op) {
-            self.controller.apply_due(op, &self.faults, &self.routing, self.anchor);
-        }
+        self.controller.advance(op, |kind| self.faults.apply(kind, &self.routing, self.anchor));
         self.faults.probation(op, &self.degrade, &self.routing);
     }
 

@@ -26,10 +26,11 @@
 //!   consecutive-timeout health detector that feeds the epoch-bumped
 //!   [`crate::routing::LiveRouting`] view.
 //! - **Runtime state** ([`FaultState`], [`FaultController`],
-//!   crate-private): the atomics the hot path consults, the
-//!   apply-due-events poll, and the applied-fault log
-//!   ([`AppliedFault`]) surfaced through
-//!   [`crate::cluster::EngineMetrics`].
+//!   crate-private): the atomics the hot path consults, the one
+//!   fault replay both serving tiers advance at admission, and the
+//!   applied-fault log ([`AppliedFault`]) surfaced through
+//!   [`crate::cluster::EngineMetrics`] and
+//!   [`crate::net::WireOutcome`].
 //!
 //! # Interaction with thread-per-core placement
 //!
@@ -524,14 +525,17 @@ impl FailureStreak {
     }
 }
 
-/// One fault the controller actually applied, for the run log.
+/// One fault the controller actually applied, for the run log. Both
+/// serving tiers log this record; events the stream never reaches are
+/// not logged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppliedFault {
-    /// Operation count at which it fired.
+    /// The event's trigger operation count ([`FaultEvent::at_op`]).
     pub at_op: u64,
     /// The transition.
     pub kind: FaultKind,
-    /// Routing epoch after application.
+    /// Epoch after application: the routing epoch in process, the
+    /// config epoch on the wire (a kill leaves it, a revival bumps it).
     pub epoch: u64,
 }
 
@@ -743,11 +747,14 @@ impl FaultState {
     }
 }
 
-/// Applies due [`FaultPlan`] events as the operation counter crosses
-/// their triggers, and logs what it applied.
+/// The one fault replay both serving tiers run: applies due
+/// [`FaultPlan`] events as the cluster-wide offered count crosses their
+/// triggers, through a tier-specific action, and logs what it applied.
 pub(crate) struct FaultController {
     events: Vec<FaultEvent>,
-    /// Index of the next unapplied event (guarded by `cursor`).
+    /// Index of the next unapplied event. Held across each
+    /// application, so a caller that crossed a trigger waits here
+    /// until the event has landed.
     cursor: Mutex<usize>,
     /// Trigger of the next unapplied event (`u64::MAX` when drained):
     /// the only thing the hot path reads.
@@ -766,32 +773,28 @@ impl FaultController {
         }
     }
 
-    /// Cheap hot-path check: is anything due at `op`?
-    pub(crate) fn due(&self, op: u64) -> bool {
-        op >= self.next_at.load(Ordering::Acquire)
+    /// Moves the fault clock to `op`: every event with `at_op <= op`
+    /// is applied once, in plan order, through `apply` (which returns
+    /// the epoch after the transition) and logged. One load when
+    /// nothing is due. When it returns, every event `op` crossed has
+    /// been applied — by this caller or a racing one.
+    #[inline]
+    pub(crate) fn advance(&self, op: u64, apply: impl FnMut(FaultKind) -> u64) {
+        if op >= self.next_at.load(Ordering::Acquire) {
+            self.apply_through(op, apply);
+        }
     }
 
-    /// Applies every event with `at_op <= op`. Racing callers
-    /// serialize on the cursor; latecomers find nothing left to do.
-    pub(crate) fn apply_due(
-        &self,
-        op: u64,
-        state: &FaultState,
-        routing: &LiveRouting,
-        anchor: Instant,
-    ) {
+    #[cold]
+    fn apply_through(&self, op: u64, mut apply: impl FnMut(FaultKind) -> u64) {
         let mut cursor = lock_recover(&self.cursor);
-        while let Some(event) = self.events.get(*cursor) {
-            if event.at_op > op {
+        while let Some(&FaultEvent { at_op, kind }) = self.events.get(*cursor) {
+            if at_op > op {
                 break;
             }
             *cursor += 1;
-            let epoch = state.apply(event.kind, routing, anchor);
-            lock_recover(&self.log).push(AppliedFault {
-                at_op: event.at_op,
-                kind: event.kind,
-                epoch,
-            });
+            let epoch = apply(kind);
+            lock_recover(&self.log).push(AppliedFault { at_op, kind, epoch });
         }
         let next = self.events.get(*cursor).map_or(u64::MAX, |e| e.at_op);
         self.next_at.store(next, Ordering::Release);
@@ -905,24 +908,79 @@ mod tests {
             FaultPlan::none().with_node_outage(1, 10, Some(20)).with_worker_outage(2, 1, 15, None);
         let controller = FaultController::new(plan);
         let anchor = Instant::now();
-        assert!(!controller.due(9));
-        assert!(controller.due(10));
-        controller.apply_due(10, &state, &routing, anchor);
+        let mut applied = Vec::new();
+        let mut advance = |op: u64| {
+            controller.advance(op, |kind| {
+                applied.push(kind);
+                state.apply(kind, &routing, anchor) + 100
+            });
+        };
+        advance(9);
+        assert!(!state.node_killed(1), "nothing due before the trigger");
+        advance(10);
         assert!(state.node_killed(1));
         assert!(!state.serving_down(2, 1));
         assert!(!routing.is_live(1));
-        controller.apply_due(16, &state, &routing, anchor);
+        advance(16);
         assert!(state.serving_down(2, 1), "worker kill applied");
         assert!(state.serving_down(1, 0), "killed node is dark on every shard");
-        controller.apply_due(25, &state, &routing, anchor);
+        advance(16);
+        advance(25);
         assert!(!state.node_killed(1), "revived");
         assert!(routing.is_live(1));
-        assert!(!controller.due(u64::MAX - 1), "plan drained");
+        let plan_order = [
+            FaultKind::KillNode(1),
+            FaultKind::KillWorker { node: 2, shard: 1 },
+            FaultKind::ReviveNode(1),
+        ];
+        assert_eq!(applied, plan_order, "each event applied once, in plan order");
         let log = controller.log();
-        assert_eq!(log.len(), 3);
-        assert_eq!(log[0].kind, FaultKind::KillNode(1));
-        assert_eq!(log[2].kind, FaultKind::ReviveNode(1));
+        let logged: Vec<(u64, FaultKind, u64)> =
+            log.iter().map(|f| (f.at_op, f.kind, f.epoch)).collect();
+        // The log keeps each trigger and the epoch `apply` returned.
+        assert_eq!(
+            logged,
+            [(10, plan_order[0], 102), (15, plan_order[1], 102), (20, plan_order[2], 103)]
+        );
         assert!(log[0].to_string().contains("kill:1@10"));
+
+        // An event past the last op is neither applied nor logged.
+        let late = FaultController::new(FaultPlan::none().with_node_outage(0, 5, Some(1_000)));
+        let mut calls = 0;
+        for op in [1, 5, 999] {
+            late.advance(op, |_| {
+                calls += 1;
+                1
+            });
+        }
+        assert_eq!(calls, 1);
+        assert_eq!(late.log().len(), 1, "the revival past the stream is not logged");
+    }
+
+    #[test]
+    fn racing_tickers_wait_for_the_fault_they_cross() {
+        use std::sync::Barrier;
+        const THREADS: usize = 8;
+        let controller = FaultController::new(FaultPlan::none().with_node_outage(0, 50, None));
+        let applied = AtomicUsize::new(0);
+        let landed = AtomicBool::new(false);
+        let start = Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS as u64 {
+                let (controller, applied, landed, start) = (&controller, &applied, &landed, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    controller.advance(50 + t, |_| {
+                        applied.fetch_add(1, Ordering::Relaxed);
+                        landed.store(true, Ordering::Relaxed);
+                        1
+                    });
+                    assert!(landed.load(Ordering::Relaxed), "ticker {t} passed an unapplied fault");
+                });
+            }
+        });
+        assert_eq!(applied.load(Ordering::Relaxed), 1, "apply runs exactly once");
+        assert_eq!(controller.log().len(), 1);
     }
 
     #[test]

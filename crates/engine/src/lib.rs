@@ -76,7 +76,7 @@
 //! config.cluster.capacity = 20;
 //! config.load.horizon_ms = 50.0;
 //! let outcome = serve_bench(&config).unwrap();
-//! assert_eq!(outcome.offered, outcome.completed + outcome.shed);
+//! assert_eq!(outcome.report.offered, outcome.completed() + outcome.report.shed);
 //! ```
 
 #![deny(missing_docs)]
@@ -110,6 +110,8 @@ pub use fault::{AppliedFault, DegradeConfig, FaultEvent, FaultKind, FaultPlan};
 pub use load::{DriftSegment, LoadReport, OpenLoopConfig};
 pub use net::{wire_bench, NodeLaunch, NodeServer, WireOutcome, WirePipelineStats, WireSpec};
 pub use pad::CachePadded;
-pub use report::{controller_json, serve_bench, ServeBenchConfig, ServeBenchOutcome};
+pub use report::{
+    controller_json, fault_log_json, serve_bench, ServeBenchConfig, ServeBenchOutcome,
+};
 pub use routing::{LiveRouting, RoutingTable};
 pub use shard::{shard_of, IdleStrategy, RingMode, ShardHandle, ShardSpec, ShardedStore};

@@ -1,6 +1,7 @@
 //! The coordinator / load driver: spawns and provisions the nodes,
 //! drives per-node Zipf streams over the wire, replays the kill/revive
-//! schedule, and folds the ledgers into a [`WireOutcome`].
+//! schedule through the fault clock both tiers share, and folds the
+//! ledgers into a [`WireOutcome`].
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead as _};
@@ -23,7 +24,9 @@ use crate::affinity::ShardPlacement;
 use crate::cluster::{hybrid_split, StorePolicy};
 use crate::control::{AdaptiveRunner, ControllerConfig, ControllerReport, LayoutStep, RankTap};
 use crate::error::EngineError;
-use crate::fault::{DegradeConfig, FaultEvent, FaultKind, FaultPlan};
+use crate::fault::{
+    AppliedFault, DegradeConfig, FaultController, FaultEvent, FaultKind, FaultPlan,
+};
 use crate::load::pace_until;
 use crate::shard::lock_recover;
 
@@ -84,10 +87,13 @@ pub struct WireSpec {
     pub placement: ShardPlacement,
     /// Degradation-ladder knobs passed through to node processes.
     pub degrade: DegradeConfig,
-    /// Scheduled faults, keyed on the cluster-wide offered count:
-    /// `KillNode` SIGKILLs a node process, `ReviveNode` respawns it and
-    /// re-provisions the cluster under a bumped config epoch. Requires
-    /// [`NodeLaunch::Exe`].
+    /// Scheduled faults, replayed on the in-process cluster's fault
+    /// clock: each driver advances the cluster-wide offered count once
+    /// per batch, and the batch that crosses a trigger is offered to
+    /// the post-fault cluster. `KillNode` SIGKILLs a node process,
+    /// `ReviveNode` respawns it and re-provisions the cluster under a
+    /// bumped config epoch; a failed revival ends the run with its
+    /// error. Requires [`NodeLaunch::Exe`].
     pub faults: FaultPlan,
     /// How node serving loops are brought up.
     pub launch: NodeLaunch,
@@ -341,8 +347,11 @@ pub struct WireOutcome {
     /// Final node-side counter snapshots (None for a node that was
     /// dead at collection time).
     pub node_stats: Vec<Option<NodeStatsSnapshot>>,
-    /// Applied faults, `"kill:1@2000"` style.
-    pub fault_log: Vec<String>,
+    /// Every fault applied during the run, in application order — the
+    /// record serve-bench logs, with the config epoch after each.
+    /// Events past the end of the stream are neither applied nor
+    /// logged.
+    pub fault_log: Vec<AppliedFault>,
     /// Wall-clock duration of the driven phase, milliseconds.
     pub wall_ms: f64,
     /// Decision log and counters of the driver-side adaptive
@@ -410,9 +419,9 @@ impl WireOutcome {
 enum RunningNode {
     Proc {
         child: Child,
-        // Keeps the stdout pipe open so the child's final summary
-        // print cannot fail with a broken pipe.
-        _stdout: Option<io::BufReader<std::process::ChildStdout>>,
+        // Held open so the child's final summary print cannot fail
+        // with a broken pipe; its EOF is the child's exit.
+        stdout: io::BufReader<std::process::ChildStdout>,
     },
     Thread {
         server: Arc<NodeServer>,
@@ -422,15 +431,18 @@ enum RunningNode {
 
 struct NodeSlot {
     addr: String,
+    /// Bumped by each revival, so a driver knows its connection is to
+    /// an earlier incarnation.
     generation: u64,
-    alive: bool,
+    /// The serving process or thread; `None` while the node is dead.
+    node: Option<RunningNode>,
 }
 
 /// The coordinator's single epoch authority, shared between the
-/// adaptive controller and the fault supervisor. Both issue config
-/// epochs; every bump-and-push happens under this lock, so epoch
-/// order equals layout order and a node applying the highest epoch it
-/// saw holds the newest layout.
+/// adaptive controller's steps and the fault action's revivals. Both
+/// issue config epochs; every bump-and-push happens under this lock,
+/// so epoch order equals layout order and a node applying the highest
+/// epoch it saw holds the newest layout.
 struct WireCtl {
     epoch: u64,
     /// The cumulative layout as of `epoch` — for an in-flight
@@ -484,43 +496,31 @@ impl WireCtl {
     }
 }
 
-/// Pushes the authority's current layout to every node whose slot is
-/// alive. A push to a node that died under the supervisor's feet
-/// simply fails — the revival path re-pushes the then-current layout —
-/// and a node already at this epoch just acks it.
-fn push_current(spec: &WireSpec, ctl: &WireCtl, slots: &[Mutex<NodeSlot>]) {
-    let snapshot: Vec<(String, bool)> = slots
-        .iter()
-        .map(|slot| {
-            let slot = lock_recover(slot);
-            (slot.addr.clone(), slot.alive)
+/// Pushes the authority's current layout to every live node, and to a
+/// `revived` node (id, address) whose slot is not live yet; returns the
+/// first push error, after trying every node. A node already at this
+/// epoch just acks it.
+fn push_current(
+    spec: &WireSpec,
+    ctl: &WireCtl,
+    slots: &[Mutex<NodeSlot>],
+    revived: Option<(usize, &str)>,
+) -> Result<(), EngineError> {
+    let snapshot: Vec<(String, bool)> = (0..slots.len())
+        .map(|id| match revived {
+            Some((n, addr)) if n == id => (addr.to_owned(), true),
+            _ => {
+                let slot = lock_recover(&slots[id]);
+                (slot.addr.clone(), slot.node.is_some())
+            }
         })
         .collect();
     let push = ctl.provision(spec, snapshot.iter().map(|(addr, _)| addr.clone()).collect());
-    for (addr, alive) in &snapshot {
-        if *alive {
-            let _ = push_epoch_to(addr, &push);
-        }
-    }
-}
-
-/// Installs one controller chain step cluster-wide: bumps the epoch,
-/// records the new cumulative layout, and pushes it. The [`WireCtl`]
-/// lock is held across the pushes to serialize with revival
-/// provisioning.
-fn push_wire_step(
-    spec: &WireSpec,
-    ctl: &Mutex<WireCtl>,
-    slots: &[Mutex<NodeSlot>],
-    step: &LayoutStep,
-) {
-    let mut ctl = lock_recover(ctl);
-    ctl.epoch += 1;
-    ctl.assignments = step.assignments.clone();
-    if let Some(s) = step.fitted_s {
-        ctl.fitted_s = s;
-    }
-    push_current(spec, &ctl, slots);
+    snapshot
+        .iter()
+        .filter(|(_, live)| *live)
+        .map(|(addr, _)| push_epoch_to(addr, &push))
+        .fold(Ok(()), Result::and)
 }
 
 /// Driver-side node id carried in the `Hello` handshake — nodes key
@@ -621,7 +621,7 @@ fn spawn_proc_node(
         Err(_) => Err(format!("did not report READY within {READY_TIMEOUT:?}")),
     };
     match ready {
-        Ok((addr, reader)) => Ok((RunningNode::Proc { child, _stdout: Some(reader) }, addr)),
+        Ok((addr, stdout)) => Ok((RunningNode::Proc { child, stdout }, addr)),
         Err(why) => {
             let _ = child.kill();
             let _ = child.wait();
@@ -637,34 +637,22 @@ fn spawn_node(spec: &WireSpec, id: usize) -> Result<(RunningNode, String), Engin
     }
 }
 
-/// Hard bring-up abort: every node already up is stopped at once.
-fn teardown_nodes(running: Vec<Option<RunningNode>>) {
-    for node in running.into_iter().flatten() {
-        stop_node(node, Duration::ZERO);
-    }
-}
-
 /// Stops one node and returns a thread node's final counters. A child
-/// process gets `grace` to exit by itself (it was sent `Shutdown`)
-/// and is then killed — dropping a `Child` does *not* kill it, and
-/// skipping this would orphan `ccn node` processes that serve forever.
+/// process gets `grace` to exit by itself (it was sent `Shutdown`),
+/// seen as EOF on its stdout, and is then killed — dropping a `Child`
+/// does *not* kill it, and skipping this would orphan `ccn node`
+/// processes that serve forever.
 fn stop_node(running: RunningNode, grace: Duration) -> Option<NodeStatsSnapshot> {
     match running {
-        RunningNode::Proc { mut child, _stdout } => {
-            let deadline = Instant::now() + grace;
-            loop {
-                match child.try_wait() {
-                    Ok(Some(_)) => return None,
-                    Ok(None) if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    _ => {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        return None;
-                    }
-                }
-            }
+        RunningNode::Proc { mut child, mut stdout } => {
+            let (tx, rx) = mpsc::channel();
+            let drain = std::thread::spawn(move || tx.send(io::copy(&mut stdout, &mut io::sink())));
+            let _ = rx.recv_timeout(grace);
+            let _ = child.kill();
+            let _ = child.wait();
+            // The pipe's only writer is gone, so the drain has ended.
+            let _ = drain.join();
+            None
         }
         RunningNode::Thread { server, join } => {
             server.request_shutdown();
@@ -734,32 +722,95 @@ fn drain_to(
     }
 }
 
-/// What the fault supervisor and the node drivers share: the
-/// cluster-wide offered count the schedule is keyed on, and the
-/// op-count barrier that holds the drivers at each fault point.
-struct FaultGate {
-    total_offered: AtomicU64,
-    /// `at_op` of the next fault the supervisor has not applied yet
-    /// (`u64::MAX` once the schedule is exhausted). A driver offers no
-    /// further batch while `total_offered` has reached it, so a fault
-    /// lands within one batch per driver of its `at_op` however fast
-    /// the drivers run, and everything after a revival is offered to
-    /// the revived cluster.
-    next_at: AtomicU64,
+/// The running cluster as the node drivers, the controller and the
+/// fault action share it.
+struct WireCluster<'a> {
+    spec: &'a WireSpec,
+    slots: Vec<Mutex<NodeSlot>>,
+    ctl: Mutex<WireCtl>,
+    cells: Vec<LedgerCells>,
+    /// Cluster-wide offered count: the fault clock.
+    offered: AtomicU64,
+    faults: FaultController,
+    /// Ledgers when the last revived node went live: the base of the
+    /// post-revival tail window.
+    tail_base: Mutex<Option<Vec<WireLedger>>>,
+    /// The first failed revival, returned once every node is stopped.
+    error: Mutex<Option<EngineError>>,
 }
 
-#[allow(clippy::too_many_arguments)]
+impl WireCluster<'_> {
+    /// The wire's fault action, run by the driver whose batch crossed
+    /// the trigger while every other crossing driver waits: SIGKILL a
+    /// node process, or respawn and re-provision it. Returns the config
+    /// epoch after.
+    fn apply(&self, kind: FaultKind) -> u64 {
+        match kind {
+            FaultKind::KillNode(n) => {
+                // SIGKILL: no drain, no goodbye.
+                if let Some(node) = lock_recover(&self.slots[n]).node.take() {
+                    stop_node(node, Duration::ZERO);
+                }
+            }
+            FaultKind::ReviveNode(n) => {
+                if let Err(e) = self.revive(n) {
+                    // The node stays dead and its traffic is shed.
+                    lock_recover(&self.error).get_or_insert(e);
+                }
+            }
+            other => unreachable!("WireSpec::validate admits no {other} fault"),
+        }
+        lock_recover(&self.ctl).epoch
+    }
+
+    /// Respawns node `n` and re-provisions everyone under the
+    /// coordinator's *current* cumulative layout — the controller may
+    /// have issued chain epochs since the kill, and the revived node
+    /// must not come back onto a stale slice plan. Its slot goes live
+    /// only after every push landed, so the tail window starts after
+    /// them.
+    fn revive(&self, n: usize) -> Result<(), EngineError> {
+        let (node, addr) = spawn_node(self.spec, n)?;
+        let mut ctl = lock_recover(&self.ctl);
+        ctl.epoch += 1;
+        if let Err(e) = push_current(self.spec, &ctl, &self.slots, Some((n, &addr))) {
+            stop_node(node, Duration::ZERO);
+            return Err(e);
+        }
+        *lock_recover(&self.tail_base) =
+            Some(self.cells.iter().map(LedgerCells::snapshot).collect());
+        let mut slot = lock_recover(&self.slots[n]);
+        slot.addr = addr;
+        slot.generation += 1;
+        slot.node = Some(node);
+        Ok(())
+    }
+
+    /// Installs one controller chain step cluster-wide: bumps the
+    /// epoch, records the new cumulative layout, and pushes it. Never
+    /// fails: a push to a node killed after the slot snapshot fails
+    /// harmlessly, as its revival re-pushes the then-current layout.
+    fn install(&self, step: &LayoutStep) -> Result<(), EngineError> {
+        let mut ctl = lock_recover(&self.ctl);
+        ctl.epoch += 1;
+        ctl.assignments = step.assignments.clone();
+        if let Some(s) = step.fitted_s {
+            ctl.fitted_s = s;
+        }
+        let _ = push_current(self.spec, &ctl, &self.slots, None);
+        Ok(())
+    }
+}
+
 fn drive_node(
-    spec: &WireSpec,
+    cluster: &WireCluster<'_>,
     id: usize,
     requests: &[(f64, u64)],
-    slot: &Mutex<NodeSlot>,
-    cells: &LedgerCells,
-    gate: &FaultGate,
     tap: Option<&RankTap>,
     meter: &Arc<WireMeter>,
     start: Instant,
 ) {
+    let (spec, slot, cells) = (cluster.spec, &cluster.slots[id], &cluster.cells[id]);
     let timeout = frame_reply_timeout(spec.nodes, &spec.degrade);
     // Invariant: `pending` non-empty ⇒ `conn` is Some — shed_conn is
     // the only path that drops the connection and it clears the queue.
@@ -775,12 +826,12 @@ fn drive_node(
         if spec.paced {
             pace_until(start, batch[0].0);
         }
-        while gate.total_offered.load(Ordering::Relaxed) >= gate.next_at.load(Ordering::Acquire) {
-            std::thread::sleep(Duration::from_micros(200));
-        }
         let n = batch.len() as u64;
         cells.offered.fetch_add(n, Ordering::Relaxed);
-        gate.total_offered.fetch_add(n, Ordering::Relaxed);
+        // One fault-clock tick per batch, as in process: a batch that
+        // crosses a trigger is offered to the post-fault cluster.
+        let op = cluster.offered.fetch_add(n, Ordering::Relaxed) + n;
+        cluster.faults.advance(op, |kind| cluster.apply(kind));
         // Each node's driver thread is the single writer of its tap
         // lane, so the lock-free sampling contract holds on the wire
         // exactly as in-process. Ranks are recorded at offer time —
@@ -794,7 +845,7 @@ fn drive_node(
         drain_to(&mut conn, &mut pending, cells, spec.window - 1);
         let (addr, generation, alive) = {
             let s = lock_recover(slot);
-            (s.addr.clone(), s.generation, s.alive)
+            (s.addr.clone(), s.generation, s.node.is_some())
         };
         if !alive {
             shed_conn(&mut conn, &mut pending, cells);
@@ -847,7 +898,7 @@ fn drive_node(
 ///
 /// [`EngineError::InvalidConfig`] / [`EngineError::FaultSpec`] for a
 /// bad spec, [`EngineError::Workload`] for a bad stream,
-/// [`EngineError::Net`] if bring-up fails, and
+/// [`EngineError::Net`] if bring-up or a revival fails, and
 /// [`EngineError::Accounting`] if the conservation invariant breaks.
 pub fn wire_bench(spec: &WireSpec) -> Result<WireOutcome, EngineError> {
     spec.validate()?;
@@ -870,150 +921,58 @@ pub fn wire_bench(spec: &WireSpec) -> Result<WireOutcome, EngineError> {
         per_node_requests[request.router].push((request.time, request.content.0));
     }
 
-    // Bring-up: spawn every node, tearing down the ones already up if
-    // any spawn fails.
-    let mut running: Vec<Option<RunningNode>> = Vec::with_capacity(spec.nodes);
-    let mut addrs: Vec<String> = Vec::with_capacity(spec.nodes);
-    for id in 0..spec.nodes {
-        match spawn_node(spec, id) {
-            Ok((node, addr)) => {
-                running.push(Some(node));
-                addrs.push(addr);
-            }
-            Err(e) => {
-                teardown_nodes(running);
-                return Err(e);
-            }
+    // Bring-up: spawn every node and provision it at epoch 1. A failure
+    // stops every node already up at once, or they would be orphaned.
+    let (mut slots, ctl) = (Vec::with_capacity(spec.nodes), WireCtl::initial(spec));
+    let up = (0..spec.nodes)
+        .try_for_each(|id| {
+            let (node, addr) = spawn_node(spec, id)?;
+            slots.push(NodeSlot { addr, generation: 0, node: Some(node) });
+            Ok(())
+        })
+        .and_then(|()| {
+            let initial = ctl.provision(spec, slots.iter().map(|slot| slot.addr.clone()).collect());
+            slots.iter().try_for_each(|slot| push_epoch_to(&slot.addr, &initial))
+        });
+    if let Err(e) = up {
+        for node in slots.into_iter().filter_map(|slot| slot.node) {
+            stop_node(node, Duration::ZERO);
         }
+        return Err(e);
     }
 
-    let ctl = WireCtl::initial(spec);
-    let initial = ctl.provision(spec, addrs.clone());
-    for addr in &addrs {
-        // A provisioning failure must tear down exactly like a spawn
-        // failure, or already-spawned node processes are orphaned.
-        if let Err(e) = push_epoch_to(addr, &initial) {
-            teardown_nodes(running);
-            return Err(e);
-        }
-    }
-    let ctl = Mutex::new(ctl);
-
-    let slots: Vec<Mutex<NodeSlot>> = addrs
-        .iter()
-        .map(|addr| Mutex::new(NodeSlot { addr: addr.clone(), generation: 0, alive: true }))
-        .collect();
-    let cells: Vec<LedgerCells> = (0..spec.nodes).map(|_| LedgerCells::default()).collect();
+    let cluster = WireCluster {
+        spec,
+        slots: slots.into_iter().map(Mutex::new).collect(),
+        ctl: Mutex::new(ctl),
+        cells: (0..spec.nodes).map(|_| LedgerCells::default()).collect(),
+        offered: AtomicU64::new(0),
+        faults: FaultController::new(spec.faults.clone()),
+        tail_base: Mutex::new(None),
+        error: Mutex::new(None),
+    };
     let drive_meter = Arc::new(WireMeter::default());
-    let faults = spec.faults.events();
-    let next_fault_at = |applied: usize| faults.get(applied).map_or(u64::MAX, |f| f.at_op);
-    let gate =
-        FaultGate { total_offered: AtomicU64::new(0), next_at: AtomicU64::new(next_fault_at(0)) };
     let drivers_done = AtomicUsize::new(0);
-    let mut fault_log: Vec<String> = Vec::new();
-    let mut tail_base: Option<Vec<WireLedger>> = None;
     let start = Instant::now();
 
     let controller = std::thread::scope(|scope| {
         for (id, requests) in per_node_requests.iter().enumerate() {
-            let slot = &slots[id];
-            let node_cells = &cells[id];
-            let gate = &gate;
-            let done = &drivers_done;
-            let node_tap = tap.as_deref();
-            let meter = &drive_meter;
+            let (cluster, done, meter, node_tap) =
+                (&cluster, &drivers_done, &drive_meter, tap.as_deref());
             scope.spawn(move || {
-                drive_node(spec, id, requests, slot, node_cells, gate, node_tap, meter, start);
+                drive_node(cluster, id, requests, node_tap, meter, start);
                 done.fetch_add(1, Ordering::Release);
             });
         }
-
         // The adaptive controller ticks while the drivers run, then
         // drains its chain so the cluster lands on the final layout
         // before stats collection.
-        let adaptive = runner.map(|runner| {
-            let (ctl, slots, done) = (&ctl, &slots[..], &drivers_done);
-            scope.spawn(move || {
-                runner.run(
-                    || done.load(Ordering::Acquire) == spec.nodes,
-                    |step| {
-                        push_wire_step(spec, ctl, slots, step);
-                        Ok(())
-                    },
-                )
-            })
-        });
-
-        // Supervisor (inline): replay the fault schedule against the
-        // cluster-wide offered count. The drivers hold at each fault
-        // point until it is applied (see `FaultGate`); a fault the
-        // stream ends short of is logged unreached.
-        let total_offered = &gate.total_offered;
-        for (applied, fault) in faults.iter().enumerate() {
-            while total_offered.load(Ordering::Relaxed) < fault.at_op
-                && drivers_done.load(Ordering::Acquire) < spec.nodes
-            {
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            let fired_at = total_offered.load(Ordering::Relaxed);
-            if fired_at < fault.at_op {
-                fault_log.push(format!("{}@unreached", fault.kind));
-                continue;
-            }
-            match fault.kind {
-                FaultKind::KillNode(n) => {
-                    lock_recover(&slots[n]).alive = false;
-                    if let Some(node) = running[n].take() {
-                        // SIGKILL: no drain, no goodbye.
-                        stop_node(node, Duration::ZERO);
-                    }
-                    fault_log.push(format!("kill:{n}@{fired_at}"));
-                }
-                FaultKind::ReviveNode(n) => match spawn_node(spec, n) {
-                    Ok((node, addr)) => {
-                        running[n] = Some(node);
-                        addrs[n] = addr;
-                        // Re-provision everyone under the coordinator's
-                        // *current* cumulative layout — the controller
-                        // may have issued chain epochs since the kill,
-                        // and the revived node must not be resurrected
-                        // onto a stale slice plan. The ctl lock is held
-                        // across the pushes to serialize with
-                        // concurrent controller epochs.
-                        {
-                            let mut ctl_guard = lock_recover(&ctl);
-                            ctl_guard.epoch += 1;
-                            let push = ctl_guard.provision(spec, addrs.clone());
-                            for (m, addr) in addrs.iter().enumerate() {
-                                let reachable = m == n || lock_recover(&slots[m]).alive;
-                                if reachable {
-                                    if let Err(e) = push_epoch_to(addr, &push) {
-                                        fault_log
-                                            .push(format!("epoch-push-failed:{m}@{fired_at}: {e}"));
-                                    }
-                                }
-                            }
-                        }
-                        // The re-convergence window starts once the
-                        // revived node is provisioned and addressable.
-                        tail_base = Some(cells.iter().map(LedgerCells::snapshot).collect());
-                        {
-                            let mut slot = lock_recover(&slots[n]);
-                            slot.addr = addrs[n].clone();
-                            slot.generation += 1;
-                            slot.alive = true;
-                        }
-                        fault_log.push(format!("revive:{n}@{fired_at}"));
-                    }
-                    Err(e) => {
-                        fault_log.push(format!("revive-failed:{n}@{fired_at}: {e}"));
-                    }
-                },
-                other => unreachable!("WireSpec::validate admits no {other} fault"),
-            }
-            gate.next_at.store(next_fault_at(applied + 1), Ordering::Release);
-        }
-        adaptive.map(|ticker| ticker.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+        runner.map(|runner| {
+            runner.run(
+                || drivers_done.load(Ordering::Acquire) == spec.nodes,
+                |step| cluster.install(step),
+            )
+        })
     });
     #[allow(clippy::cast_precision_loss)]
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -1022,18 +981,19 @@ pub fn wire_bench(spec: &WireSpec) -> Result<WireOutcome, EngineError> {
     // so a node that missed an epoch (a push racing its kill window, a
     // transient socket failure) catches up before stats collection.
     if spec.adapt.is_some() {
-        push_current(spec, &lock_recover(&ctl), &slots);
+        let _ = push_current(spec, &lock_recover(&cluster.ctl), &cluster.slots, None);
     }
 
     // Collect final node-side stats from survivors, then shut every
     // node down in an orderly way.
     let mut node_stats: Vec<Option<NodeStatsSnapshot>> = vec![None; spec.nodes];
     let mut alive_epochs: Vec<(usize, u64)> = Vec::new();
-    for (id, addr) in addrs.iter().enumerate() {
-        if !lock_recover(&slots[id]).alive {
+    for (id, slot) in cluster.slots.iter().enumerate() {
+        let slot = lock_recover(slot);
+        if slot.node.is_none() {
             continue;
         }
-        if let Ok(mut conn) = connect_driver(addr, Duration::from_secs(2), None) {
+        if let Ok(mut conn) = connect_driver(&slot.addr, Duration::from_secs(2), None) {
             if conn.send_request(&Request::Stats).is_ok() {
                 if let Ok(Response::StatsReply(snapshot)) = conn.recv_response() {
                     alive_epochs.push((id, snapshot.epoch));
@@ -1044,17 +1004,20 @@ pub fn wire_bench(spec: &WireSpec) -> Result<WireOutcome, EngineError> {
             let _ = conn.recv_response();
         }
     }
-    for (id, node) in running.into_iter().enumerate() {
-        if let Some(node) = node {
-            if let Some(snapshot) = stop_node(node, Duration::from_secs(3)) {
-                node_stats[id].get_or_insert(snapshot);
-            }
+    for (id, slot) in cluster.slots.iter().enumerate() {
+        let node = lock_recover(slot).node.take();
+        if let Some(snapshot) = node.and_then(|node| stop_node(node, Duration::from_secs(3))) {
+            node_stats[id].get_or_insert(snapshot);
         }
     }
-    // A planner error ends the run, once every node is stopped.
+    // A failed revival or a planner error ends the run, once every
+    // node is stopped.
+    if let Some(e) = lock_recover(&cluster.error).take() {
+        return Err(e);
+    }
     let controller = controller.transpose()?;
 
-    let epoch = lock_recover(&ctl).epoch;
+    let epoch = lock_recover(&cluster.ctl).epoch;
     if controller.is_some() {
         if let Some(&(id, got)) = alive_epochs.iter().find(|&&(_, e)| e != epoch) {
             return Err(proto_err(format!(
@@ -1064,17 +1027,18 @@ pub fn wire_bench(spec: &WireSpec) -> Result<WireOutcome, EngineError> {
         }
     }
 
-    let per_node: Vec<WireLedger> = cells.iter().map(LedgerCells::snapshot).collect();
-    let tail_per_node = tail_base
+    let per_node: Vec<WireLedger> = cluster.cells.iter().map(LedgerCells::snapshot).collect();
+    let tail_per_node = lock_recover(&cluster.tail_base)
+        .take()
         .map(|base| per_node.iter().zip(&base).map(|(now, then)| now.since(then)).collect());
     let outcome = WireOutcome {
         nodes: spec.nodes,
         epoch,
-        listen_addrs: addrs,
+        listen_addrs: cluster.slots.iter().map(|slot| lock_recover(slot).addr.clone()).collect(),
         per_node,
         tail_per_node,
         node_stats,
-        fault_log,
+        fault_log: cluster.faults.log(),
         wall_ms,
         controller,
         pipeline: WirePipelineStats {

@@ -3,12 +3,10 @@
 //! observability-wired outcome.
 
 use ccn_obs::{Json, Registry, ToJson};
-use ccn_sim::{ServedBy, TierCounts};
-
-use ccn_obs::Histogram;
+use ccn_sim::ServedBy;
 
 use crate::affinity::available_cores;
-use crate::cluster::{Cluster, ClusterConfig, StorePolicy};
+use crate::cluster::{Cluster, ClusterConfig, EngineMetrics, StorePolicy};
 use crate::control::{ClusterController, ControllerConfig, ControllerReport};
 use crate::error::EngineError;
 use crate::fault::{AppliedFault, FaultPlan};
@@ -33,91 +31,54 @@ pub struct ServeBenchConfig {
     pub adapt: Option<ControllerConfig>,
 }
 
-/// Results of one serve-bench run.
+/// Results of one serve-bench run: the cluster's and the load
+/// driver's own reports, plus the run's configuration echoes.
 #[derive(Debug, Clone)]
 pub struct ServeBenchOutcome {
     /// Cluster configuration echo (provisioning mode, ℓ, shards…).
     pub cluster: ClusterConfig,
     /// Load configuration echo (α, rate, pacing…).
     pub load: OpenLoopConfig,
-    /// Shard worker threads serving requests (`nodes × shards`).
-    pub worker_threads: usize,
-    /// Generator threads used.
-    pub generators: usize,
     /// Cores this process may run on (affinity-mask popcount).
     pub available_cores: usize,
-    /// Placement core budget the run was configured with.
-    pub placement_cores: usize,
-    /// Whether placement pinning was requested.
-    pub placement_pin: bool,
-    /// Shard workers that successfully pinned to their placement core.
-    pub pinned_workers: usize,
-    /// Generator threads that successfully pinned.
-    pub pinned_generators: usize,
-    /// Requests issued by the generators.
-    pub offered: u64,
-    /// Requests rejected at admission.
-    pub shed: u64,
-    /// Requests completed by some tier (`offered − shed`).
-    pub completed: u64,
-    /// Completions that fell to origin because a peer queue was full.
-    pub degraded_to_origin: u64,
-    /// Cluster-wide completions per tier.
-    pub tiers: TierCounts,
-    /// Wall-clock duration of the run in milliseconds.
-    pub wall_ms: u64,
-    /// Completed requests per wall-clock second.
-    pub requests_per_sec: f64,
-    /// Throughput normalized by the placement core budget — the
-    /// number a multi-core scaling sweep gates on.
-    pub requests_per_sec_per_core: f64,
-    /// High-water mark of any single shard queue.
-    pub max_queue_depth: usize,
-    /// Service latency per tier, indexed by [`ServedBy::index`].
-    pub tier_latency: Vec<Histogram>,
-    /// Forward re-enqueue attempts after peer-queue bounces.
-    pub retried: u64,
-    /// Forwards routed to a rendezvous survivor instead of the
-    /// assigned primary.
-    pub failed_over: u64,
-    /// Forwards answered by origin because the deadline passed first.
-    pub deadline_expired: u64,
-    /// Jobs completed at origin by a dead node or dead shard worker.
-    pub fault_served: u64,
-    /// Requests shed at admission because their node was killed.
-    pub shed_node_down: u64,
-    /// Nodes the health detector marked down during the run.
-    pub health_marked_down: u64,
-    /// Health-marked-down nodes revived by probation.
-    pub health_revived: u64,
-    /// Final routing epoch (1 = liveness never changed).
-    pub routing_epoch: u64,
-    /// Final config epoch (1 = the layout never changed; adaptive
-    /// runs bump it once per issued incremental epoch).
-    pub config_epoch: u64,
-    /// Every fault applied during the run, in application order.
-    pub fault_log: Vec<AppliedFault>,
+    /// What the cluster served: tiers, latency, degradation, faults.
+    pub metrics: EngineMetrics,
+    /// What the generators offered and shed, and for how long.
+    pub report: LoadReport,
     /// The adaptive controller's full observability snapshot (`None`
     /// on static runs).
     pub controller: Option<ControllerReport>,
 }
 
 impl ServeBenchOutcome {
-    /// Fraction of completions served by `tier` (0 when nothing
-    /// completed).
+    /// Shard worker threads serving requests (`nodes × shards`).
     #[must_use]
-    pub fn fraction(&self, tier: ServedBy) -> f64 {
-        if self.completed == 0 {
-            return 0.0;
-        }
-        let count = match tier {
-            ServedBy::Local => self.tiers.local,
-            ServedBy::Peer => self.tiers.peer,
-            ServedBy::Origin => self.tiers.origin,
-        };
+    pub fn worker_threads(&self) -> usize {
+        self.cluster.nodes * self.cluster.shards_per_node
+    }
+
+    /// Requests completed by some tier (`offered − shed`).
+    #[must_use]
+    pub fn completed(&self) -> u64 {
+        self.metrics.completed()
+    }
+
+    /// Completed requests per wall-clock second.
+    #[must_use]
+    pub fn requests_per_sec(&self) -> f64 {
         #[allow(clippy::cast_precision_loss)]
         {
-            count as f64 / self.completed as f64
+            self.completed() as f64 / (self.report.wall_ms as f64 / 1e3)
+        }
+    }
+
+    /// Throughput normalized by the placement core budget — the
+    /// number a multi-core scaling sweep gates on.
+    #[must_use]
+    pub fn requests_per_sec_per_core(&self) -> f64 {
+        #[allow(clippy::cast_precision_loss)]
+        {
+            self.requests_per_sec() / self.cluster.placement.cores() as f64
         }
     }
 
@@ -126,35 +87,36 @@ impl ServeBenchOutcome {
     /// would export.
     #[must_use]
     pub fn registry(&self) -> Registry {
+        let (m, tiers) = (&self.metrics, self.metrics.totals());
         let mut registry = Registry::new();
-        registry.counter("engine.requests.offered").add(self.offered);
-        registry.counter("engine.requests.shed").add(self.shed);
-        registry.counter("engine.requests.completed").add(self.completed);
-        registry.counter("engine.requests.degraded_to_origin").add(self.degraded_to_origin);
+        registry.counter("engine.requests.offered").add(self.report.offered);
+        registry.counter("engine.requests.shed").add(self.report.shed);
+        registry.counter("engine.requests.completed").add(tiers.total());
+        registry.counter("engine.requests.degraded_to_origin").add(m.degraded_to_origin);
         for tier in ServedBy::ALL {
             let count = match tier {
-                ServedBy::Local => self.tiers.local,
-                ServedBy::Peer => self.tiers.peer,
-                ServedBy::Origin => self.tiers.origin,
+                ServedBy::Local => tiers.local,
+                ServedBy::Peer => tiers.peer,
+                ServedBy::Origin => tiers.origin,
             };
             registry.counter(&format!("engine.served.{}", tier.name())).add(count);
             // Assign rather than merge: the registry's default bucket
             // grid differs from the engine's finer sub-ms grid.
             *registry.histogram(&format!("engine.latency_ms.{}", tier.name())) =
-                self.tier_latency[tier.index()].clone();
+                m.tier_latency[tier.index()].clone();
         }
-        registry.counter("engine.faults.retried").add(self.retried);
-        registry.counter("engine.faults.failed_over").add(self.failed_over);
-        registry.counter("engine.faults.deadline_expired").add(self.deadline_expired);
-        registry.counter("engine.faults.fault_served").add(self.fault_served);
-        registry.counter("engine.faults.shed_node_down").add(self.shed_node_down);
-        registry.counter("engine.faults.health_marked_down").add(self.health_marked_down);
-        registry.counter("engine.faults.health_revived").add(self.health_revived);
-        registry.counter("engine.faults.applied").add(self.fault_log.len() as u64);
+        registry.counter("engine.faults.retried").add(m.retried);
+        registry.counter("engine.faults.failed_over").add(m.failed_over);
+        registry.counter("engine.faults.deadline_expired").add(m.deadline_expired);
+        registry.counter("engine.faults.fault_served").add(m.fault_served);
+        registry.counter("engine.faults.shed_node_down").add(m.shed_node_down);
+        registry.counter("engine.faults.health_marked_down").add(m.health_marked_down);
+        registry.counter("engine.faults.health_revived").add(m.health_revived);
+        registry.counter("engine.faults.applied").add(m.fault_log.len() as u64);
         #[allow(clippy::cast_precision_loss)]
-        registry.gauge("engine.routing.epoch").set(self.routing_epoch as f64);
+        registry.gauge("engine.routing.epoch").set(m.routing_epoch as f64);
         #[allow(clippy::cast_precision_loss)]
-        registry.gauge("engine.config.epoch").set(self.config_epoch as f64);
+        registry.gauge("engine.config.epoch").set(m.config_epoch as f64);
         if let Some(ctl) = &self.controller {
             registry.counter("engine.controller.refits").add(ctl.refits);
             registry.counter("engine.controller.holds").add(ctl.holds);
@@ -167,15 +129,15 @@ impl ServeBenchOutcome {
             registry.gauge("engine.controller.window_weight").set(ctl.window_weight);
         }
         #[allow(clippy::cast_precision_loss)]
-        registry.gauge("engine.queue.max_depth").set(self.max_queue_depth as f64);
-        registry.gauge("engine.throughput.req_per_sec").set(self.requests_per_sec);
+        registry.gauge("engine.queue.max_depth").set(m.max_queue_depth as f64);
+        registry.gauge("engine.throughput.req_per_sec").set(self.requests_per_sec());
         registry
             .gauge("engine.throughput.req_per_sec_per_core")
-            .set(self.requests_per_sec_per_core);
+            .set(self.requests_per_sec_per_core());
         #[allow(clippy::cast_precision_loss)]
         registry
             .gauge("engine.placement.pinned_threads")
-            .set((self.pinned_workers + self.pinned_generators) as f64);
+            .set((m.pinned_workers + self.report.pinned_generators) as f64);
         registry
     }
 }
@@ -187,22 +149,23 @@ impl ToJson for ServeBenchOutcome {
             StorePolicy::Lru => "lru",
         };
         let provisioning = if self.cluster.x() == 0 { "non-coordinated" } else { "coordinated" };
+        let (m, r, tiers) = (&self.metrics, &self.report, self.metrics.totals());
         let mut latency = Json::object();
         for tier in ServedBy::ALL {
-            latency = latency.field(tier.name(), self.tier_latency[tier.index()].to_json());
+            latency = latency.field(tier.name(), m.tier_latency[tier.index()].to_json());
         }
         Json::object()
             .field("provisioning", provisioning)
             .field("policy", mode)
             .field("nodes", self.cluster.nodes as u64)
             .field("shards_per_node", self.cluster.shards_per_node as u64)
-            .field("worker_threads", self.worker_threads as u64)
-            .field("generators", self.generators as u64)
+            .field("worker_threads", self.worker_threads() as u64)
+            .field("generators", r.generators as u64)
             .field("available_cores", self.available_cores as u64)
-            .field("placement_cores", self.placement_cores as u64)
-            .field("placement_pin", self.placement_pin)
-            .field("pinned_workers", self.pinned_workers as u64)
-            .field("pinned_generators", self.pinned_generators as u64)
+            .field("placement_cores", self.cluster.placement.cores() as u64)
+            .field("placement_pin", self.cluster.placement.pin())
+            .field("pinned_workers", m.pinned_workers as u64)
+            .field("pinned_generators", r.pinned_generators as u64)
             .field("queue_capacity", self.cluster.queue_capacity as u64)
             .field("batch", self.load.batch as u64)
             .field("catalogue", self.cluster.catalogue)
@@ -213,36 +176,31 @@ impl ToJson for ServeBenchOutcome {
             .field("horizon_ms", self.load.horizon_ms)
             .field("paced", self.load.paced)
             .field("seed", self.load.seed)
-            .field("offered", self.offered)
-            .field("completed", self.completed)
-            .field("shed", self.shed)
-            .field("degraded_to_origin", self.degraded_to_origin)
-            .field("served_local", self.tiers.local)
-            .field("served_peer", self.tiers.peer)
-            .field("served_origin", self.tiers.origin)
-            .field("local_fraction", self.fraction(ServedBy::Local))
-            .field("peer_fraction", self.fraction(ServedBy::Peer))
-            .field("origin_fraction", self.fraction(ServedBy::Origin))
-            .field("wall_ms", self.wall_ms)
-            .field("requests_per_sec", self.requests_per_sec)
-            .field("requests_per_sec_per_core", self.requests_per_sec_per_core)
-            .field("max_queue_depth", self.max_queue_depth as u64)
-            .field("retried", self.retried)
-            .field("failed_over", self.failed_over)
-            .field("deadline_expired", self.deadline_expired)
-            .field("fault_served", self.fault_served)
-            .field("shed_node_down", self.shed_node_down)
-            .field("health_marked_down", self.health_marked_down)
-            .field("health_revived", self.health_revived)
-            .field("routing_epoch", self.routing_epoch)
-            .field("config_epoch", self.config_epoch)
-            .field("faults_applied", self.fault_log.len() as u64)
-            .field(
-                "fault_log",
-                Json::from(
-                    self.fault_log.iter().map(|f| Json::from(f.to_string())).collect::<Vec<_>>(),
-                ),
-            )
+            .field("offered", r.offered)
+            .field("completed", tiers.total())
+            .field("shed", r.shed)
+            .field("degraded_to_origin", m.degraded_to_origin)
+            .field("served_local", tiers.local)
+            .field("served_peer", tiers.peer)
+            .field("served_origin", tiers.origin)
+            .field("local_fraction", m.fraction(ServedBy::Local))
+            .field("peer_fraction", m.fraction(ServedBy::Peer))
+            .field("origin_fraction", m.fraction(ServedBy::Origin))
+            .field("wall_ms", r.wall_ms)
+            .field("requests_per_sec", self.requests_per_sec())
+            .field("requests_per_sec_per_core", self.requests_per_sec_per_core())
+            .field("max_queue_depth", m.max_queue_depth as u64)
+            .field("retried", m.retried)
+            .field("failed_over", m.failed_over)
+            .field("deadline_expired", m.deadline_expired)
+            .field("fault_served", m.fault_served)
+            .field("shed_node_down", m.shed_node_down)
+            .field("health_marked_down", m.health_marked_down)
+            .field("health_revived", m.health_revived)
+            .field("routing_epoch", m.routing_epoch)
+            .field("config_epoch", m.config_epoch)
+            .field("faults_applied", m.fault_log.len() as u64)
+            .field("fault_log", fault_log_json(&m.fault_log))
             .field("latency_ms", latency)
             .field("adaptive", self.controller.is_some())
             .field(
@@ -251,6 +209,12 @@ impl ToJson for ServeBenchOutcome {
             )
             .field("metrics", self.registry().to_json())
     }
+}
+
+/// An applied-fault log as JSON, one `kind@OP (epoch E)` string per
+/// fault. Shared by the in-process and wire reports.
+pub fn fault_log_json(log: &[AppliedFault]) -> Json {
+    Json::from(log.iter().map(|f| Json::from(f.to_string())).collect::<Vec<_>>())
 }
 
 /// The controller's observability snapshot as JSON — the shape the
@@ -300,41 +264,13 @@ pub fn serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchOutcome, Engin
     if completed + load.shed != load.offered {
         return Err(EngineError::Accounting { offered: load.offered, completed, shed: load.shed });
     }
-    #[allow(clippy::cast_precision_loss)]
-    let requests_per_sec = completed as f64 / (load.wall_ms as f64 / 1e3);
-    #[allow(clippy::cast_precision_loss)]
-    let requests_per_sec_per_core = requests_per_sec / config.cluster.placement.cores() as f64;
     Ok(ServeBenchOutcome {
-        worker_threads: config.cluster.nodes * config.cluster.shards_per_node,
-        generators: load.generators,
-        available_cores: available_cores(),
-        placement_cores: config.cluster.placement.cores(),
-        placement_pin: config.cluster.placement.pin(),
-        pinned_workers: metrics.pinned_workers,
-        pinned_generators: load.pinned_generators,
-        offered: load.offered,
-        shed: load.shed,
-        completed,
-        degraded_to_origin: metrics.degraded_to_origin,
-        tiers: metrics.totals(),
-        wall_ms: load.wall_ms,
-        requests_per_sec,
-        requests_per_sec_per_core,
-        max_queue_depth: metrics.max_queue_depth,
-        tier_latency: metrics.tier_latency,
-        retried: metrics.retried,
-        failed_over: metrics.failed_over,
-        deadline_expired: metrics.deadline_expired,
-        fault_served: metrics.fault_served,
-        shed_node_down: metrics.shed_node_down,
-        health_marked_down: metrics.health_marked_down,
-        health_revived: metrics.health_revived,
-        routing_epoch: metrics.routing_epoch,
-        config_epoch: metrics.config_epoch,
-        fault_log: metrics.fault_log,
-        controller,
         cluster: config.cluster.clone(),
         load: config.load.clone(),
+        available_cores: available_cores(),
+        metrics,
+        report: load,
+        controller,
     })
 }
 
@@ -384,15 +320,15 @@ mod tests {
     #[test]
     fn outcome_accounts_and_serializes() {
         let outcome = serve_bench(&smoke_config()).unwrap();
-        assert_eq!(outcome.offered, outcome.completed + outcome.shed);
-        assert!(outcome.requests_per_sec > 0.0);
+        assert_eq!(outcome.report.offered, outcome.completed() + outcome.report.shed);
+        assert!(outcome.requests_per_sec() > 0.0);
         let json = outcome.to_json();
-        assert_eq!(json.get("offered").and_then(Json::as_u64), Some(outcome.offered));
+        assert_eq!(json.get("offered").and_then(Json::as_u64), Some(outcome.report.offered));
         assert_eq!(json.get("provisioning").and_then(Json::as_str), Some("coordinated"));
         assert_eq!(json.get("batch").and_then(Json::as_u64), Some(1));
         let fractions: f64 = [ServedBy::Local, ServedBy::Peer, ServedBy::Origin]
             .iter()
-            .map(|&t| outcome.fraction(t))
+            .map(|&t| outcome.metrics.fraction(t))
             .sum();
         assert!((fractions - 1.0).abs() < 1e-9);
     }
@@ -402,7 +338,7 @@ mod tests {
         let mut config = smoke_config();
         config.load.batch = 64;
         let outcome = serve_bench(&config).unwrap();
-        assert_eq!(outcome.offered, outcome.completed + outcome.shed);
+        assert_eq!(outcome.report.offered, outcome.completed() + outcome.report.shed);
         let json = outcome.to_json();
         assert_eq!(json.get("batch").and_then(Json::as_u64), Some(64));
     }
@@ -414,9 +350,8 @@ mod tests {
         config.cluster.placement = ShardPlacement::new(0, true);
         let outcome = serve_bench(&config).unwrap();
         assert!(outcome.available_cores >= 1);
-        assert_eq!(outcome.placement_cores, outcome.cluster.placement.cores());
-        assert!(outcome.placement_pin);
-        assert!(outcome.requests_per_sec_per_core > 0.0);
+        assert!(outcome.cluster.placement.pin());
+        assert!(outcome.requests_per_sec_per_core() > 0.0);
         let json = outcome.to_json();
         assert_eq!(
             json.get("available_cores").and_then(Json::as_u64),
@@ -424,7 +359,7 @@ mod tests {
         );
         assert_eq!(
             json.get("pinned_workers").and_then(Json::as_u64),
-            Some(outcome.pinned_workers as u64)
+            Some(outcome.metrics.pinned_workers as u64)
         );
         let rendered = outcome.registry().to_json().to_string_compact();
         assert!(rendered.contains("engine.throughput.req_per_sec_per_core"));
@@ -455,11 +390,11 @@ mod tests {
             ..ControllerConfig::default()
         });
         let outcome = serve_bench(&config).unwrap();
-        assert_eq!(outcome.offered, outcome.completed + outcome.shed);
+        assert_eq!(outcome.report.offered, outcome.completed() + outcome.report.shed);
         let ctl = outcome.controller.as_ref().expect("adaptive run must report its controller");
         assert_eq!(ctl.pending_steps, 0, "the chain is drained before reporting");
         assert_eq!(
-            outcome.config_epoch,
+            outcome.metrics.config_epoch,
             1 + ctl.epochs_issued,
             "every issued epoch must be visible as a config-epoch bump"
         );
@@ -477,7 +412,7 @@ mod tests {
     fn static_runs_report_no_controller() {
         let outcome = serve_bench(&smoke_config()).unwrap();
         assert!(outcome.controller.is_none());
-        assert_eq!(outcome.config_epoch, 1);
+        assert_eq!(outcome.metrics.config_epoch, 1);
         let json = outcome.to_json();
         assert_eq!(json.get("adaptive").and_then(Json::as_bool), Some(false));
     }
@@ -488,16 +423,14 @@ mod tests {
         // Kill node 1 early, revive it mid-run.
         config.faults = FaultPlan::none().with_node_outage(1, 20, Some(120));
         let outcome = serve_bench(&config).unwrap();
-        assert_eq!(outcome.offered, outcome.completed + outcome.shed, "conservation under faults");
-        assert_eq!(outcome.fault_log.len(), 2, "kill and revive both applied");
-        assert!(outcome.routing_epoch >= 3, "two liveness flips bump the epoch twice");
-        assert!(
-            outcome.shed >= outcome.shed_node_down,
-            "node-down sheds are a subset of all sheds"
-        );
+        let (m, r) = (&outcome.metrics, &outcome.report);
+        assert_eq!(r.offered, outcome.completed() + r.shed, "conservation under faults");
+        assert_eq!(m.fault_log.len(), 2, "kill and revive both applied");
+        assert!(m.routing_epoch >= 3, "two liveness flips bump the epoch twice");
+        assert!(r.shed >= m.shed_node_down, "node-down sheds are a subset of all sheds");
         let json = outcome.to_json();
         assert_eq!(json.get("faults_applied").and_then(Json::as_u64), Some(2));
-        assert_eq!(json.get("routing_epoch").and_then(Json::as_u64), Some(outcome.routing_epoch));
+        assert_eq!(json.get("routing_epoch").and_then(Json::as_u64), Some(m.routing_epoch));
         // The rendered fault log parses back as a spec string.
         let rendered = json.to_string_compact();
         assert!(rendered.contains("kill:1@20"), "{rendered}");

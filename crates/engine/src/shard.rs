@@ -761,61 +761,15 @@ pub struct ShardedStore<J: Send + 'static> {
 }
 
 impl<J: Send + 'static> ShardedStore<J> {
-    /// Spawns `shards` worker threads, each owning the store built by
-    /// `store_factory(shard)` and processing jobs via `handler`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the OS refuses to spawn a thread (see
-    /// [`ShardedStore::try_spawn`] for the fallible form) or on a
-    /// zero shard count / queue capacity.
-    pub fn spawn<F, H>(
-        shards: usize,
-        queue_capacity: usize,
-        store_factory: F,
-        handler: Arc<H>,
-    ) -> Self
-    where
-        F: FnMut(usize) -> Box<dyn ContentStore>,
-        H: Fn(&mut dyn ContentStore, J) + Send + Sync + 'static,
-    {
-        match Self::try_spawn(shards, queue_capacity, store_factory, handler) {
-            Ok(store) => store,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`ShardedStore::spawn`]: a refused thread
-    /// spawn (or zero shards / queue capacity) surfaces as a typed
-    /// [`EngineError`] instead of aborting the process. Workers
-    /// already spawned before the failure are drained and joined, so
-    /// a partial bring-up leaks nothing.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::InvalidConfig`] for zero `shards` or
-    /// `queue_capacity`; [`EngineError::Spawn`] when the OS refuses a
-    /// worker thread.
-    pub fn try_spawn<F, H>(
-        shards: usize,
-        queue_capacity: usize,
-        store_factory: F,
-        handler: Arc<H>,
-    ) -> Result<Self, EngineError>
-    where
-        F: FnMut(usize) -> Box<dyn ContentStore>,
-        H: Fn(&mut dyn ContentStore, J) + Send + Sync + 'static,
-    {
-        Self::try_spawn_with(ShardSpec::new(shards, queue_capacity), store_factory, handler)
-    }
-
-    /// Full-form constructor: everything [`ShardedStore::try_spawn`]
-    /// accepts plus the per-shard core pinning of a [`ShardSpec`].
-    /// Workers pin themselves first
-    /// thing on their own thread (affinity is inherited by children
-    /// on Linux, so the spawner must not pin on the workers' behalf);
-    /// a refused pin is counted, not fatal — see
-    /// [`ShardHandle::pinned_workers`].
+    /// Spawns `spec.shards` worker threads, each owning the store
+    /// built by `store_factory(shard)` and processing jobs via
+    /// `handler`. Workers pin themselves to their `spec.pin_cores`
+    /// entry first thing on their own thread (affinity is inherited by
+    /// children on Linux, so the spawner must not pin on the workers'
+    /// behalf); a refused pin is counted, not fatal — see
+    /// [`ShardHandle::pinned_workers`]. A refused thread spawn unwinds
+    /// the partial bring-up: workers already spawned are drained and
+    /// joined, so nothing leaks.
     ///
     /// # Errors
     ///
@@ -1164,7 +1118,21 @@ mod tests {
     }
 
     fn spawn_lru(shards: usize, queue: usize, capacity: usize) -> ShardedStore<()> {
-        ShardedStore::spawn(shards, queue, move |_| Box::new(LruStore::new(capacity)), noop())
+        spawn_lru_with(shards, queue, capacity, noop())
+    }
+
+    fn spawn_lru_with<J: Send + 'static, H>(
+        shards: usize,
+        queue: usize,
+        capacity: usize,
+        handler: Arc<H>,
+    ) -> ShardedStore<J>
+    where
+        H: Fn(&mut dyn ContentStore, J) + Send + Sync + 'static,
+    {
+        let spec = ShardSpec::new(shards, queue);
+        ShardedStore::try_spawn_with(spec, move |_| Box::new(LruStore::new(capacity)), handler)
+            .unwrap()
     }
 
     /// One worker with zero spins and zero yields: it parks after
@@ -1264,7 +1232,7 @@ mod tests {
             }
             let _ = v;
         });
-        let mut sharded = ShardedStore::spawn(1, 2, |_| Box::new(LruStore::new(4)), handler);
+        let mut sharded = spawn_lru_with(1, 2, 4, handler);
         let handle = sharded.handle();
         // One job may be in the handler plus two queued: the fourth
         // (or at latest fifth) submission must bounce.
@@ -1292,7 +1260,7 @@ mod tests {
             }
             let _ = v;
         });
-        let mut sharded = ShardedStore::spawn(1, 8, |_| Box::new(LruStore::new(4)), handler);
+        let mut sharded = spawn_lru_with(1, 8, 4, handler);
         let handle = sharded.handle();
         let mut jobs: Vec<u64> = (0..32).collect();
         let accepted = handle.try_submit_batch(0, &mut jobs);
@@ -1321,8 +1289,7 @@ mod tests {
             }
         });
         let run = |batch: usize| {
-            let mut sharded: ShardedStore<u64> =
-                ShardedStore::spawn(1, 64, |_| Box::new(LruStore::new(16)), Arc::clone(&churn));
+            let mut sharded: ShardedStore<u64> = spawn_lru_with(1, 64, 16, Arc::clone(&churn));
             let handle = sharded.handle();
             let mut pending = Vec::with_capacity(batch);
             for &rank in &stream {
@@ -1347,11 +1314,17 @@ mod tests {
 
     #[test]
     fn try_spawn_rejects_degenerate_shapes_with_typed_errors() {
-        let r: Result<ShardedStore<()>, _> =
-            ShardedStore::try_spawn(0, 64, |_| Box::new(LruStore::new(4)), noop());
+        let r: Result<ShardedStore<()>, _> = ShardedStore::try_spawn_with(
+            ShardSpec::new(0, 64),
+            |_| Box::new(LruStore::new(4)),
+            noop(),
+        );
         assert!(matches!(r, Err(EngineError::InvalidConfig { .. })));
-        let r: Result<ShardedStore<()>, _> =
-            ShardedStore::try_spawn(1, 0, |_| Box::new(LruStore::new(4)), noop());
+        let r: Result<ShardedStore<()>, _> = ShardedStore::try_spawn_with(
+            ShardSpec::new(1, 0),
+            |_| Box::new(LruStore::new(4)),
+            noop(),
+        );
         assert!(matches!(r, Err(EngineError::InvalidConfig { .. })));
     }
 
@@ -1580,7 +1553,7 @@ mod tests {
             sum.fetch_add(allocations(), Ordering::Relaxed);
             count.fetch_add(1, Ordering::Release);
         });
-        let mut sharded = ShardedStore::spawn(shards, 64, |_| Box::new(LruStore::new(16)), handler);
+        let mut sharded = spawn_lru_with(shards, 64, 16, handler);
         let handle = sharded.handle();
         let one_per_shard: Vec<ContentId> = (0..shards)
             .map(|s| (1..).map(ContentId).find(|&c| shard_of(c, shards) == s).unwrap())
@@ -1641,7 +1614,7 @@ mod tests {
                 std::thread::yield_now();
             }
         });
-        let mut sharded = ShardedStore::spawn(1, 1_024, |_| Box::new(LruStore::new(4)), handler);
+        let mut sharded = spawn_lru_with(1, 1_024, 4, handler);
         let handle = sharded.handle();
         std::thread::scope(|scope| {
             for p in 0..PRODUCERS {

@@ -601,3 +601,43 @@ fn sigkill_mid_rollout_revives_onto_the_controllers_current_layout() {
         );
     }
 }
+
+/// The wire tier replays its plan on the in-process cluster's fault
+/// clock, so it logs what serve-bench logs: the kill is recorded at its
+/// trigger with the config epoch after it (a kill leaves epoch 1), and
+/// a revival past the end of the stream is neither applied nor logged.
+/// The victim alone sheds and stays dead, conservation is exact, and
+/// every node's offered count is the offline replay's.
+#[test]
+fn sigkill_is_logged_at_its_trigger_and_a_revival_past_the_stream_is_not() {
+    use ccn_engine::net::wire_bench;
+    use ccn_engine::{AppliedFault, FaultKind};
+
+    const SEED: u64 = 23;
+    const HORIZON_MS: f64 = 1_000.0;
+    const VICTIM: usize = 1;
+    const KILL_AT: u64 = 1_200;
+
+    let mut spec = wire_spec(SEED, HORIZON_MS);
+    spec.faults = FaultPlan::none().with_node_outage(VICTIM, KILL_AT, Some(1_000_000));
+    let outcome = wire_bench(&spec).expect("faulted wire run");
+
+    let kill = AppliedFault { at_op: KILL_AT, kind: FaultKind::KillNode(VICTIM), epoch: 1 };
+    assert_eq!(outcome.fault_log, [kill], "fault log: {:?}", outcome.fault_log);
+    assert_eq!(outcome.epoch, 1, "no revival ran, so no epoch was issued");
+    assert!(outcome.tail_per_node.is_none(), "no revival, no tail window");
+    assert!(outcome.node_stats[VICTIM].is_none(), "the victim stays dead");
+
+    outcome.check_conservation().expect("conservation");
+    assert!(outcome.per_node[VICTIM].shed > 0, "SIGKILL shed nothing");
+    let mut expected = [0u64; NODES];
+    for request in &replay(SEED, HORIZON_MS) {
+        expected[request.router] += 1;
+    }
+    for (node, ledger) in outcome.per_node.iter().enumerate() {
+        assert_eq!(ledger.offered, expected[node], "node {node} diverges from the zipf_irm replay");
+        if node != VICTIM {
+            assert_eq!(ledger.shed, 0, "survivor {node} shed requests");
+        }
+    }
+}

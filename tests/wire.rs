@@ -105,12 +105,12 @@ fn engine_fractions() -> (u64, f64, f64, f64) {
         adapt: None,
     };
     let outcome = serve_bench(&config).expect("in-process engine run");
-    assert_eq!(outcome.shed, 0, "deep queues must not shed");
+    assert_eq!(outcome.report.shed, 0, "deep queues must not shed");
     (
-        outcome.offered,
-        outcome.fraction(ccn_sim::ServedBy::Local),
-        outcome.fraction(ccn_sim::ServedBy::Peer),
-        outcome.fraction(ccn_sim::ServedBy::Origin),
+        outcome.report.offered,
+        outcome.metrics.fraction(ccn_sim::ServedBy::Local),
+        outcome.metrics.fraction(ccn_sim::ServedBy::Peer),
+        outcome.metrics.fraction(ccn_sim::ServedBy::Origin),
     )
 }
 
