@@ -36,14 +36,13 @@
 //! `completed + shed == offered` holds bit-exactly through any fault
 //! schedule.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use ccn_coord::{contiguous_slices, RouterAssignment};
+use ccn_coord::RouterAssignment;
 use ccn_obs::Histogram;
-use ccn_sim::store::{ContentStore, LruStore, StaticStore};
+use ccn_sim::store::ContentStore;
 use ccn_sim::{ContentId, ServedBy, TierCounts};
 
 use crate::affinity::ShardPlacement;
@@ -52,8 +51,9 @@ use crate::error::EngineError;
 use crate::fault::{
     AppliedFault, DegradeConfig, FaultController, FaultKind, FaultPlan, FaultState,
 };
+use crate::layout::Layout;
 use crate::pad::CachePadded;
-use crate::routing::{LiveRouting, RoutingTable};
+use crate::routing::LiveRouting;
 use crate::shard::{lock_recover, shard_of, ShardHandle, ShardSpec, ShardedStore};
 
 /// Upper bucket edges for the engine's latency histograms: the
@@ -70,24 +70,13 @@ pub const ENGINE_LATENCY_MS_BOUNDS: [f64; 20] = [
 pub enum StorePolicy {
     /// The model's static hybrid layout: popularity prefix `1..=c−x`
     /// plus this node's coordinated slice, pinned up front
-    /// ([`StaticStore::hybrid`] split across shards).
+    /// ([`ccn_sim::store::StaticStore::hybrid`] split across shards).
     Provisioned,
     /// Dynamic LRU stores, empty at start. Uncoordinated content is
     /// cached at the requesting edge; coordinated content is cached
     /// only at its holder, so the coordinated range is *attracted*
     /// into place by traffic instead of pinned.
     Lru,
-}
-
-/// The hybrid split `(c − x, x)` of a `capacity`-slot store at
-/// coordination level `ell`: local popularity prefix and coordinated
-/// slots, with `x = round(ℓ·c)` — the same rounding
-/// [`ccn_sim::scenario::steady_state`] applies, so both engine tiers
-/// and the simulator provision identical layouts.
-pub(crate) fn hybrid_split(ell: f64, capacity: u64) -> (u64, u64) {
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let x = (ell * capacity as f64).round() as u64;
-    (capacity - x, x)
 }
 
 /// Static configuration of a serving cluster.
@@ -136,43 +125,19 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Coordinated slots per node, `x = round(ℓ·c)`.
-    #[must_use]
-    pub fn x(&self) -> u64 {
-        hybrid_split(self.ell, self.capacity).1
-    }
-
-    /// Local popularity prefix `c − x`.
-    #[must_use]
-    pub fn local_prefix(&self) -> u64 {
-        hybrid_split(self.ell, self.capacity).0
-    }
-
-    /// The coordinated rank range `[c−x+1, c−x+1+n·x)`.
-    #[must_use]
-    pub fn coordinated_range(&self) -> Range<u64> {
-        let start = self.local_prefix() + 1;
-        start..start + self.x() * self.nodes as u64
-    }
-
-    fn validate(&self) -> Result<(), EngineError> {
+    /// Checks the configuration and returns the layout it provisions.
+    fn validate(&self) -> Result<Layout, EngineError> {
         let reject = |reason: String| Err(EngineError::InvalidConfig { reason });
-        if self.nodes == 0 {
-            return reject("nodes must be >= 1".into());
-        }
         if self.shards_per_node == 0 {
             return reject("shards_per_node must be >= 1".into());
         }
         if self.queue_capacity == 0 {
             return reject("queue_capacity must be >= 1".into());
         }
-        if self.capacity == 0 || self.capacity > self.catalogue {
-            return reject(format!("capacity {} must be in 1..={}", self.capacity, self.catalogue));
-        }
-        if !(0.0..=1.0).contains(&self.ell) {
-            return reject(format!("ell {} must be in [0, 1]", self.ell));
-        }
-        self.degrade.validate()
+        let layout =
+            Layout::hybrid(self.nodes, self.catalogue, self.capacity, self.ell, self.policy)?;
+        self.degrade.validate()?;
+        Ok(layout)
     }
 }
 
@@ -417,47 +382,6 @@ fn process(shared: &Shared, node: usize, store: &mut dyn ContentStore, job: Job)
     }
 }
 
-/// Builds the provisioned (pinned) store for one shard of a node that
-/// holds popularity prefix `1..=prefix` plus coordinated `slice`:
-/// exactly the hybrid layout, filtered to the shard's ownership.
-fn provisioned_store(prefix: u64, slice: Range<u64>, shards: usize, shard: usize) -> StaticStore {
-    let pinned = (1..=prefix).chain(slice).map(ContentId).filter(|&c| shard_of(c, shards) == shard);
-    StaticStore::new(pinned)
-}
-
-/// Builds one shard's store for a node provisioned with popularity
-/// prefix `1..=prefix` plus coordinated `slice` — pinned up front
-/// under [`StorePolicy::Provisioned`], an empty LRU holding this
-/// shard's share of `capacity` under [`StorePolicy::Lru`]. Both tiers
-/// build their stores here.
-pub(crate) fn shard_store(
-    policy: StorePolicy,
-    capacity: u64,
-    prefix: u64,
-    slice: Range<u64>,
-    shards: usize,
-    shard: usize,
-) -> Box<dyn ContentStore> {
-    match policy {
-        StorePolicy::Provisioned => Box::new(provisioned_store(prefix, slice, shards, shard)),
-        StorePolicy::Lru => {
-            let base = capacity / shards as u64;
-            let extra = u64::from((shard as u64) < capacity % shards as u64);
-            #[allow(clippy::cast_possible_truncation)]
-            let capacity = ((base + extra).max(1)) as usize;
-            Box::new(LruStore::new(capacity))
-        }
-    }
-}
-
-/// Builds node `node`'s store for shard `shard`.
-fn make_store(config: &ClusterConfig, node: usize, shard: usize) -> Box<dyn ContentStore> {
-    let (prefix, x) = hybrid_split(config.ell, config.capacity);
-    let slice_start = prefix + 1 + node as u64 * x;
-    let slice = slice_start..slice_start + x;
-    shard_store(config.policy, config.capacity, prefix, slice, config.shards_per_node, shard)
-}
-
 /// Aggregated results of a cluster run, produced by
 /// [`Cluster::finish`].
 #[derive(Debug, Clone)]
@@ -542,6 +466,9 @@ pub struct Cluster {
     shared: Arc<Shared>,
     stores: Vec<ShardedStore<Job>>,
     config: ClusterConfig,
+    /// The layout the stores were last built from; held across
+    /// [`Cluster::apply_layout`], so epochs apply one at a time.
+    layout: Mutex<Layout>,
 }
 
 impl Cluster {
@@ -568,33 +495,23 @@ impl Cluster {
     /// Additionally returns [`EngineError::FaultSpec`] when the plan
     /// references nodes or shards outside this cluster.
     pub fn with_faults(config: ClusterConfig, plan: FaultPlan) -> Result<Self, EngineError> {
-        config.validate()?;
-        plan.validate(config.nodes, config.shards_per_node)?;
-        let x = config.x();
-        let table = if x == 0 {
-            RoutingTable::empty(config.nodes)
-        } else {
-            let prefix = config.local_prefix();
-            RoutingTable::from_assignments(
-                &contiguous_slices(prefix, prefix + 1, x, config.nodes),
-                config.nodes,
-            )?
-        };
+        let (layout, shards) = (config.validate()?, config.shards_per_node);
+        plan.validate(config.nodes, shards)?;
         let injects_latency = plan
             .events()
             .iter()
             .any(|e| matches!(e.kind, FaultKind::SlowNode { .. } | FaultKind::Stall { .. }));
         let shared = Arc::new(Shared {
-            routing: LiveRouting::new(table),
+            routing: LiveRouting::new(layout.routing_table()),
             policy: config.policy,
             degrade: config.degrade,
-            shards_per_node: config.shards_per_node,
+            shards_per_node: shards,
             peers: OnceLock::new(),
             recorders: (0..config.nodes).map(|_| CachePadded::new(NodeRecorder::new())).collect(),
             in_flight: CachePadded::new(AtomicU64::new(0)),
             ops: CachePadded::new(AtomicU64::new(0)),
             anchor: Instant::now(),
-            faults: FaultState::new(config.nodes, config.shards_per_node),
+            faults: FaultState::new(config.nodes, shards),
             controller: FaultController::new(plan),
             injects_latency,
             tap: OnceLock::new(),
@@ -606,21 +523,15 @@ impl Cluster {
                     process(&worker_shared, node, store, job);
                 });
                 let pin_cores: Vec<Option<usize>> = if config.placement.pin() {
-                    (0..config.shards_per_node)
-                        .map(|shard| {
-                            Some(config.placement.worker_core(node, config.shards_per_node, shard))
-                        })
+                    (0..shards)
+                        .map(|shard| Some(config.placement.worker_core(node, shards, shard)))
                         .collect()
                 } else {
                     Vec::new()
                 };
-                let spec = ShardSpec::new(config.shards_per_node, config.queue_capacity)
-                    .pin_cores(pin_cores);
-                ShardedStore::try_spawn_with(
-                    spec,
-                    |shard| make_store(&config, node, shard),
-                    handler,
-                )
+                let spec = ShardSpec::new(shards, config.queue_capacity).pin_cores(pin_cores);
+                let store = |shard| layout.shard_store(node, shards, shard);
+                ShardedStore::try_spawn_with(spec, store, handler)
             })
             .collect::<Result<_, _>>()?;
         let handles = stores.iter().map(ShardedStore::handle).collect();
@@ -631,7 +542,7 @@ impl Cluster {
                 reason: "peer handles were wired twice during cluster bring-up".into(),
             });
         }
-        Ok(Self { shared, stores, config })
+        Ok(Self { shared, stores, config, layout: Mutex::new(layout) })
     }
 
     /// The configuration this cluster was built from.
@@ -734,50 +645,37 @@ impl Cluster {
         })
     }
 
-    /// Installs a new slice layout as one config epoch: swaps the
-    /// routing table, then (under [`StorePolicy::Provisioned`])
-    /// re-pins every shard's store to the new prefix + slice through
-    /// the shard workers' store-replacement control message — warm
-    /// content outside the delta survives untouched in queue order.
+    /// Installs a new slice layout as one config epoch and returns it:
+    /// swaps the routing table, then rebuilds, in queue order, the
+    /// stores of every node whose own recipe changed (a provisioned
+    /// node whose prefix or slice moved). Every other node keeps its
+    /// stores: an LRU cluster attracts the new slices into warm caches.
     ///
-    /// The routing swap and the per-shard re-pins are not atomic as a
-    /// group: a request routed between them may consult the new table
-    /// against a shard still holding the old slice. That window only
-    /// escalates the request one tier (holder miss → origin) — it
-    /// never loses a job, so `offered == completed + shed` holds
-    /// bit-exactly across every transition. LRU clusters skip the
-    /// re-pin entirely: their stores attract the new slice
-    /// organically.
-    ///
-    /// Returns the new config epoch.
+    /// The swap and the rebuilds are not atomic as a group: a request
+    /// routed between them may meet a shard still holding the old
+    /// slice, which only escalates it one tier (holder miss → origin).
+    /// No job is lost, so `offered == completed + shed` holds
+    /// bit-exactly across every transition.
     ///
     /// # Errors
     ///
-    /// Rejects layouts that do not form a valid routing table for
-    /// this cluster's node count.
+    /// Rejects, leaving the epoch where it was, assignments with more
+    /// than one prefix or that do not form a routing table for this
+    /// cluster.
     pub fn apply_layout(&self, assignments: &[RouterAssignment]) -> Result<u64, EngineError> {
-        let table = if assignments.iter().all(|a| a.slice_len() == 0) {
-            RoutingTable::empty(self.config.nodes)
-        } else {
-            RoutingTable::from_assignments(assignments, self.config.nodes)?
-        };
-        let epoch = self.shared.routing.install_table(table)?;
-        if self.config.policy == StorePolicy::Provisioned {
-            for a in assignments {
-                let handle = self.stores[a.router].handle();
-                for shard in 0..self.config.shards_per_node {
-                    handle.replace_store(
-                        shard,
-                        Box::new(provisioned_store(
-                            a.local_prefix,
-                            a.slice.clone(),
-                            self.config.shards_per_node,
-                            shard,
-                        )),
-                    );
+        let mut current = lock_recover(&self.layout);
+        let next = current.with_assignments(assignments)?;
+        let epoch = self.shared.routing.install_table(next.routing_table())?;
+        let shards = self.config.shards_per_node;
+        for (node, store) in self.stores.iter().enumerate() {
+            if !current.keeps_stores(&next, node) {
+                let handle = store.handle();
+                for shard in 0..shards {
+                    handle.replace_store(shard, next.shard_store(node, shards, shard));
                 }
             }
         }
+        *current = next;
         Ok(epoch)
     }
 
@@ -795,42 +693,28 @@ impl Cluster {
         // so this count is final (a live read could catch a worker
         // that hasn't reached its pin call yet).
         let pinned_workers = self.pinned_workers();
-        let mut per_node = Vec::with_capacity(self.config.nodes);
+        let recorders = &self.shared.recorders;
+        let sum = |count: fn(&NodeRecorder) -> &AtomicU64| -> u64 {
+            recorders.iter().map(|r| count(r).load(Ordering::Acquire)).sum()
+        };
         let mut tier_latency: Vec<Histogram> =
             (0..3).map(|_| Histogram::with_bounds(&ENGINE_LATENCY_MS_BOUNDS)).collect();
-        let mut degraded = 0;
-        let mut retried = 0;
-        let mut failed_over = 0;
-        let mut deadline_expired = 0;
-        let mut fault_served = 0;
-        let mut shed_node_down = 0;
-        for recorder in &self.shared.recorders {
-            per_node.push(TierCounts {
-                local: recorder.tiers[0].load(Ordering::Acquire),
-                peer: recorder.tiers[1].load(Ordering::Acquire),
-                origin: recorder.tiers[2].load(Ordering::Acquire),
-            });
-            degraded += recorder.degraded.load(Ordering::Acquire);
-            retried += recorder.retried.load(Ordering::Acquire);
-            failed_over += recorder.failed_over.load(Ordering::Acquire);
-            deadline_expired += recorder.deadline_expired.load(Ordering::Acquire);
-            fault_served += recorder.fault_served.load(Ordering::Acquire);
-            shed_node_down += recorder.shed_node_down.load(Ordering::Acquire);
+        for recorder in recorders {
             for tier in ServedBy::ALL {
                 let hist = lock_recover(&recorder.latency[tier.index()]);
                 tier_latency[tier.index()].merge(&hist);
             }
         }
         EngineMetrics {
-            per_node,
+            per_node: self.tier_totals(),
             tier_latency,
-            degraded_to_origin: degraded,
+            degraded_to_origin: sum(|r| &r.degraded),
             max_queue_depth,
-            retried,
-            failed_over,
-            deadline_expired,
-            fault_served,
-            shed_node_down,
+            retried: sum(|r| &r.retried),
+            failed_over: sum(|r| &r.failed_over),
+            deadline_expired: sum(|r| &r.deadline_expired),
+            fault_served: sum(|r| &r.fault_served),
+            shed_node_down: sum(|r| &r.shed_node_down),
             config_epoch: self.shared.routing.config_epoch(),
             health_marked_down: self.shared.faults.health_marked_down(),
             health_revived: self.shared.faults.health_revived(),
@@ -927,6 +811,7 @@ impl BatchSubmitter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccn_coord::contiguous_slices;
 
     /// Admits one request as a run of one; `true` iff it was admitted.
     fn submit_one(cluster: &Cluster, node: usize, content: ContentId) -> bool {
@@ -950,7 +835,6 @@ mod tests {
             ..ClusterConfig::default()
         };
         // x = 5, prefix = 5, coordinated range = [6, 21).
-        assert_eq!(config.coordinated_range(), 6..21);
         let cluster = Cluster::new(config).unwrap();
         drive_to_completion(&cluster, 0, ContentId(1)); // prefix → local
         drive_to_completion(&cluster, 0, ContentId(6)); // own slice → local
@@ -1037,6 +921,14 @@ mod tests {
             ClusterConfig { capacity: 0, ..ClusterConfig::default() },
             ClusterConfig { ell: 1.5, ..ClusterConfig::default() },
             ClusterConfig { capacity: 200, catalogue: 100, ..ClusterConfig::default() },
+            // 50 + 4 slices of 50 reach rank 250 of a 200-rank catalogue.
+            ClusterConfig {
+                nodes: 4,
+                catalogue: 200,
+                capacity: 100,
+                ell: 0.5,
+                ..Default::default()
+            },
             ClusterConfig {
                 degrade: DegradeConfig { probation_ops: 0, ..DegradeConfig::default() },
                 ..ClusterConfig::default()
@@ -1044,6 +936,70 @@ mod tests {
         ] {
             assert!(Cluster::new(bad).is_err());
         }
+    }
+
+    fn three_nodes(policy: StorePolicy) -> Cluster {
+        // x = 5, prefix = 5: slices [6, 11), [11, 16), [16, 21).
+        let config = ClusterConfig {
+            nodes: 3,
+            catalogue: 1_000,
+            capacity: 10,
+            ell: 0.5,
+            policy,
+            ..ClusterConfig::default()
+        };
+        Cluster::new(config).unwrap()
+    }
+
+    fn ranks(ranks: impl IntoIterator<Item = u64>) -> Vec<ContentId> {
+        ranks.into_iter().map(ContentId).collect()
+    }
+
+    #[test]
+    fn apply_layout_repins_exactly_the_provisioned_nodes_whose_slice_moved() {
+        let cluster = three_nodes(StorePolicy::Provisioned);
+        let mut swapped = contiguous_slices(5, 6, 5, 3);
+        swapped[1].slice = 16..21;
+        swapped[2].slice = 11..16;
+        assert_eq!(cluster.apply_layout(&swapped).unwrap(), 2);
+        assert_eq!(cluster.config_epoch(), 2);
+        assert_eq!(cluster.node_contents(0), ranks(1..=10), "untouched node keeps its store");
+        assert_eq!(cluster.node_contents(1), ranks((1..=5).chain(16..=20)));
+        assert_eq!(cluster.node_contents(2), ranks((1..=5).chain(11..=15)));
+        drive_to_completion(&cluster, 0, ContentId(17)); // node 1's new slice → peer
+        let totals = cluster.finish().totals();
+        assert_eq!((totals.local, totals.peer, totals.origin), (0, 1, 0));
+    }
+
+    #[test]
+    fn apply_layout_keeps_every_lru_store_warm() {
+        let cluster = three_nodes(StorePolicy::Lru);
+        for (node, rank) in [(0, 500), (1, 12), (2, 600)] {
+            drive_to_completion(&cluster, node, ContentId(rank));
+        }
+        cluster.drain();
+        let warm: Vec<_> = (0..3).map(|node| cluster.node_contents(node)).collect();
+        assert_eq!(warm[1], ranks([12]), "the holder attracted its slice");
+        // ℓ = 0.2: prefix 8, slices [9, 11), [11, 13), [13, 15).
+        assert_eq!(cluster.apply_layout(&contiguous_slices(8, 9, 2, 3)).unwrap(), 2);
+        let after: Vec<_> = (0..3).map(|node| cluster.node_contents(node)).collect();
+        assert_eq!(after, warm, "an LRU node's recipe is its policy and capacity");
+        let _ = cluster.finish();
+    }
+
+    #[test]
+    fn apply_layout_rejects_mixed_prefixes_and_gaps_without_an_epoch() {
+        let cluster = three_nodes(StorePolicy::Provisioned);
+        let mut mixed = contiguous_slices(5, 6, 5, 3);
+        mixed[2].local_prefix = 4;
+        let mut gapped = contiguous_slices(5, 6, 5, 3);
+        gapped[1].slice = 12..16;
+        for bad in [mixed, gapped] {
+            assert!(cluster.apply_layout(&bad).is_err(), "{bad:?}");
+            assert_eq!(cluster.config_epoch(), 1, "a rejected layout bumped the epoch");
+        }
+        assert_eq!(cluster.node_contents(2), ranks((1..=5).chain(16..=20)));
+        let _ = cluster.finish();
     }
 
     #[test]

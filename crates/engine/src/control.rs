@@ -20,11 +20,11 @@
 //!    jump. The layout delta is split into a *chain* of config epochs
 //!    by linear interpolation of the slice boundaries, each epoch
 //!    moving at most [`ControllerConfig::movement_budget`] slots, and
-//!    each installed through the same epoch mechanism the fault plane
-//!    uses ([`crate::Cluster::apply_layout`] in process, the
-//!    `ConfigEpoch` push on the wire) — so warm slices survive, and
-//!    `offered == completed + shed` stays exact across every
-//!    transition.
+//!    each installed as one config epoch
+//!    ([`crate::Cluster::apply_layout`] in process, the `ConfigEpoch`
+//!    push on the wire), under which only a provisioned node whose
+//!    prefix or slice moved rebuilds its store — so warm caches
+//!    survive, and `offered == completed + shed` stays exact.
 //!
 //! The planner ([`Controller`]) is transport-agnostic: it turns
 //! observed ranks into a sequence of [`LayoutStep`]s. Both tiers run it
@@ -53,8 +53,9 @@ use ccn_coord::{LayoutDelta, RouterAssignment};
 use ccn_sim::ContentId;
 use ccn_zipf::StreamingFit;
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, StorePolicy};
 use crate::error::EngineError;
+use crate::layout::Layout;
 use crate::pad::CachePadded;
 
 /// One node's sampling lane: a fixed overwrite ring with exactly one
@@ -358,9 +359,10 @@ pub struct Controller {
     capacity: u64,
     fit: StreamingFit,
     current_ell: f64,
-    /// Current layout as slice boundaries: `boundaries[i]` is the
-    /// start of router `i`'s slice, `boundaries[n]` the end of the
-    /// last; the shared prefix is `boundaries[0] - 1`.
+    /// The provisioned layout (its policy unused): a retarget re-slices
+    /// its shape.
+    provisioned: Layout,
+    /// The current layout's slice boundaries ([`Layout::boundaries`]).
     boundaries: Vec<u64>,
     chain: VecDeque<Vec<u64>>,
     fitted_s: Option<f64>,
@@ -372,27 +374,6 @@ pub struct Controller {
     decisions: Vec<ControllerDecision>,
 }
 
-/// Boundaries for `x = round(ell * capacity)` slots per node.
-fn boundaries_for(ell: f64, capacity: u64, nodes: usize) -> Vec<u64> {
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let x = (ell * capacity as f64).round() as u64;
-    let start = capacity - x + 1;
-    (0..=nodes as u64).map(|i| start + i * x).collect()
-}
-
-fn assignments_from(boundaries: &[u64]) -> Vec<RouterAssignment> {
-    let prefix = boundaries[0] - 1;
-    boundaries
-        .windows(2)
-        .enumerate()
-        .map(|(router, pair)| RouterAssignment {
-            router,
-            local_prefix: prefix,
-            slice: pair[0]..pair[1],
-        })
-        .collect()
-}
-
 impl Controller {
     /// A planner for a cluster of `nodes` nodes with per-node
     /// `capacity`, a catalogue of `catalogue` ranks, and an enacted
@@ -400,8 +381,8 @@ impl Controller {
     ///
     /// # Errors
     ///
-    /// Rejects invalid tuning (see [`ControllerConfig`]) and
-    /// degenerate cluster geometry.
+    /// Rejects invalid tuning (see [`ControllerConfig`]) and a cluster
+    /// shape the serving tiers would reject.
     pub fn new(
         nodes: usize,
         catalogue: u64,
@@ -410,16 +391,8 @@ impl Controller {
         config: ControllerConfig,
     ) -> Result<Self, EngineError> {
         config.validate(nodes)?;
-        if capacity == 0 || capacity > catalogue {
-            return Err(EngineError::InvalidConfig {
-                reason: format!("capacity {capacity} must be in 1..={catalogue}"),
-            });
-        }
-        if !(0.0..=1.0).contains(&initial_ell) {
-            return Err(EngineError::InvalidConfig {
-                reason: format!("initial ell {initial_ell} must be in [0, 1]"),
-            });
-        }
+        let provisioned =
+            Layout::hybrid(nodes, catalogue, capacity, initial_ell, StorePolicy::Provisioned)?;
         let fit = StreamingFit::new(catalogue, config.decay).map_err(|e| {
             EngineError::InvalidConfig { reason: format!("estimator rejected window: {e}") }
         })?;
@@ -429,7 +402,8 @@ impl Controller {
             capacity,
             fit,
             current_ell: initial_ell,
-            boundaries: boundaries_for(initial_ell, capacity, nodes),
+            boundaries: provisioned.boundaries(),
+            provisioned,
             chain: VecDeque::new(),
             fitted_s: None,
             refits: 0,
@@ -503,11 +477,9 @@ impl Controller {
             self.decisions.push(ControllerDecision::Hold { fitted_s: s, candidate_ell });
             return Ok(None);
         }
-        let target = boundaries_for(candidate_ell, self.capacity, self.nodes);
+        let target = self.provisioned.at_ell(candidate_ell).boundaries();
         let chain = build_chain(&self.boundaries, &target, self.config.movement_budget, self.nodes);
-        let total_move =
-            LayoutDelta::between(&assignments_from(&self.boundaries), &assignments_from(&target))
-                .moved_slots();
+        let total_move = self.moved_slots(&target);
         self.retargets += 1;
         self.decisions.push(ControllerDecision::Retarget {
             fitted_s: s,
@@ -542,20 +514,29 @@ impl Controller {
 
     fn advance_chain(&mut self) -> Option<LayoutStep> {
         let next = self.chain.pop_front()?;
-        let moved_slots =
-            LayoutDelta::between(&assignments_from(&self.boundaries), &assignments_from(&next))
-                .moved_slots();
+        let moved_slots = self.moved_slots(&next);
         self.boundaries = next;
         self.epochs_issued += 1;
         self.slices_moved += moved_slots;
         let remaining = self.chain.len();
         self.decisions.push(ControllerDecision::ChainStep { moved_slots, remaining });
         Some(LayoutStep {
-            assignments: assignments_from(&self.boundaries),
+            assignments: self.assignments(&self.boundaries),
             moved_slots,
             remaining,
             fitted_s: self.fitted_s,
         })
+    }
+
+    /// The assignments of the layout sliced at `boundaries`.
+    fn assignments(&self, boundaries: &[u64]) -> Vec<RouterAssignment> {
+        self.provisioned.with_boundaries(boundaries).assignments()
+    }
+
+    /// Exact slots moved from the current layout to `boundaries`.
+    fn moved_slots(&self, boundaries: &[u64]) -> u64 {
+        let (from, to) = (self.assignments(&self.boundaries), self.assignments(boundaries));
+        LayoutDelta::between(&from, &to).moved_slots()
     }
 
     fn solve_ell(&self, s: f64) -> Result<f64, EngineError> {
@@ -633,19 +614,11 @@ pub(crate) struct AdaptiveRunner {
 }
 
 impl AdaptiveRunner {
-    /// A planner for a cluster of `nodes` (see [`Controller::new`])
-    /// and a fresh tap with one lane per node.
-    pub(crate) fn new(
-        nodes: usize,
-        catalogue: u64,
-        capacity: u64,
-        initial_ell: f64,
-        config: ControllerConfig,
-    ) -> Result<Self, EngineError> {
-        let planner = Controller::new(nodes, catalogue, capacity, initial_ell, config)?;
-        let tap = Arc::new(RankTap::new(nodes, config.tap_capacity, config.sample_every)?);
-        let cursor = tap.cursor();
-        Ok(Self { planner, tap, cursor, scratch: Vec::new() })
+    /// `planner` and a fresh tap with one lane per node.
+    pub(crate) fn new(planner: Controller) -> Result<Self, EngineError> {
+        let config = planner.config;
+        let tap = Arc::new(RankTap::new(planner.nodes, config.tap_capacity, config.sample_every)?);
+        Ok(Self { cursor: tap.cursor(), planner, tap, scratch: Vec::new() })
     }
 
     /// The tap the load's producers record into.
@@ -722,7 +695,8 @@ impl ClusterController {
     /// already has a tap installed.
     pub fn attach(cluster: &Cluster, config: ControllerConfig) -> Result<Self, EngineError> {
         let cc = cluster.config();
-        let runner = AdaptiveRunner::new(cc.nodes, cc.catalogue, cc.capacity, cc.ell, config)?;
+        let planner = Controller::new(cc.nodes, cc.catalogue, cc.capacity, cc.ell, config)?;
+        let runner = AdaptiveRunner::new(planner)?;
         cluster.install_tap(runner.tap())?;
         Ok(Self { runner })
     }
@@ -801,6 +775,18 @@ mod tests {
         assert!(RankTap::new(0, 8, 1).is_err());
         assert!(RankTap::new(2, 0, 1).is_err());
         assert!(RankTap::new(2, 8, 0).is_err());
+    }
+
+    /// Boundaries of the hybrid layout at `ell`.
+    fn boundaries_for(ell: f64, capacity: u64, nodes: usize) -> Vec<u64> {
+        let layout = Layout::hybrid(nodes, 10_000, capacity, ell, StorePolicy::Provisioned);
+        layout.unwrap().boundaries()
+    }
+
+    fn assignments_from(boundaries: &[u64]) -> Vec<RouterAssignment> {
+        let nodes = boundaries.len() - 1;
+        let shape = Layout::hybrid(nodes, 10_000, 100, 0.0, StorePolicy::Provisioned).unwrap();
+        shape.with_boundaries(boundaries).assignments()
     }
 
     fn boundary_chain(from: &[u64], to: &[u64], budget: u64, nodes: usize) -> Vec<Vec<u64>> {
@@ -888,7 +874,8 @@ mod tests {
     /// A runner whose tap holds 5 000 ranks of s = 0.7, far from the
     /// provisioned ℓ = 0.5: its first tick retargets into a chain.
     fn drifted_runner(config: ControllerConfig) -> AdaptiveRunner {
-        let runner = AdaptiveRunner::new(4, 10_000, 100, 0.5, config).unwrap();
+        let runner = AdaptiveRunner::new(Controller::new(4, 10_000, 100, 0.5, config).unwrap());
+        let runner = runner.unwrap();
         let sampler = ccn_zipf::ZipfSampler::new(0.7, 10_000).unwrap();
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
         let tap = runner.tap();

@@ -901,8 +901,7 @@ mod tests {
 
     #[test]
     fn controller_applies_due_events_once_and_logs() {
-        let table = RoutingTable::empty(3);
-        let routing = LiveRouting::new(table);
+        let routing = LiveRouting::new(RoutingTable::from_assignments(&[], 3).unwrap());
         let state = FaultState::new(3, 2);
         let plan =
             FaultPlan::none().with_node_outage(1, 10, Some(20)).with_worker_outage(2, 1, 15, None);
@@ -985,7 +984,7 @@ mod tests {
 
     #[test]
     fn health_detector_marks_down_at_threshold_and_probation_revives() {
-        let routing = LiveRouting::new(RoutingTable::empty(2));
+        let routing = LiveRouting::new(RoutingTable::from_assignments(&[], 2).unwrap());
         let state = FaultState::new(2, 1);
         let degrade =
             DegradeConfig { timeout_threshold: 3, probation_ops: 100, ..DegradeConfig::default() };

@@ -89,6 +89,7 @@ pub mod cluster;
 pub mod control;
 pub mod error;
 pub mod fault;
+mod layout;
 pub mod load;
 pub mod net;
 pub mod pad;

@@ -175,10 +175,10 @@ pub struct Provision {
     /// layout with uneven slices: the widest slice).
     pub x: u64,
     /// The coordinator's fitted Zipf exponent at push time, `0.0` when
-    /// none (static provisioning, or no fit yet). Metadata only — it
-    /// is excluded from [`Provision::same_layout`] so a fit-only
-    /// change never discards cache warmth — carried so each node's
-    /// stats snapshot reports what the controller believed.
+    /// none (static provisioning, or no fit yet). Metadata only: no
+    /// node's store recipe includes it, so a fit-only push keeps every
+    /// store warm. Carried so each node's stats snapshot reports what
+    /// the controller believed.
     pub fitted_s: f64,
     /// Store population policy.
     pub policy: StorePolicy,
@@ -187,21 +187,6 @@ pub struct Provision {
     /// Listen address of every node, indexed by node id; a node
     /// ignores its own entry.
     pub peers: Vec<String>,
-}
-
-impl Provision {
-    /// `true` when `other` provisions the identical store layout, so a
-    /// node can keep its (possibly warm) store across the epoch swap.
-    #[must_use]
-    pub fn same_layout(&self, other: &Provision) -> bool {
-        self.nodes == other.nodes
-            && self.catalogue == other.catalogue
-            && self.capacity == other.capacity
-            && self.prefix == other.prefix
-            && self.x == other.x
-            && self.policy == other.policy
-            && self.slices == other.slices
-    }
 }
 
 /// Client-to-node and node-to-node request frames.
@@ -880,16 +865,10 @@ mod tests {
     }
 
     #[test]
-    fn provision_fitted_exponent_roundtrips_and_is_layout_neutral() {
+    fn provision_fitted_exponent_roundtrips() {
         let mut p = sample_provision(4, vec!["127.0.0.1:4000".into()]);
         p.fitted_s = 1.0625;
-        roundtrip_request(&Request::ConfigEpoch(p.clone()));
-        // A fit-only change must not read as a layout change, or every
-        // re-fit would cold-start every store in the cluster.
-        let mut q = p.clone();
-        q.epoch = 9;
-        q.fitted_s = 0.9;
-        assert!(p.same_layout(&q));
+        roundtrip_request(&Request::ConfigEpoch(p));
     }
 
     /// A count field the payload cannot back is rejected before any

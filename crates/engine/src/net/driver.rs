@@ -11,22 +11,24 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use ccn_coord::{contiguous_slices, RouterAssignment};
 use ccn_sim::{workload, ContentId};
 
 use super::codec::{
     decode_batch_served, encode_batch_lookup_from, proto_err, NodeStatsSnapshot, Provision,
-    Request, Response, SliceAssignment,
+    Request, Response,
 };
 use super::conn::{connect_hello, net_err, Conn, WireMeter};
 use super::node::{frame_reply_timeout, NodeConfig, NodeServer};
 use crate::affinity::ShardPlacement;
-use crate::cluster::{hybrid_split, StorePolicy};
-use crate::control::{AdaptiveRunner, ControllerConfig, ControllerReport, LayoutStep, RankTap};
+use crate::cluster::StorePolicy;
+use crate::control::{
+    AdaptiveRunner, Controller, ControllerConfig, ControllerReport, LayoutStep, RankTap,
+};
 use crate::error::EngineError;
 use crate::fault::{
     AppliedFault, DegradeConfig, FaultController, FaultEvent, FaultKind, FaultPlan,
 };
+use crate::layout::Layout;
 use crate::load::pace_until;
 use crate::shard::lock_recover;
 
@@ -131,46 +133,37 @@ impl WireSpec {
         }
     }
 
-    /// Coordinated slots per node, `x = round(ℓ·c)`.
-    #[must_use]
-    pub fn x(&self) -> u64 {
-        hybrid_split(self.ell, self.capacity).1
-    }
-
-    /// Local popularity prefix `c − x`.
-    #[must_use]
-    pub fn local_prefix(&self) -> u64 {
-        hybrid_split(self.ell, self.capacity).0
-    }
-
-    /// Builds the provisioning push for `epoch` with the given peer
-    /// address list (one entry per node, indexed by id).
+    /// Builds the provisioning push of the hybrid layout at `ell` for
+    /// `epoch`, with the given peer address list (one entry per node,
+    /// indexed by id).
+    ///
+    /// # Panics
+    ///
+    /// On a cluster shape the one shape check rejects.
     #[must_use]
     pub fn provision(&self, epoch: u64, peers: Vec<String>) -> Provision {
-        WireCtl { epoch, ..WireCtl::initial(self) }.provision(self, peers)
+        let layout = self.layout().unwrap_or_else(|e| panic!("cannot provision this spec: {e}"));
+        layout.provision(epoch, 0.0, peers)
+    }
+
+    fn layout(&self) -> Result<Layout, EngineError> {
+        Layout::hybrid(self.nodes, self.catalogue, self.capacity, self.ell, self.policy)
     }
 
     /// Checks the spec before anything is spawned: cluster shape,
-    /// ladder settings, controller tuning and fault schedule. A fault
-    /// on the wire acts on a whole process, so only `KillNode` and
-    /// `ReviveNode` are accepted, and each must change its node's
-    /// state — a second revive would orphan a running `ccn node`.
+    /// ladder settings, controller tuning and fault schedule, and
+    /// returns the layout it provisions. A fault on the wire acts on a
+    /// whole process, so only `KillNode` and `ReviveNode` are accepted,
+    /// and each must change its node's state — a second revive would
+    /// orphan a running `ccn node`.
     ///
     /// # Errors
     ///
     /// [`EngineError::InvalidConfig`] or [`EngineError::FaultSpec`]
     /// naming what was rejected.
-    pub(crate) fn validate(&self) -> Result<(), EngineError> {
+    pub(crate) fn validate(&self) -> Result<Layout, EngineError> {
         let invalid = |reason: String| Err(EngineError::InvalidConfig { reason });
-        if self.nodes == 0 {
-            return invalid("need at least one node".into());
-        }
-        if self.capacity == 0 {
-            return invalid("need a non-zero store capacity".into());
-        }
-        if !(0.0..=1.0).contains(&self.ell) || self.ell.is_nan() {
-            return invalid(format!("ell {} outside [0, 1]", self.ell));
-        }
+        let layout = self.layout()?;
         for (name, value) in [
             ("batch", self.batch),
             ("window", self.window),
@@ -180,15 +173,6 @@ impl WireSpec {
             if value == 0 {
                 return invalid(format!("{name} must be >= 1"));
             }
-        }
-        let coordinated_end = self.local_prefix() + self.nodes as u64 * self.x();
-        if coordinated_end > self.catalogue {
-            return invalid(format!(
-                "catalogue {} too small for prefix + {} slices of x = {}",
-                self.catalogue,
-                self.nodes,
-                self.x()
-            ));
         }
         self.degrade.validate()?;
         if let Some(adapt) = &self.adapt {
@@ -217,7 +201,7 @@ impl WireSpec {
                     .into(),
             });
         }
-        Ok(())
+        Ok(layout)
     }
 }
 
@@ -446,62 +430,20 @@ struct NodeSlot {
 struct WireCtl {
     epoch: u64,
     /// The cumulative layout as of `epoch` — for an in-flight
-    /// incremental chain, the sum of every step issued so far.
-    assignments: Vec<RouterAssignment>,
+    /// incremental chain, the sum of every step issued so far. At
+    /// epoch 1 it is the hybrid layout the adaptive controller starts
+    /// from, so the first chain step moves exactly what it planned.
+    layout: Layout,
     fitted_s: f64,
-}
-
-impl WireCtl {
-    /// The authority at epoch 1: the static layout `spec.ell`
-    /// provisions, no fit yet — identical to the adaptive controller's
-    /// baseline (both split `capacity` with [`hybrid_split`]), so the
-    /// first chain step moves exactly what the planner computed.
-    fn initial(spec: &WireSpec) -> Self {
-        let (prefix, x) = hybrid_split(spec.ell, spec.capacity);
-        Self {
-            epoch: 1,
-            assignments: contiguous_slices(prefix, prefix + 1, x, spec.nodes),
-            fitted_s: 0.0,
-        }
-    }
-
-    /// Builds the provisioning push for the current cumulative layout.
-    /// This is also the revival path: a node that was SIGKILLed
-    /// mid-chain and missed epochs receives the chain's *current*
-    /// state under the newest epoch — the partial chain re-pushed as
-    /// one frame.
-    fn provision(&self, spec: &WireSpec, peers: Vec<String>) -> Provision {
-        let prefix = self.assignments.first().map_or(0, |a| a.local_prefix);
-        let x = self.assignments.iter().map(|a| a.slice.end - a.slice.start).max().unwrap_or(0);
-        Provision {
-            epoch: self.epoch,
-            nodes: spec.nodes as u32,
-            catalogue: spec.catalogue,
-            capacity: spec.capacity,
-            prefix,
-            x,
-            fitted_s: self.fitted_s,
-            policy: spec.policy,
-            slices: self
-                .assignments
-                .iter()
-                .map(|a| SliceAssignment {
-                    node: a.router as u32,
-                    start: a.slice.start,
-                    end: a.slice.end,
-                })
-                .collect(),
-            peers,
-        }
-    }
 }
 
 /// Pushes the authority's current layout to every live node, and to a
 /// `revived` node (id, address) whose slot is not live yet; returns the
 /// first push error, after trying every node. A node already at this
-/// epoch just acks it.
+/// epoch just acks it. This is also the revival path: a node that was
+/// SIGKILLed mid-chain and missed epochs receives the chain's *current*
+/// state under the newest epoch — the partial chain as one frame.
 fn push_current(
-    spec: &WireSpec,
     ctl: &WireCtl,
     slots: &[Mutex<NodeSlot>],
     revived: Option<(usize, &str)>,
@@ -515,7 +457,8 @@ fn push_current(
             }
         })
         .collect();
-    let push = ctl.provision(spec, snapshot.iter().map(|(addr, _)| addr.clone()).collect());
+    let peers = snapshot.iter().map(|(addr, _)| addr.clone()).collect();
+    let push = ctl.layout.provision(ctl.epoch, ctl.fitted_s, peers);
     snapshot
         .iter()
         .filter(|(_, live)| *live)
@@ -773,7 +716,7 @@ impl WireCluster<'_> {
         let (node, addr) = spawn_node(self.spec, n)?;
         let mut ctl = lock_recover(&self.ctl);
         ctl.epoch += 1;
-        if let Err(e) = push_current(self.spec, &ctl, &self.slots, Some((n, &addr))) {
+        if let Err(e) = push_current(&ctl, &self.slots, Some((n, &addr))) {
             stop_node(node, Duration::ZERO);
             return Err(e);
         }
@@ -786,18 +729,19 @@ impl WireCluster<'_> {
         Ok(())
     }
 
-    /// Installs one controller chain step cluster-wide: bumps the
-    /// epoch, records the new cumulative layout, and pushes it. Never
-    /// fails: a push to a node killed after the slot snapshot fails
-    /// harmlessly, as its revival re-pushes the then-current layout.
+    /// Installs one controller chain step cluster-wide: records the
+    /// new cumulative layout, bumps the epoch, and pushes it. Fails
+    /// only on a step that is not a layout of this cluster: a push to a
+    /// node killed after the slot snapshot fails harmlessly, as its
+    /// revival re-pushes the then-current layout.
     fn install(&self, step: &LayoutStep) -> Result<(), EngineError> {
         let mut ctl = lock_recover(&self.ctl);
+        ctl.layout = ctl.layout.with_assignments(&step.assignments)?;
         ctl.epoch += 1;
-        ctl.assignments = step.assignments.clone();
         if let Some(s) = step.fitted_s {
             ctl.fitted_s = s;
         }
-        let _ = push_current(self.spec, &ctl, &self.slots, None);
+        let _ = push_current(&ctl, &self.slots, None);
         Ok(())
     }
 }
@@ -901,10 +845,12 @@ fn drive_node(
 /// [`EngineError::Net`] if bring-up or a revival fails, and
 /// [`EngineError::Accounting`] if the conservation invariant breaks.
 pub fn wire_bench(spec: &WireSpec) -> Result<WireOutcome, EngineError> {
-    spec.validate()?;
+    let layout = spec.validate()?;
     let runner = spec
         .adapt
-        .map(|cfg| AdaptiveRunner::new(spec.nodes, spec.catalogue, spec.capacity, spec.ell, cfg))
+        .map(|cfg| Controller::new(spec.nodes, spec.catalogue, spec.capacity, spec.ell, cfg))
+        .transpose()?
+        .map(AdaptiveRunner::new)
         .transpose()?;
     let tap = runner.as_ref().map(AdaptiveRunner::tap);
     let all: Vec<usize> = (0..spec.nodes).collect();
@@ -923,7 +869,8 @@ pub fn wire_bench(spec: &WireSpec) -> Result<WireOutcome, EngineError> {
 
     // Bring-up: spawn every node and provision it at epoch 1. A failure
     // stops every node already up at once, or they would be orphaned.
-    let (mut slots, ctl) = (Vec::with_capacity(spec.nodes), WireCtl::initial(spec));
+    let mut slots = Vec::with_capacity(spec.nodes);
+    let ctl = WireCtl { epoch: 1, layout, fitted_s: 0.0 };
     let up = (0..spec.nodes)
         .try_for_each(|id| {
             let (node, addr) = spawn_node(spec, id)?;
@@ -931,7 +878,8 @@ pub fn wire_bench(spec: &WireSpec) -> Result<WireOutcome, EngineError> {
             Ok(())
         })
         .and_then(|()| {
-            let initial = ctl.provision(spec, slots.iter().map(|slot| slot.addr.clone()).collect());
+            let peers = slots.iter().map(|slot| slot.addr.clone()).collect();
+            let initial = ctl.layout.provision(ctl.epoch, ctl.fitted_s, peers);
             slots.iter().try_for_each(|slot| push_epoch_to(&slot.addr, &initial))
         });
     if let Err(e) = up {
@@ -981,7 +929,7 @@ pub fn wire_bench(spec: &WireSpec) -> Result<WireOutcome, EngineError> {
     // so a node that missed an epoch (a push racing its kill window, a
     // transient socket failure) catches up before stats collection.
     if spec.adapt.is_some() {
-        let _ = push_current(spec, &lock_recover(&cluster.ctl), &cluster.slots, None);
+        let _ = push_current(&lock_recover(&cluster.ctl), &cluster.slots, None);
     }
 
     // Collect final node-side stats from survivors, then shut every
@@ -1133,6 +1081,68 @@ mod tests {
                 "node stats carry the fitted snapshot, got {node_view}"
             );
         }
+    }
+
+    /// The pushes the repository benchmark makes must not change by a
+    /// byte: `(nodes, catalogue, capacity, ell, policy)` → the literal
+    /// `Provision` each shape provisions.
+    #[test]
+    fn provision_is_golden_for_the_benchmark_shapes() {
+        use super::super::codec::SliceAssignment;
+        use StorePolicy::{Lru, Provisioned};
+        let slices = |cuts: &[u64]| -> Vec<SliceAssignment> {
+            let pairs = cuts.windows(2).enumerate();
+            pairs.map(|(n, p)| SliceAssignment { node: n as u32, start: p[0], end: p[1] }).collect()
+        };
+        let golden = [
+            ((3, 10_000, 100, 0.5, Provisioned), 50, 50, slices(&[51, 101, 151, 201])),
+            (
+                (2, 1_000_000, 10_000, 0.5, Provisioned),
+                5_000,
+                5_000,
+                slices(&[5_001, 10_001, 15_001]),
+            ),
+            ((2, 200_000, 4_000, 0.8, Lru), 800, 3_200, slices(&[801, 4_001, 7_201])),
+        ];
+        for ((nodes, catalogue, capacity, ell, policy), prefix, x, slices) in golden {
+            let mut spec = WireSpec::new(nodes);
+            (spec.catalogue, spec.capacity, spec.ell, spec.policy) =
+                (catalogue, capacity, ell, policy);
+            let peers: Vec<String> =
+                (0..nodes).map(|n| format!("127.0.0.1:{}", 4_000 + n)).collect();
+            let expected = Provision {
+                epoch: 1,
+                nodes: nodes as u32,
+                catalogue,
+                capacity,
+                prefix,
+                x,
+                fitted_s: 0.0,
+                policy,
+                slices,
+                peers: peers.clone(),
+            };
+            assert_eq!(spec.provision(1, peers), expected, "{nodes} × {capacity} at ell {ell}");
+        }
+    }
+
+    /// One shape check for both tiers: the same oversized shape is
+    /// refused in process and on the wire with the same words.
+    #[test]
+    fn both_tiers_refuse_an_oversized_shape_alike() {
+        let config = crate::ClusterConfig {
+            nodes: 4,
+            catalogue: 200,
+            capacity: 100,
+            ell: 0.5,
+            ..crate::ClusterConfig::default()
+        };
+        let Err(in_process) = crate::Cluster::new(config) else { panic!("cluster accepted") };
+        let mut spec = WireSpec::new(4);
+        (spec.catalogue, spec.capacity, spec.ell) = (200, 100, 0.5);
+        let wire = wire_bench(&spec).expect_err("wire accepted");
+        assert_eq!(in_process.to_string(), wire.to_string());
+        assert!(wire.to_string().contains("catalogue 200 too small"), "{wire}");
     }
 
     #[test]

@@ -69,12 +69,11 @@
 //!
 //! A config epoch is accepted iff it is strictly newer than the
 //! node's current epoch; replays and reordered pushes are answered
-//! with the current epoch and ignored. An epoch whose store layout
-//! (catalogue, capacity, prefix, slices, policy) matches the current
-//! provisioning swaps routing and peer links but **keeps the store**,
-//! so re-provisioning live survivors after a revival does not discard
-//! their cache warmth; a layout change rebuilds the store from
-//! scratch.
+//! with the current epoch and ignored. Every accepted epoch swaps
+//! routing and peer links; a node **keeps its stores** unless its own
+//! recipe changed (a capacity or policy change, or, under
+//! `Provisioned`, its prefix or slice moving), exactly as
+//! [`crate::Cluster::apply_layout`] does in process.
 //!
 //! # Failure ladder over sockets
 //!

@@ -18,7 +18,8 @@ use super::worker::Worker;
 use crate::affinity::ShardPlacement;
 use crate::error::EngineError;
 use crate::fault::DegradeConfig;
-use crate::routing::{LiveRouting, RoutingTable};
+use crate::layout::Layout;
+use crate::routing::LiveRouting;
 use crate::shard::{lock_recover, shard_set, ShardHandle, Waker};
 
 impl NodeStats {
@@ -87,11 +88,12 @@ impl NodeConfig {
     }
 }
 
-/// A provisioned node's shared runtime: the layout, the routing view
-/// and the peer directory, swapped as one unit at each accepted config
-/// epoch. The stores themselves live with their workers.
+/// A provisioned node's shared runtime, swapped as one unit at each
+/// accepted config epoch; the stores live with their workers.
 pub(super) struct NodeEngine {
-    pub(super) provision: Provision,
+    pub(super) epoch: u64,
+    pub(super) fitted_s: f64,
+    pub(super) layout: Layout,
     pub(super) routing: LiveRouting,
     pub(super) peers: Vec<Option<PeerLink>>,
 }
@@ -137,8 +139,8 @@ impl NodeShared {
     }
 
     /// Validates `p` against this node and builds the runtime it
-    /// describes. The caller swaps the stores first (unless
-    /// [`Provision::same_layout`] says the current ones stay) and then
+    /// describes. The caller swaps the stores first (unless the current
+    /// layout says this node keeps them) and then
     /// [`NodeShared::publish`]es.
     pub(super) fn plan(&self, p: &Provision) -> Result<NodeEngine, EngineError> {
         if self.config.id >= p.nodes as usize {
@@ -149,28 +151,20 @@ impl NodeShared {
                 ),
             });
         }
-        let assignments: Vec<ccn_coord::RouterAssignment> = p
-            .slices
-            .iter()
-            .map(|s| ccn_coord::RouterAssignment {
-                router: s.node as usize,
-                local_prefix: p.prefix,
-                slice: s.start..s.end,
-            })
-            .collect();
-        let table = RoutingTable::from_assignments(&assignments, p.nodes as usize)?;
+        let layout = Layout::from_provision(p)?;
         let peers = (0..p.nodes as usize)
             .map(|n| {
                 let addr = p.peers.get(n).filter(|_| n != self.config.id)?;
                 Some(PeerLink::new(n, addr.clone()))
             })
             .collect();
-        Ok(NodeEngine { routing: LiveRouting::new(table), provision: p.clone(), peers })
+        let routing = LiveRouting::new(layout.routing_table());
+        Ok(NodeEngine { epoch: p.epoch, fitted_s: p.fitted_s, layout, routing, peers })
     }
 
     /// Makes `engine` the node's runtime and its epoch the current one.
     pub(super) fn publish(&self, engine: NodeEngine) {
-        let (epoch, fitted_s) = (engine.provision.epoch, engine.provision.fitted_s);
+        let (epoch, fitted_s) = (engine.epoch, engine.fitted_s);
         *self.engine.write().unwrap_or_else(std::sync::PoisonError::into_inner) =
             Some(Arc::new(engine));
         self.epoch.store(epoch, Ordering::Release);
@@ -446,7 +440,7 @@ pub(super) mod tests {
     }
 
     #[test]
-    fn same_layout_epoch_swap_keeps_lru_warmth() {
+    fn unchanged_layout_epoch_swap_keeps_lru_warmth() {
         let (addr, join) = spawn_node(NodeConfig::new(0));
         let mut spec = WireSpec::new(1);
         spec.policy = StorePolicy::Lru;
@@ -465,6 +459,31 @@ pub(super) mod tests {
             lookup_one(&mut conn, 9_999),
             (1, 0, 0, 0),
             "cache warmth survives a same-layout epoch swap"
+        );
+        shutdown(conn);
+        join.join().expect("join").expect("run");
+    }
+
+    /// An LRU node's recipe is its policy and capacity: an epoch that
+    /// moves the prefix and every slice keeps its warm store, as
+    /// `Cluster::apply_layout` does in process.
+    #[test]
+    fn layout_changing_epoch_keeps_lru_warmth() {
+        let (addr, join) = spawn_node(NodeConfig::new(0));
+        let mut spec = WireSpec::new(1);
+        spec.policy = StorePolicy::Lru;
+        let mut conn = connect(&addr);
+        let ack = push_epoch(&mut conn, spec.provision(1, vec![addr.clone()]));
+        assert_eq!(ack, Response::EpochAck { epoch: 1 });
+        assert_eq!(lookup_one(&mut conn, 9_999), (0, 0, 1, 0), "miss + admit");
+        spec.ell = 0.25;
+        let moved = spec.provision(2, vec![addr.clone()]);
+        assert_ne!(moved.prefix, spec.capacity / 2, "the prefix moved");
+        assert_eq!(push_epoch(&mut conn, moved), Response::EpochAck { epoch: 2 });
+        assert_eq!(
+            lookup_one(&mut conn, 9_999),
+            (1, 0, 0, 0),
+            "cache warmth survives a layout-changing epoch"
         );
         shutdown(conn);
         join.join().expect("join").expect("run");

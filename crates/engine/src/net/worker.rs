@@ -31,7 +31,7 @@ use super::conn::{is_timeout, net_err, net_io_err, Conn, Polled};
 use super::node::{NodeEngine, NodeShared};
 use super::peer::{Link, OUT_BROKEN, OUT_TIMEOUT};
 use super::poll::{Event, EventFd, Poller, READABLE, WRITABLE};
-use crate::cluster::{shard_store, StorePolicy};
+use crate::cluster::StorePolicy;
 use crate::error::EngineError;
 use crate::shard::{RunOp, ShardOwner};
 
@@ -534,11 +534,11 @@ impl Worker {
     }
 
     /// Applies a config epoch: accepted iff strictly newer, otherwise
-    /// answered with the current one. An epoch with an identical store
-    /// layout (the common case: re-provisioning survivors after a
-    /// revival changed only peer addresses) keeps every store and its
-    /// cache warmth; a layout change swaps every worker's store — this
-    /// one's inline, the others' through their rings — *before* the new
+    /// answered with the current one. A node whose own store recipe is
+    /// unchanged (peer addresses or the fit moved; under LRU, any
+    /// layout of the same capacity) keeps every store and its cache
+    /// warmth. Otherwise every worker's store is swapped — this one's
+    /// inline, the others' through their rings — *before* the new
     /// routing is published, so a frame answered after the `EpochAck`
     /// sees the new layout whichever worker serves it.
     pub(super) fn provision(&mut self, p: &Provision) -> Result<u64, EngineError> {
@@ -560,14 +560,12 @@ impl Worker {
             return Ok(current);
         }
         let engine = shared.plan(p)?;
-        if !shared.current_engine().is_some_and(|old| old.provision.same_layout(p)) {
-            let (me, shards) = (shared.config.id, shared.config.shards);
-            let slice =
-                p.slices.iter().find(|s| s.node as usize == me).map_or(0..0, |s| s.start..s.end);
+        let (me, shards) = (shared.config.id, shared.config.shards);
+        if !shared.current_engine().is_some_and(|old| old.layout.keeps_stores(&engine.layout, me)) {
             let Self { owner, inbox, .. } = self;
             owner.replace_stores(
                 &shared.handle,
-                |shard| shard_store(p.policy, p.capacity, p.prefix, slice.clone(), shards, shard),
+                |shard| engine.layout.shard_store(me, shards, shard),
                 &mut |_, stream| inbox.push(stream),
             );
         }
@@ -593,11 +591,11 @@ impl Worker {
             stats.shed.fetch_add(offered, Ordering::Relaxed);
             return (0, 0, 0, offered);
         };
-        if self.links_epoch != engine.provision.epoch {
+        if self.links_epoch != engine.epoch {
             // New epoch, new peer addresses: every link redials.
             self.links.clear();
             self.links.resize_with(engine.peers.len(), || None);
-            self.links_epoch = engine.provision.epoch;
+            self.links_epoch = engine.epoch;
         }
         let mut scratch = std::mem::take(&mut self.lookup);
         let (local, peer, origin) = self.serve_batch(&engine, &mut scratch);
@@ -619,7 +617,7 @@ impl Worker {
     fn serve_batch(&mut self, engine: &NodeEngine, scratch: &mut LookupScratch) -> (u64, u64, u64) {
         let LookupScratch { contents, ops, groups, ladder } = scratch;
         let me = self.shared.config.id;
-        let lru = engine.provision.policy == StorePolicy::Lru;
+        let lru = engine.layout.policy() == StorePolicy::Lru;
         ops.clear();
         ops.extend(contents.iter().map(|&content| {
             let id = ContentId(content);
@@ -769,7 +767,7 @@ impl Worker {
             return self.holder.outcomes.resize(count, FWD_REFUSED);
         };
         let me = self.shared.config.id;
-        let lru = engine.provision.policy == StorePolicy::Lru;
+        let lru = engine.layout.policy() == StorePolicy::Lru;
         let mut ops = std::mem::take(&mut self.holder.ops);
         ops.clear();
         ops.extend(self.holder.items.iter().map(|&(content, _budget_us)| {

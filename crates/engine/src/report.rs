@@ -10,6 +10,7 @@ use crate::cluster::{Cluster, ClusterConfig, EngineMetrics, StorePolicy};
 use crate::control::{ClusterController, ControllerConfig, ControllerReport};
 use crate::error::EngineError;
 use crate::fault::{AppliedFault, FaultPlan};
+use crate::layout::coordinated_slots;
 use crate::load::{drive, LoadReport, OpenLoopConfig};
 
 /// Everything one serve-bench run needs.
@@ -148,7 +149,8 @@ impl ToJson for ServeBenchOutcome {
             StorePolicy::Provisioned => "provisioned",
             StorePolicy::Lru => "lru",
         };
-        let provisioning = if self.cluster.x() == 0 { "non-coordinated" } else { "coordinated" };
+        let coordinated = coordinated_slots(self.cluster.ell, self.cluster.capacity) > 0;
+        let provisioning = if coordinated { "coordinated" } else { "non-coordinated" };
         let (m, r, tiers) = (&self.metrics, &self.report, self.metrics.totals());
         let mut latency = Json::object();
         for tier in ServedBy::ALL {

@@ -21,26 +21,19 @@ use ccn_sim::ContentId;
 use crate::error::EngineError;
 use crate::shard::mix;
 
-/// Maps coordinated content ids onto live nodes.
+/// Maps coordinated content ids onto their holders. Liveness is not
+/// the table's: [`LiveRouting`] owns it.
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
+    nodes: usize,
     range: Range<u64>,
     /// Non-empty assigned slices, sorted by start, tiling `range`.
     slices: Vec<(Range<u64>, usize)>,
-    live: Vec<bool>,
 }
 
 impl RoutingTable {
-    /// A table with no coordinated range (non-coordinated mode):
-    /// every lookup answers `None`, so misses go straight to origin.
-    #[must_use]
-    pub fn empty(nodes: usize) -> Self {
-        Self { range: 0..0, slices: Vec::new(), live: vec![true; nodes] }
-    }
-
     /// Builds the table from the coordination plane's slice
-    /// assignments for a cluster of `nodes` nodes (all initially
-    /// live).
+    /// assignments for a cluster of `nodes` nodes.
     ///
     /// # Errors
     ///
@@ -51,47 +44,39 @@ impl RoutingTable {
         assignments: &[RouterAssignment],
         nodes: usize,
     ) -> Result<Self, EngineError> {
+        let invalid = |reason: String| Err(EngineError::InvalidConfig { reason });
         let mut seen = vec![false; nodes];
         for a in assignments {
             if a.router >= nodes {
-                return Err(EngineError::InvalidConfig {
-                    reason: format!("assignment references node {} of {nodes}", a.router),
-                });
+                return invalid(format!("assignment references node {} of {nodes}", a.router));
             }
             if seen[a.router] {
-                return Err(EngineError::InvalidConfig {
-                    reason: format!("node {} assigned twice", a.router),
-                });
+                return invalid(format!("node {} assigned twice", a.router));
             }
             seen[a.router] = true;
         }
-        let mut slices: Vec<(Range<u64>, usize)> = assignments
-            .iter()
-            .filter(|a| !a.slice.is_empty())
-            .map(|a| (a.slice.clone(), a.router))
-            .collect();
-        slices.sort_by_key(|(s, _)| s.start);
-        for pair in slices.windows(2) {
-            if pair[0].0.end != pair[1].0.start {
-                return Err(EngineError::InvalidConfig {
-                    reason: format!(
-                        "slices {:?} and {:?} do not tile a contiguous range",
-                        pair[0].0, pair[1].0
-                    ),
-                });
-            }
+        let table = Self::tiled(assignments.iter().map(|a| (a.slice.clone(), a.router)), nodes);
+        match table.slices.windows(2).find(|pair| pair[0].0.end != pair[1].0.start) {
+            Some(p) => invalid(format!("slices {:?} and {:?} do not tile", p[0].0, p[1].0)),
+            None => Ok(table),
         }
+    }
+
+    /// The table over `(slice, node)` pairs already known to tile.
+    pub(crate) fn tiled(slices: impl Iterator<Item = (Range<u64>, usize)>, nodes: usize) -> Self {
+        let mut slices: Vec<(Range<u64>, usize)> = slices.filter(|(s, _)| !s.is_empty()).collect();
+        slices.sort_by_key(|(s, _)| s.start);
         let range = match (slices.first(), slices.last()) {
             (Some((first, _)), Some((last, _))) => first.start..last.end,
             _ => 0..0,
         };
-        Ok(Self { range, slices, live: vec![true; nodes] })
+        Self { nodes, range, slices }
     }
 
     /// Number of nodes the table routes over.
     #[must_use]
     pub fn nodes(&self) -> usize {
-        self.live.len()
+        self.nodes
     }
 
     /// The coordinated rank range `[c−x+1, c−x+1+n·x)` (empty in
@@ -99,33 +84,6 @@ impl RoutingTable {
     #[must_use]
     pub fn coordinated_range(&self) -> Range<u64> {
         self.range.clone()
-    }
-
-    /// Whether `content` falls in the coordinated range.
-    #[must_use]
-    pub fn is_coordinated(&self, content: ContentId) -> bool {
-        self.range.contains(&content.rank())
-    }
-
-    /// Marks a node up or down.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn set_live(&mut self, node: usize, up: bool) {
-        self.live[node] = up;
-    }
-
-    /// Whether `node` is currently live.
-    #[must_use]
-    pub fn is_live(&self, node: usize) -> bool {
-        self.live[node]
-    }
-
-    /// Number of live nodes.
-    #[must_use]
-    pub fn live_count(&self) -> usize {
-        self.live.iter().filter(|&&l| l).count()
     }
 
     /// The assigned primary for `content`, live or not.
@@ -139,25 +97,14 @@ impl RoutingTable {
         self.slices.get(at).filter(|(s, _)| s.contains(&rank)).map(|&(_, node)| node)
     }
 
-    /// The live node responsible for `content`: the assigned primary
-    /// while it is up, otherwise the rendezvous (highest-random-weight)
-    /// choice among the survivors. `None` for uncoordinated content or
-    /// when no node is live.
-    #[must_use]
-    pub fn holder(&self, content: ContentId) -> Option<usize> {
-        self.holder_where(content, |node| self.live[node])
-    }
-
-    /// [`Self::holder`] under an externally supplied liveness view
-    /// (shared with [`LiveRouting`], which tracks liveness in atomics
-    /// so the hot path never takes a lock).
+    /// [`LiveRouting::holder`] under the liveness view `is_live`.
     fn holder_where(&self, content: ContentId, is_live: impl Fn(usize) -> bool) -> Option<usize> {
         let primary = self.primary(content)?;
         if is_live(primary) {
             return Some(primary);
         }
         let rank = content.rank();
-        (0..self.live.len())
+        (0..self.nodes)
             .filter(|&node| is_live(node))
             .max_by_key(|&node| mix(rank ^ mix(node as u64 + 1)))
     }
@@ -193,10 +140,10 @@ pub struct LiveRouting {
 }
 
 impl LiveRouting {
-    /// Wraps a table; initial liveness is copied from it.
+    /// Wraps a table with every node live.
     #[must_use]
     pub fn new(table: RoutingTable) -> Self {
-        let live = table.live.iter().map(|&up| AtomicBool::new(up)).collect();
+        let live = (0..table.nodes()).map(|_| AtomicBool::new(true)).collect();
         Self {
             table: RwLock::new(Arc::new(table)),
             live,
@@ -276,8 +223,10 @@ impl LiveRouting {
         self.table().primary(content)
     }
 
-    /// The live holder for `content` under the current epoch's view
-    /// (see [`RoutingTable::holder`]).
+    /// The live node responsible for `content` under the current
+    /// epoch's view: the assigned primary while it is up, otherwise the
+    /// rendezvous (highest-random-weight) choice among the survivors.
+    /// `None` for uncoordinated content or when no node is live.
     #[must_use]
     pub fn holder(&self, content: ContentId) -> Option<usize> {
         self.table().holder_where(content, |node| self.live[node].load(Ordering::Acquire))
@@ -295,12 +244,17 @@ mod tests {
             .expect("contiguous assignments are valid")
     }
 
+    /// Every coordinated rank's current holder.
+    fn holders(lr: &LiveRouting) -> Vec<usize> {
+        lr.table().coordinated_range().map(|r| lr.holder(ContentId(r)).unwrap()).collect()
+    }
+
     #[test]
     fn empty_table_routes_nothing() {
-        let t = RoutingTable::empty(5);
-        assert_eq!(t.live_count(), 5);
-        assert_eq!(t.holder(ContentId(1)), None);
-        assert!(t.coordinated_range().is_empty());
+        let lr = LiveRouting::new(RoutingTable::from_assignments(&[], 5).unwrap());
+        assert_eq!(lr.live_count(), 5);
+        assert_eq!(lr.holder(ContentId(1)), None);
+        assert!(lr.table().coordinated_range().is_empty());
     }
 
     #[test]
@@ -310,18 +264,6 @@ mod tests {
         assert!(RoutingTable::from_assignments(&a, 3).is_err());
         let a = contiguous_slices(10, 11, 5, 3);
         assert!(RoutingTable::from_assignments(&a, 2).is_err());
-    }
-
-    #[test]
-    fn recovery_restores_the_exact_old_share() {
-        let mut t = table(50, 8, 6);
-        let before: Vec<_> =
-            t.coordinated_range().map(|r| t.holder(ContentId(r)).unwrap()).collect();
-        t.set_live(3, false);
-        t.set_live(3, true);
-        let after: Vec<_> =
-            t.coordinated_range().map(|r| t.holder(ContentId(r)).unwrap()).collect();
-        assert_eq!(before, after);
     }
 
     #[test]
@@ -363,64 +305,6 @@ mod tests {
         assert_eq!(lr.epoch(), 2, "one liveness flip so far");
     }
 
-    #[test]
-    fn live_routing_agrees_with_the_locked_table() {
-        let mut locked = table(30, 6, 5);
-        let lr = LiveRouting::new(table(30, 6, 5));
-        for rank in lr.table().coordinated_range() {
-            assert_eq!(lr.holder(ContentId(rank)), locked.holder(ContentId(rank)));
-            assert_eq!(lr.primary(ContentId(rank)), locked.primary(ContentId(rank)));
-        }
-        locked.set_live(1, false);
-        lr.set_live(1, false);
-        locked.set_live(4, false);
-        lr.set_live(4, false);
-        for rank in lr.table().coordinated_range() {
-            assert_eq!(
-                lr.holder(ContentId(rank)),
-                locked.holder(ContentId(rank)),
-                "rank {rank} diverged with nodes 1 and 4 down"
-            );
-        }
-    }
-
-    proptest! {
-        /// Killing one node through the live view re-homes only that
-        /// node's share, exactly as on the locked table.
-        #[test]
-        fn live_single_failure_moves_only_the_failed_share(
-            nodes in 2usize..12,
-            x in 1u64..40,
-            prefix in 0u64..200,
-            victim in 0usize..12,
-        ) {
-            let lr = LiveRouting::new(table(prefix, x, nodes));
-            let victim = victim % nodes;
-            let before: Vec<usize> = lr
-                .table()
-                .coordinated_range()
-                .map(|r| lr.holder(ContentId(r)).unwrap())
-                .collect();
-            prop_assert!(lr.set_live(victim, false).is_some());
-            for (rank, old) in lr.table().coordinated_range().zip(&before) {
-                let now = lr.holder(ContentId(rank)).unwrap();
-                if *old == victim {
-                    prop_assert!(now != victim && lr.is_live(now));
-                } else {
-                    prop_assert_eq!(now, *old, "rank {} reshuffled {} -> {}", rank, old, now);
-                }
-            }
-            // Revival restores the pre-kill mapping bit-exactly.
-            prop_assert!(lr.set_live(victim, true).is_some());
-            let restored: Vec<usize> = lr
-                .table()
-                .coordinated_range()
-                .map(|r| lr.holder(ContentId(r)).unwrap())
-                .collect();
-            prop_assert_eq!(restored, before);
-        }
-    }
-
     proptest! {
         /// Every coordinated content id resolves to exactly one node,
         /// and that node is live — even with part of the cluster down.
@@ -431,28 +315,29 @@ mod tests {
             prefix in 0u64..200,
             down in 0usize..12,
         ) {
-            let mut t = table(prefix, x, nodes);
+            let lr = LiveRouting::new(table(prefix, x, nodes));
             // Kill up to all-but-one node, deterministically spread.
             let kill = down.min(nodes - 1);
             for k in 0..kill {
-                t.set_live((k * 7 + 1) % nodes, false);
+                lr.set_live((k * 7 + 1) % nodes, false);
             }
-            let killed = nodes - t.live_count();
+            let killed = nodes - lr.live_count();
             prop_assert!(killed <= kill);
-            for rank in t.coordinated_range() {
-                let holder = t.holder(ContentId(rank));
+            for rank in lr.table().coordinated_range() {
+                let holder = lr.holder(ContentId(rank));
                 prop_assert!(holder.is_some(), "rank {rank} unroutable");
                 let holder = holder.unwrap();
                 prop_assert!(holder < nodes);
-                prop_assert!(t.is_live(holder), "rank {rank} routed to dead node {holder}");
+                prop_assert!(lr.is_live(holder), "rank {rank} routed to dead node {holder}");
             }
             // Outside the range nothing is coordinated.
-            prop_assert_eq!(t.holder(ContentId(prefix)), None);
-            prop_assert_eq!(t.holder(ContentId(t.coordinated_range().end)), None);
+            prop_assert_eq!(lr.holder(ContentId(prefix)), None);
+            prop_assert_eq!(lr.holder(ContentId(lr.table().coordinated_range().end)), None);
         }
 
         /// Killing one node re-homes only that node's share: every
-        /// content whose primary survives keeps its holder.
+        /// content whose primary survives keeps its holder. Reviving it
+        /// hands the share back bit-exactly.
         #[test]
         fn single_failure_moves_only_the_failed_share(
             nodes in 2usize..12,
@@ -460,21 +345,20 @@ mod tests {
             prefix in 0u64..200,
             victim in 0usize..12,
         ) {
-            let mut t = table(prefix, x, nodes);
+            let lr = LiveRouting::new(table(prefix, x, nodes));
             let victim = victim % nodes;
-            let before: Vec<usize> = t
-                .coordinated_range()
-                .map(|r| t.holder(ContentId(r)).unwrap())
-                .collect();
-            t.set_live(victim, false);
-            for (rank, old) in t.coordinated_range().zip(&before) {
-                let now = t.holder(ContentId(rank)).unwrap();
+            let before = holders(&lr);
+            prop_assert!(lr.set_live(victim, false).is_some());
+            for (rank, old) in lr.table().coordinated_range().zip(&before) {
+                let now = lr.holder(ContentId(rank)).unwrap();
                 if *old == victim {
-                    prop_assert!(now != victim && t.is_live(now));
+                    prop_assert!(now != victim && lr.is_live(now));
                 } else {
                     prop_assert_eq!(now, *old, "rank {} reshuffled {} -> {}", rank, old, now);
                 }
             }
+            prop_assert!(lr.set_live(victim, true).is_some());
+            prop_assert_eq!(holders(&lr), before);
         }
 
         /// With every node live the table *is* the coordination
@@ -486,15 +370,15 @@ mod tests {
             prefix in 0u64..200,
         ) {
             let assignments = contiguous_slices(prefix, prefix + 1, x, nodes);
-            let t = RoutingTable::from_assignments(&assignments, nodes).unwrap();
+            let lr = LiveRouting::new(RoutingTable::from_assignments(&assignments, nodes).unwrap());
             prop_assert_eq!(
-                t.coordinated_range(),
+                lr.table().coordinated_range(),
                 prefix + 1..prefix + 1 + x * nodes as u64
             );
             for a in &assignments {
                 for rank in a.slice.clone() {
-                    prop_assert_eq!(t.holder(ContentId(rank)), Some(a.router));
-                    prop_assert_eq!(t.primary(ContentId(rank)), Some(a.router));
+                    prop_assert_eq!(lr.holder(ContentId(rank)), Some(a.router));
+                    prop_assert_eq!(lr.primary(ContentId(rank)), Some(a.router));
                 }
             }
         }
