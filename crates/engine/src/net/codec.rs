@@ -538,6 +538,9 @@ pub(super) fn encode_batch_lookup_from(
     Ok(())
 }
 
+/// Decodes a `BatchLookup` body, *appending* its ranks to `contents`
+/// (a serve worker gathers several frames into one run); on an error
+/// part of the ranks may have been appended.
 pub(super) fn decode_batch_lookup_into(
     body: &[u8],
     contents: &mut Vec<u64>,
@@ -549,7 +552,6 @@ pub(super) fn decode_batch_lookup_into(
     }
     let tag = c.u32()?;
     let count = c.count(8)?;
-    contents.clear();
     contents.reserve(count);
     for _ in 0..count {
         contents.push(c.u64()?);
@@ -737,14 +739,16 @@ node_stats! {
     /// Sits after `epoch` so an older peer's shorter reply still
     /// decodes with this tail field zero.
     fitted_s_bits,
-    /// Frames received on the node's peer links (tail fields: absent
-    /// in pre-pipelining replies, decode as zero).
+    /// Frames received on every connection the node accepted and every
+    /// forward link it dialled — client traffic included, so a node's
+    /// peer traffic is these totals minus its clients' (tail fields:
+    /// absent in pre-pipelining replies, decode as zero).
     frames_in,
-    /// Frames sent on the node's peer links.
+    /// Frames sent on the same connections as `frames_in`.
     frames_out,
-    /// Bytes received on the node's peer links.
+    /// Bytes received on the same connections as `frames_in`.
     bytes_in,
-    /// Bytes sent on the node's peer links.
+    /// Bytes sent on the same connections as `frames_in`.
     bytes_out,
     /// Coalesced `PeerForwardBatch` frames sent (each covers ≥ 1
     /// forwarded miss; `forwards_out / forward_batches` is the
@@ -759,6 +763,10 @@ node_stats! {
     /// Shard runs a serve worker handed to another worker's ring —
     /// the part of its frames its own shard did not hold.
     cross_shard_runs,
+    /// `BatchLookup` runs served: a worker serves every lookup frame a
+    /// connection has already buffered as one run, so client frames
+    /// divided by this is the merge factor.
+    lookup_runs,
 }
 
 #[cfg(test)]

@@ -43,8 +43,8 @@ pub(super) struct WireMeter {
 }
 
 impl WireMeter {
-    fn sent(&self, bytes: usize) {
-        self.frames_out.fetch_add(1, Ordering::Relaxed);
+    fn sent(&self, frames: u64, bytes: usize) {
+        self.frames_out.fetch_add(frames, Ordering::Relaxed);
         self.bytes_out.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
@@ -81,10 +81,11 @@ pub(super) struct Conn {
     /// drained it — so a nonblocking connection costs one `read` per
     /// report, not a second one to learn `WouldBlock`.
     ready: bool,
-    /// Write scratch, reused across frames; `wbuf[wsent..]` is still
-    /// owed to the socket.
+    /// Write scratch, reused across frames: `wqueued` encoded frames,
+    /// of which `wbuf[wsent..]` is still owed to the socket.
     wbuf: Vec<u8>,
     wsent: usize,
+    wqueued: u64,
     /// `(offset, len)` of the last received frame body in `rbuf`;
     /// valid until the next receive.
     last: (usize, usize),
@@ -116,6 +117,7 @@ impl Conn {
             ready: true,
             wbuf: Vec::new(),
             wsent: 0,
+            wqueued: 0,
             last: (0, 0),
             meter,
         }
@@ -231,33 +233,57 @@ impl Conn {
         &self.rbuf[self.last.0..self.last.0 + self.last.1]
     }
 
-    /// Encodes one frame in the write scratch — length hole, body via
-    /// `enc`, length patched — and [`Conn::flush`]es it.
+    /// The body of the next frame if all of it is already buffered —
+    /// no `read`, nothing consumed; [`Conn::poll_frame`] then takes it
+    /// without a syscall.
+    pub(super) fn peek_frame(&self) -> Option<&[u8]> {
+        let total = self.frame_size().ok().flatten()?;
+        (self.buffered() >= total).then(|| &self.rbuf[self.rstart + 4..self.rstart + total])
+    }
+
+    /// Encodes one frame at the end of the write scratch — length
+    /// hole, body via `enc`, length patched — for the next
+    /// [`Conn::flush`].
+    pub(super) fn queue(
+        &mut self,
+        enc: impl FnOnce(&mut Vec<u8>) -> Result<(), EngineError>,
+    ) -> Result<(), EngineError> {
+        let start = self.wbuf.len();
+        self.wbuf.extend_from_slice(&[0u8; 4]);
+        let len = enc(&mut self.wbuf).and_then(|()| {
+            let body = self.wbuf.len() - start - 4;
+            u32::try_from(body)
+                .ok()
+                .filter(|&len| len > 0 && len <= MAX_FRAME)
+                .ok_or_else(|| proto_err(format!("frame of {body} bytes outside 1..={MAX_FRAME}")))
+        });
+        match len {
+            Ok(len) => {
+                self.wbuf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+                self.wqueued += 1;
+                Ok(())
+            }
+            Err(e) => {
+                self.wbuf.truncate(start);
+                Err(e)
+            }
+        }
+    }
+
+    /// [`Conn::queue`]s one frame and [`Conn::flush`]es.
     pub(super) fn send(
         &mut self,
         enc: impl FnOnce(&mut Vec<u8>) -> Result<(), EngineError>,
     ) -> Result<(), EngineError> {
-        self.wbuf.clear();
-        self.wbuf.extend_from_slice(&[0u8; 4]);
-        enc(&mut self.wbuf)?;
-        let len = u32::try_from(self.wbuf.len() - 4)
-            .ok()
-            .filter(|&len| len > 0 && len <= MAX_FRAME)
-            .ok_or_else(|| {
-                proto_err(format!(
-                    "frame of {} bytes outside 1..={MAX_FRAME}",
-                    self.wbuf.len().saturating_sub(4)
-                ))
-            })?;
-        self.wbuf[..4].copy_from_slice(&len.to_le_bytes());
-        self.wsent = 0;
+        self.queue(enc)?;
         self.flush()
     }
 
-    /// Writes what the socket still owes of the encoded frame. On a
-    /// nonblocking stream a full socket is a timeout-class error
-    /// ([`is_timeout`]) that keeps the remainder: call again once the
-    /// poller reports the socket writable.
+    /// Writes what the socket still owes of the queued frames, which
+    /// are metered once all of them are out. On a nonblocking stream a
+    /// full socket is a timeout-class error ([`is_timeout`]) that keeps
+    /// the remainder: call again once the poller reports the socket
+    /// writable.
     pub(super) fn flush(&mut self) -> Result<(), EngineError> {
         while self.wsent < self.wbuf.len() {
             match self.stream.write(&self.wbuf[self.wsent..]) {
@@ -268,8 +294,11 @@ impl Conn {
             }
         }
         if let Some(m) = &self.meter {
-            m.sent(self.wbuf.len());
+            m.sent(self.wqueued, self.wbuf.len());
         }
+        self.wbuf.clear();
+        self.wsent = 0;
+        self.wqueued = 0;
         Ok(())
     }
 

@@ -1,8 +1,9 @@
 //! A node's serve worker: one thread that owns one shard's store,
 //! a share of the node's connections behind one readiness poller, and
-//! its own forward link to every peer. It reads a frame, runs it
-//! against its store inline, writes the reply, and goes back to the
-//! poller — run to completion, one wake-up per frame.
+//! its own forward link to every peer. It reads what a connection
+//! sent, runs it against its store inline, writes the replies, and
+//! goes back to the poller — run to completion, one wake-up per read:
+//! every `BatchLookup` one read delivered is served as one run.
 //!
 //! **The one liveness rule: a worker never waits without pumping.**
 //! Whatever it waits for — a peer's `ForwardBatchReply`, a backoff, a
@@ -81,14 +82,41 @@ impl HolderGroups {
     }
 }
 
-/// Reusable state of the one `BatchLookup` a worker serves at a time.
+/// Where one client lookup was served; the discriminants index a
+/// [`tally`].
+#[derive(Clone, Copy)]
+enum Tier {
+    Local,
+    Peer,
+    Origin,
+    Shed,
+}
+
+/// The `[local, peer, origin, shed]` counts of `tiers`.
+fn tally(tiers: &[Tier]) -> [u64; 4] {
+    let mut counts = [0u64; 4];
+    for &tier in tiers {
+        counts[tier as usize] += 1;
+    }
+    counts
+}
+
+/// Reusable state of the one lookup run a worker serves at a time:
+/// every `BatchLookup` one connection had buffered, in receipt order.
 #[derive(Default)]
 struct LookupScratch {
-    /// Decoded ranks.
+    /// Decoded ranks of every frame in the run.
     contents: Vec<u64>,
-    /// The frame's shard run: `(id, admit-on-miss)` going in, `(id,
-    /// hit)` coming out.
+    /// `(tag, end)` per frame: its ranks are `contents[previous
+    /// end..end]`.
+    frames: Vec<(u32, usize)>,
+    /// Each item's holder, routed once from one table snapshot.
+    holders: Vec<Option<usize>>,
+    /// The shard run: `(id, admit-on-miss)` going in, `(id, hit)`
+    /// coming out.
     ops: Vec<RunOp>,
+    /// Each item's tier.
+    tiers: Vec<Tier>,
     /// Misses grouped by destination holder.
     groups: HolderGroups,
     ladder: LadderScratch,
@@ -417,23 +445,50 @@ impl Worker {
     }
 
     /// Serves the frame held by `slot`'s connection and writes its
-    /// reply; `false` means the connection must close.
+    /// reply; `false` means the connection must close. A `BatchLookup`
+    /// takes every further whole `BatchLookup` the connection has
+    /// already buffered with it: they are served as one run and
+    /// answered with one `flush`.
     fn serve_frame(&mut self, slot: usize, kind: u8) -> bool {
         let sc = self.conns[slot].as_mut().expect("the caller holds the slot");
         let sent = match kind {
             kind::BATCH_LOOKUP => {
-                let decoded =
-                    decode_batch_lookup_into(sc.conn.last_frame(), &mut self.lookup.contents);
-                let tag = match decoded {
-                    Ok(tag) => tag,
+                let LookupScratch { contents, frames, .. } = &mut self.lookup;
+                contents.clear();
+                frames.clear();
+                match decode_batch_lookup_into(sc.conn.last_frame(), contents) {
+                    Ok(tag) => frames.push((tag, contents.len())),
                     Err(e) => return refuse_malformed(&mut sc.conn, &e),
-                };
+                }
+                // The merge stops at the first frame that is not a
+                // well-formed lookup: it stays buffered and is served
+                // (or refused) after this run is answered.
+                while let Some(body) = sc.conn.peek_frame().filter(|b| b[0] == kind::BATCH_LOOKUP) {
+                    let end = contents.len();
+                    let Ok(tag) = decode_batch_lookup_into(body, contents) else {
+                        contents.truncate(end);
+                        break;
+                    };
+                    frames.push((tag, contents.len()));
+                    let taken = sc.conn.poll_frame();
+                    debug_assert!(matches!(taken, Ok(Polled::Frame)), "a peeked frame is buffered");
+                }
                 sc.busy = true;
-                let (local, peer, origin, shed) = self.serve_lookup();
+                self.serve_lookup();
                 // The ladder may have outlived the connection.
                 let Some(sc) = self.conns[slot].as_mut() else { return false };
                 sc.busy = false;
-                sc.conn.send_response(&Response::BatchServed { tag, local, peer, origin, shed })
+                let LookupScratch { frames, tiers, .. } = &self.lookup;
+                let mut start = 0;
+                frames
+                    .iter()
+                    .try_for_each(|&(tag, end)| {
+                        let [local, peer, origin, shed] = tally(&tiers[start..end]);
+                        start = end;
+                        let served = Response::BatchServed { tag, local, peer, origin, shed };
+                        sc.conn.queue(|buf| served.encode_into(buf))
+                    })
+                    .and_then(|()| sc.conn.flush())
             }
             kind::PEER_FORWARD_BATCH => {
                 let decoded =
@@ -580,16 +635,17 @@ impl Worker {
         shared.stats.cross_shard_runs.fetch_add(crossed as u64, Ordering::Relaxed);
     }
 
-    /// Serves the decoded `BatchLookup` in `self.lookup`, returning its
-    /// `(local, peer, origin, shed)` tally (their sum is the batch
-    /// size); an unprovisioned node sheds.
-    fn serve_lookup(&mut self) -> (u64, u64, u64, u64) {
+    /// Serves the decoded lookup run in `self.lookup`, one tier per
+    /// item into its `tiers`; an unprovisioned node sheds.
+    fn serve_lookup(&mut self) {
         let stats = &self.shared.stats;
-        let offered = self.lookup.contents.len() as u64;
-        stats.lookups.fetch_add(offered, Ordering::Relaxed);
+        let offered = self.lookup.contents.len();
+        stats.add(&stats.lookup_runs);
+        stats.lookups.fetch_add(offered as u64, Ordering::Relaxed);
         let Some(engine) = self.shared.current_engine() else {
-            stats.shed.fetch_add(offered, Ordering::Relaxed);
-            return (0, 0, 0, offered);
+            stats.shed.fetch_add(offered as u64, Ordering::Relaxed);
+            self.lookup.tiers.clear();
+            return self.lookup.tiers.resize(offered, Tier::Shed);
         };
         if self.links_epoch != engine.epoch {
             // New epoch, new peer addresses: every link redials.
@@ -598,12 +654,11 @@ impl Worker {
             self.links_epoch = engine.epoch;
         }
         let mut scratch = std::mem::take(&mut self.lookup);
-        let (local, peer, origin) = self.serve_batch(&engine, &mut scratch);
+        self.serve_batch(&engine, &mut scratch);
         self.lookup = scratch;
-        (local, peer, origin, 0)
     }
 
-    /// The whole frame is one shard run, in frame order: each op
+    /// The whole run is one shard run, in receipt order: each op
     /// probes, and a miss this node keeps for itself — uncoordinated
     /// content, or coordinated content it holds — is served by origin
     /// and, under LRU, admitted by that same run, mirroring the
@@ -611,57 +666,55 @@ impl Worker {
     /// destination holder, so a burst of misses to one peer costs one
     /// pipelined frame conversation instead of one round-trip per miss.
     ///
-    /// Admission is decided from routing before the run and the tier
-    /// after it; a liveness flip in between can cost or spare one
-    /// admission, never a request.
-    fn serve_batch(&mut self, engine: &NodeEngine, scratch: &mut LookupScratch) -> (u64, u64, u64) {
-        let LookupScratch { contents, ops, groups, ladder } = scratch;
+    /// Each item is routed once, from one table snapshot, before the
+    /// run: its holder decides both whether it may admit and where its
+    /// miss goes. A liveness flip during the run is seen by the next
+    /// run; it can cost a forward (degraded to origin), never a
+    /// request.
+    fn serve_batch(&mut self, engine: &NodeEngine, scratch: &mut LookupScratch) {
+        let LookupScratch { contents, holders, ops, tiers, groups, ladder, .. } = scratch;
         let me = self.shared.config.id;
         let lru = engine.layout.policy() == StorePolicy::Lru;
+        let routing = engine.routing.view();
+        holders.clear();
+        holders.extend(contents.iter().map(|&content| routing.holder(ContentId(content))));
         ops.clear();
-        ops.extend(contents.iter().map(|&content| {
-            let id = ContentId(content);
-            (id, lru && engine.routing.holder(id).is_none_or(|holder| holder == me))
+        ops.extend(contents.iter().zip(holders.iter()).map(|(&content, holder)| {
+            (ContentId(content), lru && holder.is_none_or(|holder| holder == me))
         }));
         self.run_ops(ops);
-        let (mut local, mut peer, mut origin, mut failed_over) = (0u64, 0u64, 0u64, 0u64);
+        tiers.clear();
+        tiers.resize(contents.len(), Tier::Origin);
+        let mut failed_over = 0u64;
         groups.reset(engine.peers.len());
-        for (i, &(id, hit)) in ops.iter().enumerate() {
+        for (i, (&(id, hit), holder)) in ops.iter().zip(holders.iter()).enumerate() {
             if hit {
-                local += 1;
-                continue;
-            }
-            match engine.routing.holder(id) {
-                Some(holder) if holder != me => {
-                    if engine.routing.primary(id) != Some(holder) {
-                        failed_over += 1;
-                    }
-                    groups.push(holder, i);
+                tiers[i] = Tier::Local;
+            } else if let Some(holder) = holder.filter(|&holder| holder != me) {
+                if routing.primary(id) != Some(holder) {
+                    failed_over += 1;
                 }
-                _ => origin += 1,
+                groups.push(holder, i);
             }
         }
         for &holder in &groups.occupied {
-            let (p, o) =
-                self.forward_group(engine, holder, contents, &groups.items[holder], ladder);
-            peer += p;
-            origin += o;
+            self.forward_group(engine, holder, contents, &groups.items[holder], ladder, tiers);
         }
+        let [local, peer, origin, _] = tally(tiers);
         let stats = &self.shared.stats;
         stats.local.fetch_add(local, Ordering::Relaxed);
         stats.peer.fetch_add(peer, Ordering::Relaxed);
         stats.origin.fetch_add(origin, Ordering::Relaxed);
         stats.failed_over.fetch_add(failed_over, Ordering::Relaxed);
-        (local, peer, origin)
     }
 
     /// Runs the degradation ladder for one holder's coalesced miss
     /// group: forward the whole group in pipelined batch frames, retry
     /// refused items under backoff, degrade transport failures to
-    /// origin, honour the shared deadline. Returns `(peer, origin)`
-    /// counts; every index in `idxs` resolves to exactly one of the
-    /// two, and the caller publishes them to the tier counters once
-    /// per frame.
+    /// origin, honour the shared deadline. Every index in `idxs`
+    /// enters at [`Tier::Origin`] in `tiers` and becomes
+    /// [`Tier::Peer`] if the holder serves it; the caller publishes the
+    /// tier counters once per run.
     fn forward_group(
         &mut self,
         engine: &NodeEngine,
@@ -669,24 +722,23 @@ impl Worker {
         contents: &[u64],
         idxs: &[usize],
         ladder: &mut LadderScratch,
-    ) -> (u64, u64) {
+        tiers: &mut [Tier],
+    ) {
         let LadderScratch { pending, retry, fwd_items, outcomes } = ladder;
         let shared = Arc::clone(&self.shared);
         let (stats, degrade) = (&shared.stats, &shared.config.degrade);
         let Some(peer_link) = engine.peers.get(holder).and_then(Option::as_ref) else {
             stats.degraded.fetch_add(idxs.len() as u64, Ordering::Relaxed);
-            return (0, idxs.len() as u64);
+            return;
         };
         let until = Instant::now() + degrade.forward_deadline;
         pending.clear();
         pending.extend_from_slice(idxs);
-        let (mut peer, mut origin) = (0u64, 0u64);
         let mut attempt = 0u32;
         loop {
             let remaining = until.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 stats.deadline_expired.fetch_add(pending.len() as u64, Ordering::Relaxed);
-                origin += pending.len() as u64;
                 break;
             }
             stats.forwards_out.fetch_add(pending.len() as u64, Ordering::Relaxed);
@@ -703,22 +755,17 @@ impl Worker {
                 match outcomes.get(k).copied().unwrap_or(OUT_BROKEN) {
                     FWD_HIT => {
                         answered = true;
-                        peer += 1;
+                        tiers[i] = Tier::Peer;
                     }
-                    FWD_MISS => {
-                        answered = true;
-                        origin += 1;
-                    }
+                    FWD_MISS => answered = true,
                     FWD_REFUSED => retry.push(i),
                     OUT_TIMEOUT => {
                         failed_items += 1;
                         stats.add(&stats.deadline_expired);
-                        origin += 1;
                     }
                     _ => {
                         failed_items += 1;
                         stats.add(&stats.degraded);
-                        origin += 1;
                     }
                 }
             }
@@ -740,7 +787,6 @@ impl Worker {
             }
             if attempt >= degrade.forward_retries {
                 stats.degraded.fetch_add(retry.len() as u64, Ordering::Relaxed);
-                origin += retry.len() as u64;
                 break;
             }
             attempt += 1;
@@ -748,7 +794,6 @@ impl Worker {
             self.pump(NOTHING, Instant::now() + degrade.backoff(attempt));
             std::mem::swap(pending, retry);
         }
-        (peer, origin)
     }
 
     /// Serves the decoded `PeerForwardBatch` in `self.holder` as
@@ -768,11 +813,12 @@ impl Worker {
         };
         let me = self.shared.config.id;
         let lru = engine.layout.policy() == StorePolicy::Lru;
+        let routing = engine.routing.view();
         let mut ops = std::mem::take(&mut self.holder.ops);
         ops.clear();
         ops.extend(self.holder.items.iter().map(|&(content, _budget_us)| {
             let id = ContentId(content);
-            (id, lru && engine.routing.holder(id) == Some(me))
+            (id, lru && routing.holder(id) == Some(me))
         }));
         self.run_ops(&mut ops);
         self.holder
@@ -972,14 +1018,126 @@ mod tests {
         join.join().expect("join").expect("run");
     }
 
+    /// The `(local, peer, origin, shed)` tally of the next reply, which
+    /// must be the `BatchServed` of frame `tag`.
+    fn served(conn: &mut Conn, tag: u32) -> (u64, u64, u64, u64) {
+        assert!(matches!(conn.recv_len(), Ok(Some(_))), "reply {tag} must arrive");
+        let (got, local, peer, origin, shed) =
+            decode_batch_served(conn.last_frame()).expect("a BatchServed reply");
+        assert_eq!(got, tag, "replies must come in receipt order");
+        (local, peer, origin, shed)
+    }
+
+    /// `frames` as the one byte string a pipelining client writes.
+    fn burst(frames: &[Request]) -> Vec<u8> {
+        frames.iter().flat_map(framed).collect()
+    }
+
+    /// A pipelining client's whole credit window arrives in one read:
+    /// node 0 serves the eight frames as one run, so their 32 misses
+    /// to node 1 share one `PeerForwardBatch` conversation instead of
+    /// one per frame — and each frame is still answered with its own
+    /// tally, in tag order.
+    #[test]
+    fn pipelined_frames_in_one_read_share_one_forward_conversation() {
+        let nodes: Vec<_> = (0..2).map(|id| spawn_node(NodeConfig::new(id))).collect();
+        let addrs: Vec<String> = nodes.iter().map(|(addr, _)| addr.clone()).collect();
+        let provision = WireSpec::new(2).provision(1, addrs.clone());
+        let mut conns: Vec<Conn> = addrs.iter().map(|addr| connect(addr)).collect();
+        for conn in &mut conns {
+            assert_eq!(push_epoch(conn, provision.clone()), Response::EpochAck { epoch: 1 });
+        }
+        let theirs = provision.slices.iter().find(|s| s.node == 1).expect("slice");
+        // 2 ranks of the prefix and 4 node 1 holds per frame.
+        let frames: Vec<Request> = (0..8u32)
+            .map(|tag| {
+                let held = (theirs.start..theirs.end).skip(4 * tag as usize).take(4);
+                Request::BatchLookup { tag, contents: [1, 2].into_iter().chain(held).collect() }
+            })
+            .collect();
+        let before = stats_of(&mut conns[0]);
+        (&conns[0].stream).write_all(&burst(&frames)).expect("burst");
+        for tag in 0..8 {
+            assert_eq!(served(&mut conns[0], tag), (2, 4, 0, 0));
+        }
+        let after = stats_of(&mut conns[0]);
+        assert_eq!(after.lookup_runs - before.lookup_runs, 1, "one read, one run");
+        assert_eq!(after.forward_batches - before.forward_batches, 1, "one forward conversation");
+        for (conn, (_, join)) in conns.into_iter().zip(nodes) {
+            shutdown(conn);
+            join.join().expect("join").expect("run");
+        }
+    }
+
+    /// A control frame ends the merge and keeps its place: of the burst
+    /// `[lookup, lookup, ConfigEpoch, lookup]` the two lookups before
+    /// the epoch are served as one run under the old layout, the epoch
+    /// is acked after them, and the lookup behind it sees the new one.
+    #[test]
+    fn a_control_frame_ends_the_merge() {
+        let (addr, join) = spawn_node(NodeConfig::new(0));
+        let mut conn = connect(&addr);
+        let mut spec = WireSpec::new(1);
+        // Epoch 1 stores ranks 1..=100 (prefix 1..=50, slice 51..=100);
+        // epoch 2 moves the slice to 6..=10 and stores only 1..=10.
+        let wide = spec.provision(1, vec![addr.clone()]);
+        spec.capacity = 10;
+        let narrow = spec.provision(2, vec![addr.clone()]);
+        assert_eq!(push_epoch(&mut conn, wide), Response::EpochAck { epoch: 1 });
+        let lookup = |tag| Request::BatchLookup { tag, contents: (1..=20).collect() };
+        let before = stats_of(&mut conn);
+        let frames = [lookup(0), lookup(1), Request::ConfigEpoch(narrow), lookup(2)];
+        (&conn.stream).write_all(&burst(&frames)).expect("burst");
+        assert_eq!(served(&mut conn, 0), (20, 0, 0, 0));
+        assert_eq!(served(&mut conn, 1), (20, 0, 0, 0));
+        assert_eq!(conn.recv_response().expect("ack"), Response::EpochAck { epoch: 2 });
+        assert_eq!(served(&mut conn, 2), (10, 0, 10, 0));
+        let after = stats_of(&mut conn);
+        assert_eq!(after.lookup_runs - before.lookup_runs, 2, "the epoch splits the read in two");
+        shutdown(conn);
+        join.join().expect("join").expect("run");
+    }
+
+    /// A malformed frame in the middle of a burst costs only itself and
+    /// what follows: the lookups before it are served and answered,
+    /// then it gets the one `Refused` and the connection closes —
+    /// whether it is an unknown kind or a `BatchLookup` whose payload
+    /// falls short of its count.
+    #[test]
+    fn a_malformed_frame_mid_burst_is_refused_after_the_frames_before_it() {
+        let (addr, join) = spawn_node(NodeConfig::new(0));
+        let mut control = connect(&addr);
+        let ack = push_epoch(&mut control, WireSpec::new(1).provision(1, vec![addr.clone()]));
+        assert_eq!(ack, Response::EpochAck { epoch: 1 });
+        let retired_lookup: &[u8] = &[0x03, 1, 0, 0, 0, 0, 0, 0, 0];
+        let short_lookup: &[u8] = &[kind::BATCH_LOOKUP, 2, 0, 0, 0, 3, 0, 0, 0];
+        for bad in [retired_lookup, short_lookup] {
+            let mut conn = connect(&addr);
+            let lookup = |tag| Request::BatchLookup { tag, contents: vec![1, 2, 9_999] };
+            let mut bytes = burst(&[lookup(0), lookup(1)]);
+            bytes.extend_from_slice(&u32::try_from(bad.len()).expect("length").to_le_bytes());
+            bytes.extend_from_slice(bad);
+            (&conn.stream).write_all(&bytes).expect("burst");
+            assert_eq!(served(&mut conn, 0), (2, 0, 1, 0));
+            assert_eq!(served(&mut conn, 1), (2, 0, 1, 0));
+            let refused = conn.recv_response().expect("reply");
+            assert!(matches!(refused, Response::Refused { .. }), "kind {:#04x}", bad[0]);
+            assert!(matches!(conn.recv_len(), Ok(None)), "the node must hang up");
+        }
+        shutdown(control);
+        join.join().expect("join").expect("run");
+    }
+
     /// The serve path itself, proven allocation-free under LRU, poller
-    /// included: this thread *is* node 0's serve worker — it takes the
-    /// worker `bind` built and calls [`Worker::serve_lookup`] and
+    /// and replies included: this thread *is* node 0's serve worker —
+    /// it takes the worker `bind` built, accepts a client and serves
+    /// it through [`Worker::conn_ready`], and calls
     /// [`Worker::serve_forward`] directly, so the thread-local counter
-    /// sees the shard runs, the forward conversation and every wait in
-    /// the poller — against a live node 1. Every frame mixes local
-    /// hits, edge admits, holder admits and forwards over the peer
-    /// link.
+    /// sees the merged shard runs, the forward conversation, every
+    /// wait in the poller and the replies — against a live node 1. The
+    /// client writes eight frames at a time, each served as one run;
+    /// every frame mixes local hits, edge admits, holder admits and
+    /// forwards over the peer link.
     #[test]
     fn warm_lru_serve_path_allocates_nothing() {
         let (addr1, join) = spawn_node(NodeConfig::new(1));
@@ -991,6 +1149,14 @@ mod tests {
         assert_eq!(push_epoch(&mut conn, provision.clone()), Response::EpochAck { epoch: 1 });
         let mut worker = node0.take_worker();
         assert_eq!(worker.provision(&provision).expect("provision node 0"), 1);
+        let soon = || Instant::now() + Duration::from_secs(5);
+        let stream = TcpStream::connect(node0.local_addr()).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+        assert!(worker.pump(LISTENER, soon()), "the client must reach the listener");
+        worker.accept();
+        let slot = worker.conns.iter().position(Option::is_some).expect("accepted");
+        let mut client = Conn::new(stream, None);
         let held_by = |node: u32| {
             let slice = provision.slices.iter().find(|s| s.node == node).expect("slice");
             slice.start..slice.end
@@ -1003,33 +1169,41 @@ mod tests {
             mine.chain(theirs).chain((0..32).map(|i| 5_000 + 40 * shift + i)).collect()
         };
         let frames: Vec<Vec<u64>> = (0..8).map(frame).collect();
-        let serve = |worker: &mut Worker, contents: &[u64]| {
-            worker.lookup.contents.clear();
-            worker.lookup.contents.extend_from_slice(contents);
-            let (local, peer, origin, shed) = worker.serve_lookup();
-            assert_eq!((local + peer + origin, shed), (contents.len() as u64, 0));
-            worker.holder.items.clear();
-            worker.holder.items.extend(contents.iter().map(|&c| (c, 1_000_000)));
-            worker.serve_forward();
-            assert_eq!(worker.holder.outcomes.len(), contents.len());
+        let requests: Vec<Request> = (0..)
+            .zip(&frames)
+            .map(|(tag, contents)| Request::BatchLookup { tag, contents: contents.clone() })
+            .collect();
+        let bytes = burst(&requests);
+        let serve = |worker: &mut Worker, client: &mut Conn| {
+            (&client.stream).write_all(&bytes).expect("burst");
+            assert!(worker.pump(slot as u64, soon()), "the burst must arrive");
+            worker.conn_ready(slot, false, false);
+            for (tag, contents) in (0..).zip(&frames) {
+                let (local, peer, origin, shed) = served(client, tag);
+                assert_eq!((local + peer + origin, shed), (contents.len() as u64, 0));
+            }
+            for contents in &frames {
+                worker.holder.items.clear();
+                worker.holder.items.extend(contents.iter().map(|&c| (c, 1_000_000)));
+                worker.serve_forward();
+                assert_eq!(worker.holder.outcomes.len(), contents.len());
+            }
         };
         // Warm-up: dials the peer link, grows every scratch buffer.
-        for contents in &frames {
-            serve(&mut worker, contents);
-        }
+        serve(&mut worker, &mut client);
         let before = crate::alloc_count::allocations();
         for _ in 0..4 {
-            for contents in &frames {
-                serve(&mut worker, contents);
-            }
+            serve(&mut worker, &mut client);
         }
         let allocated = crate::alloc_count::allocations() - before;
         assert_eq!(allocated, 0, "warm LRU serve path allocated {allocated} times over 32 frames");
         let stats = worker.shared.snapshot();
+        assert_eq!(stats.lookup_runs, 5, "each burst of eight frames must be one run");
         assert!(stats.forwards_out > 0 && stats.peer > 0, "frames must cross the peer link");
         assert!(stats.forward_hits > 0, "the holder must have admitted what it missed");
         assert!(stats.serve_wakeups > 0, "the forward waits must have gone through the poller");
         assert_eq!(stats.degraded + stats.deadline_expired + stats.retried, 0);
+        drop(client);
         drop(worker);
         shutdown(conn);
         join.join().expect("join").expect("run");

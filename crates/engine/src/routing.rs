@@ -121,9 +121,9 @@ impl RoutingTable {
 /// - **Layout** changes only when the adaptive controller installs a
 ///   re-slice ([`Self::install_table`]). The table sits behind an
 ///   `RwLock<Arc<...>>`: the hot path takes an uncontended read lock
-///   and clones the `Arc` (the same per-request cost the wire tier
-///   already pays for its engine slot), and installs are stamped with
-///   a separate monotone *config epoch*.
+///   and clones the `Arc` — per call, or once per run of items through
+///   a view (the wire tier's serve path) — and installs are stamped
+///   with a separate monotone *config epoch*.
 ///
 /// In-flight operations routed under either epoch N are never recalled
 /// when N+1 lands mid-batch: they complete (possibly degraded to
@@ -220,7 +220,7 @@ impl LiveRouting {
     /// The assigned primary for `content`, live or not.
     #[must_use]
     pub fn primary(&self, content: ContentId) -> Option<usize> {
-        self.table().primary(content)
+        self.view().primary(content)
     }
 
     /// The live node responsible for `content` under the current
@@ -229,7 +229,31 @@ impl LiveRouting {
     /// `None` for uncoordinated content or when no node is live.
     #[must_use]
     pub fn holder(&self, content: ContentId) -> Option<usize> {
-        self.table().holder_where(content, |node| self.live[node].load(Ordering::Acquire))
+        self.view().holder(content)
+    }
+
+    /// One table snapshot to route many items through: the lock and
+    /// the `Arc` clone are paid once, liveness is still read per call.
+    pub(crate) fn view(&self) -> RoutingView<'_> {
+        RoutingView { table: self.table(), live: &self.live }
+    }
+}
+
+/// [`LiveRouting`] with its table pinned ([`LiveRouting::view`]).
+pub(crate) struct RoutingView<'a> {
+    table: Arc<RoutingTable>,
+    live: &'a [AtomicBool],
+}
+
+impl RoutingView<'_> {
+    /// [`LiveRouting::primary`] under the pinned table.
+    pub(crate) fn primary(&self, content: ContentId) -> Option<usize> {
+        self.table.primary(content)
+    }
+
+    /// [`LiveRouting::holder`] under the pinned table.
+    pub(crate) fn holder(&self, content: ContentId) -> Option<usize> {
+        self.table.holder_where(content, |node| self.live[node].load(Ordering::Acquire))
     }
 }
 

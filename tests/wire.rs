@@ -232,6 +232,10 @@ impl Client {
         let len = u32::try_from(body.len()).expect("frame length");
         self.0.write_all(&len.to_le_bytes()).expect("write length");
         self.0.write_all(&body).expect("write body");
+        self.recv()
+    }
+
+    fn recv(&mut self) -> Response {
         let mut len = [0u8; 4];
         self.0.read_exact(&mut len).expect("read length");
         let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
@@ -252,6 +256,29 @@ impl Client {
             }
             other => panic!("frame {tag} answered {other:?}"),
         }
+    }
+
+    /// `BatchLookup` frames tagged from `first_tag`, all written with
+    /// one `write` before any reply is read; their `(local, peer,
+    /// origin)` tallies.
+    fn lookups(&mut self, first_tag: u32, frames: &[Vec<u64>]) -> Vec<(u64, u64, u64)> {
+        let mut burst = Vec::new();
+        for (tag, ranks) in (first_tag..).zip(frames) {
+            let body =
+                Request::BatchLookup { tag, contents: ranks.clone() }.encode().expect("encode");
+            burst.extend_from_slice(&u32::try_from(body.len()).expect("length").to_le_bytes());
+            burst.extend_from_slice(&body);
+        }
+        self.0.write_all(&burst).expect("write burst");
+        (first_tag..)
+            .take(frames.len())
+            .map(|tag| match self.recv() {
+                Response::BatchServed { tag: got, local, peer, origin, shed: 0 } if got == tag => {
+                    (local, peer, origin)
+                }
+                other => panic!("frame {tag} answered {other:?}"),
+            })
+            .collect()
     }
 
     fn stats(&mut self) -> NodeStatsSnapshot {
@@ -381,11 +408,24 @@ impl LruReplay {
 #[test]
 fn two_node_lru_wire_matches_a_per_request_replay() {
     for shards in [1, 3] {
-        two_node_lru_wire_matches_the_replay(shards);
+        two_node_lru_wire_matches_the_replay(shards, 1);
     }
 }
 
-fn two_node_lru_wire_matches_the_replay(shards: usize) {
+/// The same replay with each client writing eight frames before it
+/// reads a reply — node 0's burst first, then node 1's, so the other
+/// node serves only forwards meanwhile. A node serves what one read
+/// delivers as one shard run, and every store still sees the op
+/// sequence of per-request LRU in frame order.
+#[test]
+fn two_node_lru_wire_matches_the_replay_through_bursts() {
+    for shards in [1, 3] {
+        two_node_lru_wire_matches_the_replay(shards, 8);
+    }
+}
+
+/// Drives both nodes `burst` frames at a time, node 0 first.
+fn two_node_lru_wire_matches_the_replay(shards: usize, burst: usize) {
     const FRAMES_PER_NODE: usize = 150;
     let nodes = [spawn_node(0, shards), spawn_node(1, shards)];
     let mut spec = WireSpec::new(2);
@@ -402,20 +442,27 @@ fn two_node_lru_wire_matches_the_replay(shards: usize) {
         zipf_frames(ZIPF_S, spec.catalogue, SEED + 1, FRAMES_PER_NODE),
     ];
     let mut replay = LruReplay::new(provision, shards);
-    for (turn, pair) in streams[0].iter().zip(&streams[1]).enumerate() {
-        for (node, frame) in [pair.0, pair.1].into_iter().enumerate() {
-            let got = clients[node].lookup(turn as u32, frame);
-            assert_eq!(
-                got,
-                replay.serve(node, frame),
-                "node {node} frame {turn}, {shards} shard(s)"
-            );
+    for first in (0..FRAMES_PER_NODE).step_by(burst) {
+        let turns = first..(first + burst).min(FRAMES_PER_NODE);
+        for (node, stream) in streams.iter().enumerate() {
+            let frames = &stream[turns.clone()];
+            let got = clients[node].lookups(first as u32, frames);
+            for ((turn, frame), got) in turns.clone().zip(frames).zip(got) {
+                assert_eq!(
+                    got,
+                    replay.serve(node, frame),
+                    "node {node} frame {turn}, {shards} shard(s), bursts of {burst}"
+                );
+            }
         }
     }
     for (node, client) in clients.iter_mut().enumerate() {
         let stats = client.stats();
         assert_eq!(Ledger::of(&stats), replay.ledgers[node], "node {node} ledger");
         assert_eq!(stats.shed + stats.degraded + stats.retried + stats.deadline_expired, 0);
+        if burst > 1 {
+            assert!(stats.lookup_runs < FRAMES_PER_NODE as u64, "node {node} merged no burst");
+        }
     }
     let exercised = replay.ledgers[0];
     assert!(exercised.peer > 0 && exercised.forward_misses > 0 && exercised.local > 0);
