@@ -94,8 +94,9 @@ COMMANDS
                accepts are refused with a typed frame)
   wire-bench run the serving benchmark over real sockets: a coordinator
              provisions a cluster of `ccn node` processes (or in-process
-             threads) with versioned config epochs and drives the same
-             zipf_irm stream as serve-bench through length-prefixed TCP
+             threads) with versioned config epochs and runs serve-bench's
+             load driver (the same zipf_irm stream by construction, one
+             lane per node, one frame per run) over length-prefixed TCP
              frames; writes a JSON report with embedded manifest
              --nodes 3 --shards 1
              --catalogue 10000 --capacity 100 --ell 0.5 --s 0.8
@@ -443,16 +444,15 @@ fn parse_bool(args: &Args, flag: &str, default: &str) -> Result<bool, ArgError> 
     }
 }
 
-fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
+/// serve-bench's flags as the library's config.
+fn serve_bench_config(args: &Args) -> Result<ServeBenchConfig, ArgError> {
     let extra = ["generators", "queue", "probation-ops", "drift"];
     args.ensure_known(&[&BENCH_FLAGS[..], &WORKER_FLAGS, &extra].concat())?;
     let nodes = usize_flag(args, "nodes", 4)?;
     let shards_per_node = usize_flag(args, "shards", 1)?;
-    let rate = args.f64_or("rate", 2.0)?;
-    let duration = args.f64_or("duration", 1_000.0)?;
-    let faults =
-        parse_faults_flag(&args.str_or("faults", ""), nodes, shards_per_node, rate, duration)?;
-    let config = ServeBenchConfig {
+    let defaults = OpenLoopConfig { rate_per_node_per_ms: 2.0, ..OpenLoopConfig::default() };
+    let load = parse_load_flags(args, defaults)?;
+    Ok(ServeBenchConfig {
         cluster: ClusterConfig {
             nodes,
             shards_per_node,
@@ -467,19 +467,14 @@ fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
                 parse_bool(args, "pin", "false")?,
             ),
         },
-        load: OpenLoopConfig {
-            generators: usize_flag(args, "generators", 1)?,
-            zipf_s: args.f64_or("s", 0.8)?,
-            rate_per_node_per_ms: rate,
-            horizon_ms: duration,
-            paced: parse_bool(args, "paced", "false")?,
-            seed: args.u64_or("seed", 42)?,
-            batch: usize_flag(args, "batch", 1)?,
-            drift: parse_drift_flag(&args.str_or("drift", ""))?,
-        },
-        faults,
+        faults: parse_faults_flag(&args.str_or("faults", ""), nodes, shards_per_node, &load)?,
+        load,
         adapt: parse_adapt_flags(args)?,
-    };
+    })
+}
+
+fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
+    let config = serve_bench_config(args)?;
     let smoke = parse_bool(args, "smoke", "false")?;
     let name = args.str_or("name", "SERVE");
     let mut clock = PhaseClock::new();
@@ -584,11 +579,11 @@ fn parse_faults_flag(
     spec: &str,
     nodes: usize,
     shards: usize,
-    rate: f64,
-    duration_ms: f64,
+    load: &OpenLoopConfig,
 ) -> Result<FaultPlan, ArgError> {
+    let expected = load.rate_per_node_per_ms * load.horizon_ms * nodes as f64;
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let horizon_ops = (rate * duration_ms * nodes as f64).max(1.0).ceil() as u64;
+    let horizon_ops = expected.max(1.0).ceil() as u64;
     FaultPlan::parse(spec, nodes, shards, horizon_ops)
         .map_err(|e| ArgError(format!("--faults: {e}")))
 }
@@ -668,9 +663,30 @@ fn parse_adapt_flags(args: &Args) -> Result<Option<ControllerConfig>, ArgError> 
     }))
 }
 
+/// The workload flags of both serving benches — `--s --rate
+/// --duration --paced --seed --batch`, plus `--generators` and
+/// `--drift` where the command takes them — over the command's own
+/// defaults. The library validates the result.
+fn parse_load_flags(args: &Args, defaults: OpenLoopConfig) -> Result<OpenLoopConfig, ArgError> {
+    Ok(OpenLoopConfig {
+        generators: usize_flag(args, "generators", defaults.generators as u64)?,
+        zipf_s: args.f64_or("s", defaults.zipf_s)?,
+        rate_per_node_per_ms: args.f64_or("rate", defaults.rate_per_node_per_ms)?,
+        horizon_ms: args.f64_or("duration", defaults.horizon_ms)?,
+        paced: parse_bool(args, "paced", &defaults.paced.to_string())?,
+        seed: args.u64_or("seed", defaults.seed)?,
+        batch: usize_flag(args, "batch", defaults.batch as u64)?,
+        drift: match args.get("drift") {
+            Some(spec) => parse_drift_flag(spec)?,
+            None => defaults.drift,
+        },
+    })
+}
+
 /// Parses `--drift "S@MS,S@MS"` into scripted exponent spans:
 /// `--drift 1.1@500` switches the request stream to `s = 1.1` at
-/// 500 ms into the run. Out-of-order spans are sorted by onset.
+/// 500 ms into the run. Out-of-order spans are sorted by onset; the
+/// onsets and exponents are checked where the stream is drawn.
 fn parse_drift_flag(spec: &str) -> Result<Vec<DriftSegment>, ArgError> {
     let mut segments = Vec::new();
     for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
@@ -678,12 +694,6 @@ fn parse_drift_flag(spec: &str) -> Result<Vec<DriftSegment>, ArgError> {
         let (s, at) = part.split_once('@').ok_or_else(|| bad("expected S@MS"))?;
         let zipf_s: f64 = s.trim().parse().map_err(|_| bad("S must be a Zipf exponent"))?;
         let at_ms: f64 = at.trim().parse().map_err(|_| bad("MS must be an onset in ms"))?;
-        if !zipf_s.is_finite() || zipf_s <= 0.0 {
-            return Err(bad("S must be finite and positive"));
-        }
-        if !at_ms.is_finite() || at_ms < 0.0 {
-            return Err(bad("MS must be finite and non-negative"));
-        }
         segments.push(DriftSegment { at_ms, zipf_s });
     }
     segments.sort_by(|a, b| a.at_ms.total_cmp(&b.at_ms));
@@ -885,7 +895,8 @@ fn wire_outcome_json(outcome: &WireOutcome) -> Json {
         )
 }
 
-fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
+/// wire-bench's flags as the library's spec.
+fn wire_spec(args: &Args) -> Result<WireSpec, ArgError> {
     let extra = ["in-process", "node-exe"];
     args.ensure_known(&[&BENCH_FLAGS[..], &WORKER_FLAGS, &LINK_FLAGS, &extra].concat())?;
     let mut spec = WireSpec::new(usize_flag(args, "nodes", 3)?);
@@ -894,12 +905,7 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
     spec.capacity = args.u64_or("capacity", 100)?;
     spec.ell = args.f64_or("ell", 0.5)?;
     spec.policy = parse_policy_flag(args)?;
-    spec.zipf_s = args.f64_or("s", 0.8)?;
-    spec.rate_per_node_per_ms = args.f64_or("rate", 0.5)?;
-    spec.horizon_ms = args.f64_or("duration", 1_000.0)?;
-    spec.paced = parse_bool(args, "paced", "false")?;
-    spec.seed = args.u64_or("seed", 42)?;
-    spec.batch = usize_flag(args, "batch", 64)?;
+    spec.load = parse_load_flags(args, spec.load.clone())?;
     spec.window = usize_flag(args, "window", 8)?;
     spec.wire_batch = usize_flag(args, "wire-batch", 64)?;
     spec.max_conns = usize_flag(args, "max-conns", 1_024)?;
@@ -910,8 +916,7 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
         &args.str_or("faults", ""),
         spec.nodes,
         spec.shards_per_node,
-        spec.rate_per_node_per_ms,
-        spec.horizon_ms,
+        &spec.load,
     )?;
     spec.adapt = parse_adapt_flags(args)?;
     spec.launch = if parse_bool(args, "in-process", "false")? {
@@ -924,6 +929,11 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
         };
         NodeLaunch::Exe(exe)
     };
+    Ok(spec)
+}
+
+fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
+    let spec = wire_spec(args)?;
     let smoke = parse_bool(args, "smoke", "false")?;
     let name = args.str_or("name", "WIRE");
 
@@ -954,10 +964,15 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
                 .field("frames_per_op", pipeline.frames_per_op(offered))
                 .field("bytes_per_op", pipeline.bytes_per_op(offered)),
         );
-    let manifest =
-        RunManifest::capture("ccn", &name, spec.seed, spec.nodes * spec.shards_per_node, smoke)
-            .with_section("engine_wire", wire)
-            .with_phases(clock.finish());
+    let manifest = RunManifest::capture(
+        "ccn",
+        &name,
+        spec.load.seed,
+        spec.nodes * spec.shards_per_node,
+        smoke,
+    )
+    .with_section("engine_wire", wire)
+    .with_phases(clock.finish());
     let out_path = write_serving_report(
         args,
         manifest,
@@ -975,7 +990,7 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
     let _ = writeln!(
         out,
         "wire-bench {name}: {} node(s) x {} shard(s) as {launch}, batch {}, window {}, epoch {}",
-        outcome.nodes, spec.shards_per_node, spec.batch, spec.window, outcome.epoch
+        outcome.nodes, spec.shards_per_node, spec.load.batch, spec.window, outcome.epoch
     );
     let _ = writeln!(
         out,
@@ -1115,7 +1130,8 @@ mod tests {
         // What `wire-bench --faults` does: the shared grammar, then the
         // wire's own rules, which `wire_bench` checks before it spawns
         // anything (a launch that cannot start keeps it that way).
-        let parse = |faults: &str| parse_faults_flag(faults, 3, 1, 0.5, 1_000.0).map_err(|e| e.0);
+        let load = WireSpec::new(3).load;
+        let parse = |faults: &str| parse_faults_flag(faults, 3, 1, &load).map_err(|e| e.0);
         let wire_rejection = |faults: &str| -> String {
             let mut spec = WireSpec::new(3);
             spec.launch = NodeLaunch::Exe("no-such-ccn-binary".into());
@@ -1268,9 +1284,60 @@ mod tests {
         let sorted = parse_drift_flag("0.7@1200,1.1@500").unwrap();
         assert_eq!(sorted[0].at_ms, 500.0);
         assert!(parse_drift_flag("").unwrap().is_empty());
-        for bad in ["1.1", "x@500", "1.1@y", "-0.5@100", "1.1@-3", "inf@100"] {
+        for bad in ["1.1", "x@500", "1.1@y"] {
             assert!(parse_drift_flag(bad).is_err(), "{bad} should be rejected");
         }
+        // Values that parse are the library's to judge, when the run
+        // starts: a bad onset before anything spawns, a bad exponent
+        // where the stream is drawn.
+        for (bad, words) in
+            [("1.1@-3", "drift point"), ("-0.5@100", "s >= 0"), ("inf@100", "s >= 0")]
+        {
+            let err =
+                run_tokens(&["serve-bench", "--duration", "200", "--drift", bad]).unwrap_err();
+            assert!(err.to_string().contains(words), "{bad}: {err}");
+        }
+    }
+
+    fn args_of(tokens: &[&str]) -> Args {
+        Args::parse(&tokens.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>()).unwrap()
+    }
+
+    /// One workload-flag parser: the same flags give both benches the
+    /// same workload, each over its own unchanged defaults.
+    #[test]
+    fn both_benches_build_the_same_workload_from_the_same_flags() {
+        let flags = ["--nodes", "2", "--s", "1.1", "--rate", "3", "--duration", "250"];
+        let flags = [&flags[..], &["--paced", "true", "--seed", "9", "--batch", "16"]].concat();
+        let serve = serve_bench_config(&args_of(&[&["serve-bench"], &flags[..]].concat())).unwrap();
+        let wire = wire_spec(&args_of(&[&["wire-bench"], &flags[..]].concat())).unwrap();
+        // serve-bench defaults to one lane, wire-bench to one per node;
+        // the lane count never changes the offered stream.
+        assert_eq!((serve.load.generators, wire.load.generators), (1, 2));
+        assert_eq!(OpenLoopConfig { generators: 2, ..serve.load }, wire.load);
+        assert_eq!(wire.load.batch, 16);
+        let serve = serve_bench_config(&args_of(&["serve-bench"])).unwrap().load;
+        let wire = wire_spec(&args_of(&["wire-bench"])).unwrap().load;
+        assert_eq!((serve.rate_per_node_per_ms, serve.batch, serve.horizon_ms), (2.0, 1, 1_000.0));
+        assert_eq!((wire.rate_per_node_per_ms, wire.batch, wire.generators), (0.5, 64, 3));
+    }
+
+    /// One validation for both benches: the same bad workload is
+    /// refused with the library's words.
+    #[test]
+    fn both_benches_reject_a_bad_workload_with_the_librarys_words() {
+        let zero_batch = OpenLoopConfig { batch: 0, ..OpenLoopConfig::default() };
+        let words = zero_batch.validate().unwrap_err().to_string();
+        for cmd in ["serve-bench", "wire-bench"] {
+            let err = run_tokens(&[cmd, "--batch", "0"]).unwrap_err();
+            assert_eq!(err.to_string(), words, "{cmd}");
+        }
+        let early = OpenLoopConfig {
+            drift: vec![DriftSegment { at_ms: 0.0, zipf_s: 1.1 }],
+            ..OpenLoopConfig::default()
+        };
+        let err = run_tokens(&["serve-bench", "--drift", "1.1@0"]).unwrap_err();
+        assert_eq!(err.to_string(), early.validate().unwrap_err().to_string());
     }
 
     #[test]

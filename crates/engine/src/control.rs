@@ -45,7 +45,7 @@
 //! per-step bound against the exact [`ccn_coord::LayoutDelta`].
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -677,11 +677,31 @@ impl AdaptiveRunner {
     }
 }
 
+/// Runs `drive` on the calling thread with `runner`, if any, ticking
+/// beside it ([`AdaptiveRunner::run`] on its own thread, installing
+/// through `install`); `done` flips when `drive` returns. Both serving
+/// tiers run their controller this way.
+pub(crate) fn drive_beside<R, T>(
+    runner: Option<AdaptiveRunner>,
+    install: impl FnMut(&LayoutStep) -> Result<T, EngineError> + Send,
+    drive: impl FnOnce() -> R,
+) -> (R, Option<Result<ControllerReport, EngineError>>) {
+    let Some(runner) = runner else { return (drive(), None) };
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let done = &done;
+        let ticker = scope.spawn(move || runner.run(|| done.load(Ordering::Acquire), install));
+        let driven = drive();
+        done.store(true, Ordering::Release);
+        (driven, Some(ticker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))))
+    })
+}
+
 /// The in-process binding: the adaptive loop with its tap on a
 /// [`Cluster`]'s admission path and its steps installed through
 /// [`Cluster::apply_layout`].
 pub struct ClusterController {
-    runner: AdaptiveRunner,
+    pub(crate) runner: AdaptiveRunner,
 }
 
 impl ClusterController {
@@ -726,15 +746,6 @@ impl ClusterController {
     /// Propagates layout-installation failures.
     pub fn drain_chain(&mut self, cluster: &Cluster) -> Result<u64, EngineError> {
         self.runner.drain_chain(|step| cluster.apply_layout(&step.assignments))
-    }
-
-    /// The ticker of `serve-bench --adapt`, installing onto `cluster`.
-    pub(crate) fn run(
-        self,
-        cluster: &Cluster,
-        done: impl Fn() -> bool,
-    ) -> Result<ControllerReport, EngineError> {
-        self.runner.run(done, |step| cluster.apply_layout(&step.assignments))
     }
 
     /// Planner snapshot for manifests.

@@ -54,12 +54,13 @@
 //!   exact optimum is re-solved under hysteresis, and retargets are
 //!   applied as an *incremental chain* of config epochs, each moving
 //!   at most a budgeted number of slice slots.
-//! - [`load`] — open-loop Poisson/Zipf generators
-//!   ([`load::drive`]) reusing `ccn_sim::workload`, so the engine and
-//!   the simulator can be fed bit-identical request streams; with
-//!   `batch > 1` requests are grouped into per-shard runs (paced
-//!   runs flush before sleeping, so batching never delays a due
-//!   request), and batch size provably does not change the outcome.
+//! - [`load`] — the one open-loop Poisson/Zipf load driver, run by
+//!   both serving tiers ([`load::drive`] in process, [`wire_bench`] on
+//!   the wire) and reusing `ccn_sim::workload`, so the engine, the wire
+//!   and the simulator are fed bit-identical request streams; requests
+//!   are grouped into runs of up to `batch` (paced runs flush before
+//!   sleeping, so batching never delays a due request), and batch size
+//!   provably does not change the outcome.
 //! - [`report`] — [`serve_bench`] runs the whole pipeline and emits a
 //!   `ccn-obs`-wired, JSON-serializable outcome with per-tier latency
 //!   histograms and the accounting invariant

@@ -1,37 +1,36 @@
-//! Open-loop Poisson/Zipf load generation against a [`Cluster`].
+//! The load driver both serving tiers run: open-loop Poisson/Zipf
+//! load, paced, batched and handed to a tier's admission.
 //!
-//! Generators reuse the simulator's workload machinery
+//! The offered stream is the simulator's
 //! ([`ccn_sim::workload::zipf_irm`]): per-node Poisson arrivals with
-//! Zipf-distributed content popularity, pre-drawn from a fixed seed so
-//! the offered load is reproducible. The loop is *open*: a generator
-//! issues each request at its scheduled arrival time (or flat-out in
-//! unpaced mode) regardless of whether earlier requests completed.
-//! When admission pushes back the request is counted as **shed**, not
-//! retried — exactly the overload behavior a closed loop would mask.
+//! Zipf popularity, drawn once per drift span over all nodes from a
+//! fixed seed, before the clock starts, then split by node — so it
+//! depends only on the workload and the node count, never on the lane
+//! count or the tier. The loop is *open*: each request is issued at its
+//! arrival time (or flat-out, unpaced) whether or not earlier ones
+//! completed, and a request admission pushes back is **shed**, not
+//! retried. One lane loop does the rest, on both tiers:
 //!
-//! Requests are grouped into per-`(node, shard)` runs of up to
-//! [`OpenLoopConfig::batch`] (by [`crate::shard::shard_of`], the same
-//! routing the cluster applies) and each full run is admitted through a
-//! single queue claim ([`BatchSubmitter`]); `batch = 1` admits
-//! every request as a run of one. In paced mode
-//! every buffered run is flushed before the generator sleeps, so
-//! batching never delays a request past its own arrival time; only
-//! already-due backlog is coalesced.
-//!
-//! # Placement
-//!
-//! When the cluster's [`ShardPlacement`](crate::ShardPlacement) pins,
-//! generator lane `g` pins itself to
-//! [`generator_core`](crate::ShardPlacement::generator_core) — the
-//! core of the first shard of the first node the lane owns — so under
-//! thread-per-core the producer and the consumer it feeds most share
-//! a core.
+//! - nodes are dealt round-robin into [`OpenLoopConfig::generators`]
+//!   lanes, one thread each; when the placement pins, lane `g` pins to
+//!   [`generator_core`](crate::ShardPlacement::generator_core), the
+//!   core of the first shard of its first node;
+//! - paced, a lane offers every buffered run before it sleeps and no
+//!   request before its arrival time, so batching coalesces only
+//!   already-due backlog;
+//! - runs of at most [`OpenLoopConfig::batch`] requests are grouped
+//!   per `(node, shard)` in process and per node on the wire, and each
+//!   goes to the tier's `Admission`: one
+//!   [`BatchSubmitter::submit_run`] queue claim, or one `BatchLookup`
+//!   frame.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use ccn_sim::workload::{self, Request};
+use ccn_sim::ContentId;
 
+use crate::affinity::ShardPlacement;
 use crate::cluster::{BatchSubmitter, Cluster};
 use crate::error::EngineError;
 use crate::shard::shard_of;
@@ -47,10 +46,14 @@ pub struct DriftSegment {
     pub zipf_s: f64,
 }
 
-/// Configuration of one open-loop driving session.
-#[derive(Debug, Clone)]
+/// The offered workload of one driving session — the one workload type
+/// of both serving tiers ([`crate::ServeBenchConfig::load`] and
+/// [`crate::WireSpec::load`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpenLoopConfig {
-    /// Generator (client) threads; clamped to the node count.
+    /// Lanes (client threads) the nodes are dealt into, round-robin;
+    /// clamped to the node count. It changes which thread offers a
+    /// node's requests, never which requests are offered.
     pub generators: usize,
     /// Zipf popularity exponent `s` of the offered traffic (until the
     /// first [`DriftSegment`], if any).
@@ -65,20 +68,19 @@ pub struct OpenLoopConfig {
     /// `false` replays the same request stream as fast as possible
     /// (saturation / throughput mode).
     pub paced: bool,
-    /// Workload seed. With a single generator the request stream is
-    /// identical to the simulator's for the same seed and parameters.
+    /// Workload seed. Without drift the offered stream is the
+    /// simulator's `zipf_irm` over all nodes for the same seed and
+    /// parameters, whatever the lane count.
     pub seed: u64,
-    /// Maximum requests admitted per queue operation: requests are
-    /// grouped by owning shard and each run is admitted with one queue
-    /// claim (`1` = one request per claim). Tier attribution and
-    /// (single-shard) determinism are batch-size invariant —
-    /// property-tested in this module.
+    /// Maximum requests per run: one queue claim in process, one
+    /// `BatchLookup` frame on the wire (`1` = one request per run).
+    /// Tier attribution and (single-shard) determinism are batch-size
+    /// invariant — property-tested in this module.
     pub batch: usize,
     /// Scripted popularity drift: each segment switches the offered
     /// exponent at its `at_ms`. Must be strictly increasing and
     /// inside `(0, horizon_ms)`. Empty (the default) keeps `zipf_s`
-    /// for the whole run — and keeps the single-generator stream
-    /// bit-identical to the simulator's for the same seed.
+    /// for the whole run.
     pub drift: Vec<DriftSegment>,
 }
 
@@ -98,40 +100,46 @@ impl Default for OpenLoopConfig {
 }
 
 impl OpenLoopConfig {
-    /// The run as constant-exponent spans `(start_ms, end_ms, s)`
-    /// covering `[0, horizon_ms)`.
+    /// Checks the workload before anything is spawned: at least one
+    /// lane, runs of at least one request, and drift points strictly
+    /// increasing inside `(0, horizon_ms)`. A bad exponent, rate or
+    /// horizon is rejected when the stream is drawn.
     ///
     /// # Errors
     ///
-    /// Rejects drift points that are not strictly increasing or lie
-    /// outside `(0, horizon_ms)`.
-    fn spans(&self) -> Result<Vec<(f64, f64, f64)>, EngineError> {
-        let mut spans = Vec::with_capacity(self.drift.len() + 1);
+    /// [`EngineError::InvalidConfig`] naming what was rejected.
+    pub fn validate(&self) -> Result<(), EngineError> {
+        let invalid = |reason: String| Err(EngineError::InvalidConfig { reason });
+        for (name, value) in [("generators", self.generators), ("batch", self.batch)] {
+            if value == 0 {
+                return invalid(format!("{name} must be >= 1"));
+            }
+        }
         let mut start = 0.0;
-        let mut s = self.zipf_s;
         for segment in &self.drift {
             if !(segment.at_ms > start && segment.at_ms < self.horizon_ms) {
-                return Err(EngineError::InvalidConfig {
-                    reason: format!(
-                        "drift point {} ms must be strictly increasing and inside (0, {})",
-                        segment.at_ms, self.horizon_ms
-                    ),
-                });
+                return invalid(format!(
+                    "drift point {} ms must be strictly increasing and inside (0, {})",
+                    segment.at_ms, self.horizon_ms
+                ));
             }
-            spans.push((start, segment.at_ms, s));
             start = segment.at_ms;
-            s = segment.zipf_s;
+        }
+        Ok(())
+    }
+
+    /// The run as constant-exponent spans `(start_ms, end_ms, s)`
+    /// covering `[0, horizon_ms)`, for a validated config.
+    fn spans(&self) -> Vec<(f64, f64, f64)> {
+        let mut spans = Vec::with_capacity(self.drift.len() + 1);
+        let (mut start, mut s) = (0.0, self.zipf_s);
+        for segment in &self.drift {
+            spans.push((start, segment.at_ms, s));
+            (start, s) = (segment.at_ms, segment.zipf_s);
         }
         spans.push((start, self.horizon_ms, s));
-        Ok(spans)
+        spans
     }
-}
-
-/// A deterministic per-(lane, span) workload seed: lanes already space
-/// by `+ g`, so spans mix a large odd constant to keep every
-/// (lane, span) stream independent of every other.
-fn span_seed(seed: u64, lane: usize, span: usize) -> u64 {
-    seed.wrapping_add(lane as u64).wrapping_add((span as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// What the generators offered and what admission did with it.
@@ -151,86 +159,179 @@ pub struct LoadReport {
     pub wall_ms: u64,
 }
 
-/// Sleeps (coarsely) then spins (precisely) until `at_ms` of workload
-/// time has elapsed since `start`. Both tiers' drivers pace with it.
-pub(crate) fn pace_until(start: Instant, at_ms: f64) {
-    let target = Duration::from_secs_f64(at_ms / 1e3);
-    loop {
-        let now = start.elapsed();
-        if now >= target {
-            return;
+/// One serving tier's admission, built by each lane on its thread.
+pub(crate) trait Admission {
+    /// Groups per node runs are split into, by `shard_of(content, groups)`.
+    fn groups(&self) -> usize {
+        1
+    }
+
+    /// Offers `run`, requests from `node`'s clients all in `group`, and
+    /// drains it. Returns how many of them were shed on the spot.
+    fn offer(&mut self, node: usize, group: usize, run: &mut Vec<ContentId>) -> u64;
+
+    /// Resolves what the lane still has in flight once its stream ends.
+    fn close(&mut self) {}
+}
+
+impl Admission for BatchSubmitter<'_> {
+    fn groups(&self) -> usize {
+        self.cluster().config().shards_per_node
+    }
+
+    fn offer(&mut self, node: usize, shard: usize, run: &mut Vec<ContentId>) -> u64 {
+        let offered = run.len();
+        (offered - self.submit_run(node, shard, run)) as u64
+    }
+}
+
+/// One lane's share of the offered stream: the nodes it owns and their
+/// requests, in arrival order.
+pub(crate) struct Lane {
+    owned: Vec<usize>,
+    stream: Vec<Request>,
+}
+
+/// Span 0 draws from `seed` itself, later spans mix in a large odd
+/// constant so every span's stream is independent.
+fn span_seed(seed: u64, span: usize) -> u64 {
+    seed.wrapping_add((span as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// Draws the offered stream of `config` over `nodes` nodes — once per
+/// drift span, shifted to span time — and deals it into
+/// `generators.min(nodes)` lanes: lane `g` owns nodes `g, g + G, …`.
+pub(crate) fn deal(
+    config: &OpenLoopConfig,
+    nodes: usize,
+    catalogue: u64,
+) -> Result<Vec<Lane>, EngineError> {
+    config.validate()?;
+    let count = config.generators.min(nodes);
+    let mut lanes: Vec<Lane> = (0..count)
+        .map(|g| Lane { owned: (g..nodes).step_by(count).collect(), stream: Vec::new() })
+        .collect();
+    let all: Vec<usize> = (0..nodes).collect();
+    for (j, (start, end, s)) in config.spans().into_iter().enumerate() {
+        let rate = config.rate_per_node_per_ms;
+        let seed = span_seed(config.seed, j);
+        for mut request in workload::zipf_irm(&all, s, catalogue, rate, end - start, seed)? {
+            request.time += start;
+            lanes[request.router % count].stream.push(request);
         }
-        let left = target - now;
+    }
+    Ok(lanes)
+}
+
+/// What [`run_lanes`] offered and shed, and when its clock started.
+pub(crate) struct Driven {
+    offered: u64,
+    shed: u64,
+    lanes: usize,
+    pinned: usize,
+    pub(crate) start: Instant,
+}
+
+impl Driven {
+    /// The run's report, its wall clock read now.
+    fn report(&self) -> LoadReport {
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let wall_ms = (self.start.elapsed().as_secs_f64() * 1e3).ceil() as u64;
+        LoadReport {
+            offered: self.offered,
+            shed: self.shed,
+            generators: self.lanes,
+            pinned_generators: self.pinned,
+            wall_ms: wall_ms.max(1),
+        }
+    }
+}
+
+/// Runs every lane on its own thread, each offering its stream through
+/// the admission `admission()` builds on that thread, and returns once
+/// every lane has closed.
+pub(crate) fn run_lanes<A: Admission>(
+    config: &OpenLoopConfig,
+    lanes: &[Lane],
+    placement: ShardPlacement,
+    shards_per_node: usize,
+    admission: impl Fn() -> A + Sync,
+) -> Driven {
+    let (offered, shed, pinned) = (AtomicU64::new(0), AtomicU64::new(0), AtomicUsize::new(0));
+    let start = Instant::now();
+    std::thread::scope(|scope| {
+        for (g, lane) in lanes.iter().enumerate() {
+            let (offered, shed, pinned, admission) = (&offered, &shed, &pinned, &admission);
+            scope.spawn(move || {
+                if placement.pin_to(placement.generator_core(g, shards_per_node)) {
+                    pinned.fetch_add(1, Ordering::Relaxed);
+                }
+                let lane_shed = run_lane(config, lane, lanes.len(), start, &mut admission());
+                offered.fetch_add(lane.stream.len() as u64, Ordering::Relaxed);
+                shed.fetch_add(lane_shed, Ordering::Relaxed);
+            });
+        }
+    });
+    Driven {
+        offered: offered.into_inner(),
+        shed: shed.into_inner(),
+        lanes: lanes.len(),
+        pinned: pinned.into_inner(),
+        start,
+    }
+}
+
+/// The lane loop: paces, groups into runs, offers, and closes. Returns
+/// the requests shed on the spot.
+fn run_lane<A: Admission>(
+    config: &OpenLoopConfig,
+    lane: &Lane,
+    lanes: usize,
+    start: Instant,
+    admission: &mut A,
+) -> u64 {
+    let groups = admission.groups();
+    // Pending runs, indexed `owned slot * groups + group`; lane `g`
+    // owns node `g + k·lanes` at slot `k`.
+    let mut runs = vec![Vec::with_capacity(config.batch); lane.owned.len() * groups];
+    let mut shed = 0;
+    let mut offer = |admission: &mut A, slot: usize, run: &mut Vec<ContentId>| {
+        if !run.is_empty() {
+            shed += admission.offer(lane.owned[slot / groups], slot % groups, run);
+        }
+    };
+    for request in &lane.stream {
+        if config.paced {
+            let due = Duration::from_secs_f64(request.time / 1e3);
+            if start.elapsed() < due {
+                // Offer all due backlog before sleeping: batching must
+                // not delay a due request.
+                for (slot, run) in runs.iter_mut().enumerate() {
+                    offer(admission, slot, run);
+                }
+                pace_until(start, due);
+            }
+        }
+        let slot = request.router / lanes * groups + shard_of(request.content, groups);
+        runs[slot].push(request.content);
+        if runs[slot].len() >= config.batch {
+            offer(admission, slot, &mut runs[slot]);
+        }
+    }
+    for (slot, run) in runs.iter_mut().enumerate() {
+        offer(admission, slot, run);
+    }
+    admission.close();
+    shed
+}
+
+/// Sleeps (coarsely) then spins (precisely) until `start + due`.
+fn pace_until(start: Instant, due: Duration) {
+    while let Some(left) = due.checked_sub(start.elapsed()).filter(|left| !left.is_zero()) {
         if left > Duration::from_millis(2) {
             std::thread::sleep(left - Duration::from_millis(1));
         } else {
             std::hint::spin_loop();
-        }
-    }
-}
-
-/// One generator's view of the workload: issues requests in per-shard
-/// runs, tracking offered/shed counts.
-struct Generator {
-    /// Per-`(owned-node, shard)` pending runs, indexed
-    /// `local_node * shards + shard`.
-    buffers: Vec<Vec<ccn_sim::ContentId>>,
-    /// Dense node → owned-slot map (`usize::MAX` = not ours).
-    local_index: Vec<usize>,
-    /// Reverse of `local_index`: owned slot → node id.
-    owned: Vec<usize>,
-    shards: usize,
-    batch: usize,
-    issued: u64,
-    rejected: u64,
-}
-
-impl Generator {
-    fn new(cluster: &Cluster, owned: &[usize], batch: usize) -> Self {
-        let shards = cluster.config().shards_per_node;
-        let mut local_index = vec![usize::MAX; cluster.config().nodes];
-        for (slot, &node) in owned.iter().enumerate() {
-            local_index[node] = slot;
-        }
-        Self {
-            buffers: vec![Vec::with_capacity(batch); owned.len() * shards],
-            local_index,
-            owned: owned.to_vec(),
-            shards,
-            batch,
-            issued: 0,
-            rejected: 0,
-        }
-    }
-
-    /// Queues one request, flushing its run if it reached the batch
-    /// size (with `batch == 1`, every request is a run of one).
-    fn issue(&mut self, submitter: &mut BatchSubmitter<'_>, request: &Request) {
-        self.issued += 1;
-        let shard = shard_of(request.content, self.shards);
-        let slot = self.local_index[request.router] * self.shards + shard;
-        self.buffers[slot].push(request.content);
-        if self.buffers[slot].len() >= self.batch {
-            self.flush_slot(submitter, slot);
-        }
-    }
-
-    fn flush_slot(&mut self, submitter: &mut BatchSubmitter<'_>, slot: usize) {
-        let run = &mut self.buffers[slot];
-        if run.is_empty() {
-            return;
-        }
-        let offered = run.len();
-        let node = self.owned[slot / self.shards];
-        let accepted = submitter.submit_run(node, slot % self.shards, run);
-        self.rejected += (offered - accepted) as u64;
-    }
-
-    /// Flushes every pending run — called before a paced sleep and at
-    /// end of stream, so batching never holds back due requests.
-    fn flush_all(&mut self, submitter: &mut BatchSubmitter<'_>) {
-        for slot in 0..self.buffers.len() {
-            self.flush_slot(submitter, slot);
         }
     }
 }
@@ -240,96 +341,16 @@ impl Generator {
 ///
 /// # Errors
 ///
-/// Returns [`EngineError::InvalidConfig`] for a zero generator count
-/// or zero batch size, and [`EngineError::Workload`] when the
-/// workload parameters are rejected.
+/// Returns [`EngineError::InvalidConfig`] for a config
+/// [`OpenLoopConfig::validate`] rejects, and [`EngineError::Workload`]
+/// when the workload parameters are rejected.
 pub fn drive(cluster: &Cluster, config: &OpenLoopConfig) -> Result<LoadReport, EngineError> {
-    if config.generators == 0 {
-        return Err(EngineError::InvalidConfig { reason: "generators must be >= 1".into() });
-    }
-    if config.batch == 0 {
-        return Err(EngineError::InvalidConfig { reason: "batch must be >= 1".into() });
-    }
-    let nodes = cluster.config().nodes;
-    let catalogue = cluster.config().catalogue;
-    let generators = config.generators.min(nodes);
-    // Round-robin node ownership: generator g drives nodes g, g+G, …
-    // so every node has exactly one producer.
-    let mut partitions: Vec<Vec<usize>> = vec![Vec::new(); generators];
-    for node in 0..nodes {
-        partitions[node % generators].push(node);
-    }
-    // Pre-draw every stream before starting the clock: sampling is
-    // not part of the measured serving path. Drifted runs concatenate
-    // one constant-exponent draw per span, shifted to span time.
-    let spans = config.spans()?;
-    let streams = partitions
-        .iter()
-        .enumerate()
-        .map(|(g, owned)| -> Result<Vec<Request>, EngineError> {
-            let mut stream = Vec::new();
-            for (j, &(span_start, span_end, s)) in spans.iter().enumerate() {
-                let mut part = workload::zipf_irm(
-                    owned,
-                    s,
-                    catalogue,
-                    config.rate_per_node_per_ms,
-                    span_end - span_start,
-                    span_seed(config.seed, g, j),
-                )?;
-                for request in &mut part {
-                    request.time += span_start;
-                }
-                stream.append(&mut part);
-            }
-            Ok(stream)
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let placement = cluster.config().placement;
-    let shards_per_node = cluster.config().shards_per_node;
-    let offered = AtomicU64::new(0);
-    let shed = AtomicU64::new(0);
-    let pinned = AtomicUsize::new(0);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for (lane, (stream, owned)) in streams.iter().zip(&partitions).enumerate() {
-            let offered = &offered;
-            let shed = &shed;
-            let pinned = &pinned;
-            scope.spawn(move || {
-                if placement.pin_to(placement.generator_core(lane, shards_per_node)) {
-                    pinned.fetch_add(1, Ordering::Relaxed);
-                }
-                let mut submitter = cluster.batch_submitter();
-                let mut generator = Generator::new(cluster, owned, config.batch);
-                for request in stream {
-                    if config.paced {
-                        let target = Duration::from_secs_f64(request.time / 1e3);
-                        if start.elapsed() < target {
-                            // Issue all due backlog before sleeping:
-                            // batching must not delay due requests.
-                            generator.flush_all(&mut submitter);
-                            pace_until(start, request.time);
-                        }
-                    }
-                    generator.issue(&mut submitter, request);
-                }
-                generator.flush_all(&mut submitter);
-                offered.fetch_add(generator.issued, Ordering::AcqRel);
-                shed.fetch_add(generator.rejected, Ordering::AcqRel);
-            });
-        }
-    });
+    let cc = cluster.config();
+    let lanes = deal(config, cc.nodes, cc.catalogue)?;
+    let driven =
+        run_lanes(config, &lanes, cc.placement, cc.shards_per_node, || cluster.batch_submitter());
     cluster.drain();
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let wall_ms = (start.elapsed().as_secs_f64() * 1e3).ceil() as u64;
-    Ok(LoadReport {
-        offered: offered.into_inner(),
-        shed: shed.into_inner(),
-        generators,
-        pinned_generators: pinned.into_inner(),
-        wall_ms: wall_ms.max(1),
-    })
+    Ok(driven.report())
 }
 
 #[cfg(test)]
@@ -408,7 +429,7 @@ mod tests {
     #[test]
     fn drift_spans_cover_the_horizon_and_reject_bad_points() {
         let base = OpenLoopConfig { horizon_ms: 100.0, zipf_s: 0.7, ..OpenLoopConfig::default() };
-        assert_eq!(base.spans().unwrap(), vec![(0.0, 100.0, 0.7)]);
+        assert_eq!(base.spans(), vec![(0.0, 100.0, 0.7)]);
         let drifted = OpenLoopConfig {
             drift: vec![
                 DriftSegment { at_ms: 40.0, zipf_s: 1.1 },
@@ -416,10 +437,8 @@ mod tests {
             ],
             ..base.clone()
         };
-        assert_eq!(
-            drifted.spans().unwrap(),
-            vec![(0.0, 40.0, 0.7), (40.0, 70.0, 1.1), (70.0, 100.0, 0.9)]
-        );
+        drifted.validate().unwrap();
+        assert_eq!(drifted.spans(), vec![(0.0, 40.0, 0.7), (40.0, 70.0, 1.1), (70.0, 100.0, 0.9)]);
         for bad in [
             vec![DriftSegment { at_ms: 0.0, zipf_s: 1.1 }],
             vec![DriftSegment { at_ms: 100.0, zipf_s: 1.1 }],
@@ -429,7 +448,8 @@ mod tests {
             ],
         ] {
             let config = OpenLoopConfig { drift: bad, ..base.clone() };
-            assert!(config.spans().is_err(), "accepted bad drift {:?}", config.drift);
+            let err = config.validate().expect_err("accepted bad drift");
+            assert!(err.to_string().contains("drift point"), "{err}");
         }
     }
 
@@ -468,6 +488,63 @@ mod tests {
         let load = OpenLoopConfig { batch: 0, ..OpenLoopConfig::default() };
         assert!(drive(&cluster, &load).is_err());
         let _ = cluster.finish();
+    }
+
+    /// An admission that records every run it is offered, with the
+    /// instant of the offer.
+    struct Recorder<'a>(&'a std::sync::Mutex<Vec<(usize, Vec<ContentId>, Instant)>>);
+
+    impl Admission for Recorder<'_> {
+        fn offer(&mut self, node: usize, group: usize, run: &mut Vec<ContentId>) -> u64 {
+            assert_eq!(group, 0, "one group per node");
+            let at = Instant::now();
+            self.0.lock().unwrap().push((node, std::mem::take(run), at));
+            0
+        }
+    }
+
+    /// The paced rule both tiers share, checked once: every run a lane
+    /// offers holds only requests already due at the offer, at most
+    /// `batch` of them, and each node's runs concatenate to its stream
+    /// in arrival order. Lower bounds only — scheduling can delay an
+    /// offer, never advance it.
+    #[test]
+    fn paced_lanes_offer_no_request_before_its_arrival_time() {
+        let config = OpenLoopConfig {
+            generators: 2,
+            rate_per_node_per_ms: 0.2,
+            horizon_ms: 150.0,
+            paced: true,
+            batch: 64,
+            ..OpenLoopConfig::default()
+        };
+        let lanes = deal(&config, 3, 1_000).unwrap();
+        let log = std::sync::Mutex::new(Vec::new());
+        let driven = run_lanes(&config, &lanes, ShardPlacement::disabled(), 1, || Recorder(&log));
+        let log = log.into_inner().unwrap();
+        let mut arrivals: Vec<Vec<&Request>> = vec![Vec::new(); 3];
+        for request in lanes.iter().flat_map(|lane| &lane.stream) {
+            arrivals[request.router].push(request);
+        }
+        assert!(driven.offered > 40, "workload too small: {}", driven.offered);
+        let mut next = [0usize; 3];
+        for (node, run, at) in &log {
+            let elapsed = at.duration_since(driven.start).as_secs_f64() * 1e3;
+            assert!(!run.is_empty() && run.len() <= config.batch, "run of {}", run.len());
+            for &content in run {
+                let request = arrivals[*node][next[*node]];
+                next[*node] += 1;
+                assert_eq!(request.content, content, "node {node}'s runs reordered its stream");
+                assert!(
+                    request.time <= elapsed,
+                    "node {node} offered a request due at {} ms at {elapsed} ms",
+                    request.time
+                );
+            }
+        }
+        for (node, stream) in arrivals.iter().enumerate() {
+            assert_eq!(next[node], stream.len(), "node {node} left requests unoffered");
+        }
     }
 
     #[test]

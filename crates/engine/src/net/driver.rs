@@ -1,17 +1,18 @@
-//! The coordinator / load driver: spawns and provisions the nodes,
-//! drives per-node Zipf streams over the wire, replays the kill/revive
-//! schedule through the fault clock both tiers share, and folds the
-//! ledgers into a [`WireOutcome`].
+//! The coordinator: spawns and provisions the nodes, offers the load
+//! driver's runs over the wire ([`crate::load`], one `BatchLookup`
+//! frame per run), replays the kill/revive schedule through the fault
+//! clock both tiers share, and folds the ledgers into a
+//! [`WireOutcome`].
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead as _};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use ccn_sim::{workload, ContentId};
+use ccn_sim::ContentId;
 
 use super::codec::{
     decode_batch_served, encode_batch_lookup_from, proto_err, NodeStatsSnapshot, Provision,
@@ -22,14 +23,15 @@ use super::node::{frame_reply_timeout, NodeConfig, NodeServer};
 use crate::affinity::ShardPlacement;
 use crate::cluster::StorePolicy;
 use crate::control::{
-    AdaptiveRunner, Controller, ControllerConfig, ControllerReport, LayoutStep, RankTap,
+    drive_beside, AdaptiveRunner, Controller, ControllerConfig, ControllerReport, LayoutStep,
+    RankTap,
 };
 use crate::error::EngineError;
 use crate::fault::{
     AppliedFault, DegradeConfig, FaultController, FaultEvent, FaultKind, FaultPlan,
 };
 use crate::layout::Layout;
-use crate::load::pace_until;
+use crate::load::{deal, run_lanes, Admission, OpenLoopConfig};
 use crate::shard::lock_recover;
 
 /// How the driver brings up node serving loops.
@@ -60,22 +62,10 @@ pub struct WireSpec {
     pub ell: f64,
     /// Store population policy.
     pub policy: StorePolicy,
-    /// Zipf exponent of the request stream.
-    pub zipf_s: f64,
-    /// Per-node client request rate, requests per millisecond.
-    pub rate_per_node_per_ms: f64,
-    /// Workload horizon, milliseconds.
-    pub horizon_ms: f64,
-    /// Pace requests to their Poisson arrival times (false = drive
-    /// as fast as the wire allows).
-    pub paced: bool,
-    /// Workload seed — the driver draws the identical
-    /// `zipf_irm(&[0..nodes], …)` stream as the in-process
-    /// [`crate::load::OpenLoopConfig`] with one generator, so wire
-    /// and in-process runs are comparable request-for-request.
-    pub seed: u64,
-    /// Requests per `BatchLookup` frame.
-    pub batch: usize,
+    /// The offered load, run by the same lane loop as in process: the
+    /// same config offers the same requests on both tiers, and
+    /// `load.batch` caps the requests per `BatchLookup` frame.
+    pub load: OpenLoopConfig,
     /// Credit window: frames in flight per driver→node (and, via the
     /// node config, node→peer) connection. 1 = PR 8 stop-and-wait.
     pub window: usize,
@@ -85,14 +75,15 @@ pub struct WireSpec {
     /// Per-node accepted-connection cap (excess accepts are refused
     /// with a typed frame).
     pub max_conns: usize,
-    /// Core placement passed through to node processes.
+    /// Core placement passed through to node processes; pinning also
+    /// pins the load lanes, as in process.
     pub placement: ShardPlacement,
     /// Degradation-ladder knobs passed through to node processes.
     pub degrade: DegradeConfig,
     /// Scheduled faults, replayed on the in-process cluster's fault
-    /// clock: each driver advances the cluster-wide offered count once
-    /// per batch, and the batch that crosses a trigger is offered to
-    /// the post-fault cluster. `KillNode` SIGKILLs a node process,
+    /// clock: each lane advances the cluster-wide offered count once
+    /// per run, and the run that crosses a trigger is offered to the
+    /// post-fault cluster. `KillNode` SIGKILLs a node process,
     /// `ReviveNode` respawns it and re-provisions the cluster under a
     /// bumped config epoch; a failed revival ends the run with its
     /// error. Requires [`NodeLaunch::Exe`].
@@ -106,7 +97,8 @@ pub struct WireSpec {
 }
 
 impl WireSpec {
-    /// Defaults mirroring the in-process serve-bench smoke settings.
+    /// Defaults mirroring the in-process serve-bench smoke settings,
+    /// with one load lane per node.
     #[must_use]
     pub fn new(nodes: usize) -> Self {
         Self {
@@ -116,12 +108,12 @@ impl WireSpec {
             capacity: 100,
             ell: 0.5,
             policy: StorePolicy::Provisioned,
-            zipf_s: 0.8,
-            rate_per_node_per_ms: 0.5,
-            horizon_ms: 1_000.0,
-            paced: false,
-            seed: 42,
-            batch: 64,
+            load: OpenLoopConfig {
+                generators: nodes,
+                rate_per_node_per_ms: 0.5,
+                batch: 64,
+                ..OpenLoopConfig::default()
+            },
             window: 8,
             wire_batch: 64,
             max_conns: 1024,
@@ -151,7 +143,7 @@ impl WireSpec {
     }
 
     /// Checks the spec before anything is spawned: cluster shape,
-    /// ladder settings, controller tuning and fault schedule, and
+    /// workload, ladder settings, controller tuning and fault schedule, and
     /// returns the layout it provisions. A fault on the wire acts on a
     /// whole process, so only `KillNode` and `ReviveNode` are accepted,
     /// and each must change its node's state — a second revive would
@@ -164,8 +156,8 @@ impl WireSpec {
     pub(crate) fn validate(&self) -> Result<Layout, EngineError> {
         let invalid = |reason: String| Err(EngineError::InvalidConfig { reason });
         let layout = self.layout()?;
+        self.load.validate()?;
         for (name, value) in [
-            ("batch", self.batch),
             ("window", self.window),
             ("wire-batch", self.wire_batch),
             ("max-conns", self.max_conns),
@@ -680,6 +672,10 @@ struct WireCluster<'a> {
     tail_base: Mutex<Option<Vec<WireLedger>>>,
     /// The first failed revival, returned once every node is stopped.
     error: Mutex<Option<EngineError>>,
+    /// Meters the drive path's frames and bytes.
+    meter: Arc<WireMeter>,
+    /// The adaptive controller's rank tap, when one rides the run.
+    tap: Option<Arc<RankTap>>,
 }
 
 impl WireCluster<'_> {
@@ -746,95 +742,104 @@ impl WireCluster<'_> {
     }
 }
 
-fn drive_node(
-    cluster: &WireCluster<'_>,
-    id: usize,
-    requests: &[(f64, u64)],
-    tap: Option<&RankTap>,
-    meter: &Arc<WireMeter>,
-    start: Instant,
-) {
-    let (spec, slot, cells) = (cluster.spec, &cluster.slots[id], &cluster.cells[id]);
-    let timeout = frame_reply_timeout(spec.nodes, &spec.degrade);
-    // Invariant: `pending` non-empty ⇒ `conn` is Some — shed_conn is
-    // the only path that drops the connection and it clears the queue.
-    let mut conn: Option<(Conn, u64)> = None;
-    let mut pending: VecDeque<(u32, u64)> = VecDeque::with_capacity(spec.window);
-    let mut contents: Vec<u64> = Vec::with_capacity(spec.batch);
-    let mut next_tag: u32 = 0;
-    let mut i = 0usize;
-    while i < requests.len() {
-        let end = (i + spec.batch).min(requests.len());
-        let batch = &requests[i..end];
-        i = end;
-        if spec.paced {
-            pace_until(start, batch[0].0);
+/// A lane's connection to one node, the incarnation it was dialled
+/// to, and its frames in flight as `(tag, requests)`, oldest first.
+/// Invariant: `pending` non-empty ⇒ `conn` is Some — `shed_conn` is
+/// the only path that drops the connection and it clears the queue.
+#[derive(Default)]
+struct NodeConn {
+    conn: Option<(Conn, u64)>,
+    pending: VecDeque<(u32, u64)>,
+    next_tag: u32,
+}
+
+/// The wire tier's [`Admission`] for one load lane: per node, the
+/// connection, its credit window and in-order drain, the desync and
+/// dead-node shed, and the redial to a revived incarnation; per run,
+/// the fault-clock tick and the tap record.
+struct WireAdmission<'a> {
+    cluster: &'a WireCluster<'a>,
+    /// Indexed by node id; only the lane's own nodes are ever dialled.
+    conns: Vec<NodeConn>,
+    contents: Vec<u64>,
+}
+
+impl WireAdmission<'_> {
+    /// Sends the staged contents to node `id` as one `BatchLookup`
+    /// frame. Returns how many were shed at the driver edge instead: all
+    /// of them when the node is dead or unreachable, else none.
+    fn send(&mut self, id: usize) -> u64 {
+        let (cells, node) = (&self.cluster.cells[id], &mut self.conns[id]);
+        let n = self.contents.len() as u64;
+        // Window full: make room for one more frame.
+        drain_to(&mut node.conn, &mut node.pending, cells, self.cluster.spec.window - 1);
+        let (addr, generation, alive) = {
+            let s = lock_recover(&self.cluster.slots[id]);
+            (s.addr.clone(), s.generation, s.node.is_some())
+        };
+        // A dead node, or one replaced under us: frames in flight
+        // belonged to an incarnation that will never answer them.
+        if !alive || node.conn.as_ref().is_some_and(|&(_, gen)| gen != generation) {
+            shed_conn(&mut node.conn, &mut node.pending, cells);
         }
-        let n = batch.len() as u64;
-        cells.offered.fetch_add(n, Ordering::Relaxed);
-        // One fault-clock tick per batch, as in process: a batch that
+        if !alive {
+            return n;
+        }
+        if node.conn.is_none() {
+            let timeout = frame_reply_timeout(self.cluster.spec.nodes, &self.cluster.spec.degrade);
+            match connect_driver(&addr, timeout, Some(Arc::clone(&self.cluster.meter))) {
+                Ok(c) => node.conn = Some((c, generation)),
+                Err(_) => return n,
+            }
+        }
+        let (tag, contents) = (node.next_tag, &self.contents);
+        node.next_tag = tag.wrapping_add(1);
+        let (c, _) = node.conn.as_mut().expect("connected above");
+        if c.send(|buf| encode_batch_lookup_from(buf, tag, contents)).is_err() {
+            shed_conn(&mut node.conn, &mut node.pending, cells);
+            return n;
+        }
+        node.pending.push_back((tag, n));
+        self.cluster.meter.window(node.pending.len());
+        0
+    }
+}
+
+impl Admission for WireAdmission<'_> {
+    fn offer(&mut self, node: usize, _: usize, run: &mut Vec<ContentId>) -> u64 {
+        let (cluster, n) = (self.cluster, run.len() as u64);
+        cluster.cells[node].offered.fetch_add(n, Ordering::Relaxed);
+        // One fault-clock tick per run, as in process: a run that
         // crosses a trigger is offered to the post-fault cluster.
         let op = cluster.offered.fetch_add(n, Ordering::Relaxed) + n;
         cluster.faults.advance(op, |kind| cluster.apply(kind));
-        // Each node's driver thread is the single writer of its tap
-        // lane, so the lock-free sampling contract holds on the wire
-        // exactly as in-process. Ranks are recorded at offer time —
-        // the controller observes demand, served or shed.
-        if let Some(tap) = tap {
-            for &(_, content) in batch {
-                tap.record(id, ContentId(content));
-            }
+        // A node's lane is the single writer of its tap lane, so the
+        // lock-free sampling contract holds on the wire exactly as in
+        // process. Ranks are recorded at offer time — the controller
+        // observes demand, served or shed.
+        if let Some(tap) = &cluster.tap {
+            tap.record_run(node, run);
         }
-        // Window full: make room for one more frame.
-        drain_to(&mut conn, &mut pending, cells, spec.window - 1);
-        let (addr, generation, alive) = {
-            let s = lock_recover(slot);
-            (s.addr.clone(), s.generation, s.node.is_some())
-        };
-        if !alive {
-            shed_conn(&mut conn, &mut pending, cells);
-            cells.shed.fetch_add(n, Ordering::Relaxed);
-            continue;
-        }
-        if let Some((_, gen)) = &conn {
-            if *gen != generation {
-                // The node was replaced under us: frames in flight
-                // belonged to the previous incarnation and will never
-                // be answered.
-                shed_conn(&mut conn, &mut pending, cells);
-            }
-        }
-        if conn.is_none() {
-            match connect_driver(&addr, timeout, Some(Arc::clone(meter))) {
-                Ok(c) => conn = Some((c, generation)),
-                Err(_) => {
-                    cells.shed.fetch_add(n, Ordering::Relaxed);
-                    continue;
-                }
-            }
-        }
-        contents.clear();
-        contents.extend(batch.iter().map(|&(_, c)| c));
-        let tag = next_tag;
-        next_tag = next_tag.wrapping_add(1);
-        let (c, _) = conn.as_mut().expect("connected above");
-        if c.send(|buf| encode_batch_lookup_from(buf, tag, &contents)).is_err() {
-            shed_conn(&mut conn, &mut pending, cells);
-            cells.shed.fetch_add(n, Ordering::Relaxed);
-            continue;
-        }
-        pending.push_back((tag, n));
-        meter.window(pending.len());
+        self.contents.clear();
+        self.contents.extend(run.drain(..).map(ContentId::rank));
+        let shed = self.send(node);
+        cluster.cells[node].shed.fetch_add(shed, Ordering::Relaxed);
+        shed
     }
-    drain_to(&mut conn, &mut pending, cells, 0);
-    if let Some((conn, _)) = conn.take() {
-        let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+
+    fn close(&mut self) {
+        for (node, cells) in self.conns.iter_mut().zip(&self.cluster.cells) {
+            drain_to(&mut node.conn, &mut node.pending, cells, 0);
+            if let Some((conn, _)) = node.conn.take() {
+                let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+            }
+        }
     }
 }
 
 /// Runs a multi-process (or in-process multi-thread) wire-mode
 /// serving benchmark: spawns the nodes, provisions them at epoch 1,
-/// drives the per-node Zipf streams over TCP, applies the kill/revive
+/// drives the load's lanes over TCP, applies the kill/revive
 /// schedule, and folds the driver ledgers into a [`WireOutcome`]
 /// whose conservation invariant has already been verified.
 ///
@@ -852,20 +857,7 @@ pub fn wire_bench(spec: &WireSpec) -> Result<WireOutcome, EngineError> {
         .transpose()?
         .map(AdaptiveRunner::new)
         .transpose()?;
-    let tap = runner.as_ref().map(AdaptiveRunner::tap);
-    let all: Vec<usize> = (0..spec.nodes).collect();
-    let stream = workload::zipf_irm(
-        &all,
-        spec.zipf_s,
-        spec.catalogue,
-        spec.rate_per_node_per_ms,
-        spec.horizon_ms,
-        spec.seed,
-    )?;
-    let mut per_node_requests: Vec<Vec<(f64, u64)>> = vec![Vec::new(); spec.nodes];
-    for request in stream {
-        per_node_requests[request.router].push((request.time, request.content.0));
-    }
+    let lanes = deal(&spec.load, spec.nodes, spec.catalogue)?;
 
     // Bring-up: spawn every node and provision it at epoch 1. A failure
     // stops every node already up at once, or they would be orphaned.
@@ -898,32 +890,23 @@ pub fn wire_bench(spec: &WireSpec) -> Result<WireOutcome, EngineError> {
         faults: FaultController::new(spec.faults.clone()),
         tail_base: Mutex::new(None),
         error: Mutex::new(None),
+        meter: Arc::new(WireMeter::default()),
+        tap: runner.as_ref().map(AdaptiveRunner::tap),
     };
-    let drive_meter = Arc::new(WireMeter::default());
-    let drivers_done = AtomicUsize::new(0);
-    let start = Instant::now();
-
-    let controller = std::thread::scope(|scope| {
-        for (id, requests) in per_node_requests.iter().enumerate() {
-            let (cluster, done, meter, node_tap) =
-                (&cluster, &drivers_done, &drive_meter, tap.as_deref());
-            scope.spawn(move || {
-                drive_node(cluster, id, requests, node_tap, meter, start);
-                done.fetch_add(1, Ordering::Release);
-            });
-        }
-        // The adaptive controller ticks while the drivers run, then
-        // drains its chain so the cluster lands on the final layout
-        // before stats collection.
-        runner.map(|runner| {
-            runner.run(
-                || drivers_done.load(Ordering::Acquire) == spec.nodes,
-                |step| cluster.install(step),
-            )
-        })
-    });
-    #[allow(clippy::cast_precision_loss)]
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    // The adaptive controller ticks while the lanes run, then drains
+    // its chain so the cluster lands on the final layout before stats
+    // collection.
+    let (driven, controller) = drive_beside(
+        runner,
+        |step| cluster.install(step),
+        || {
+            let conns = || std::iter::repeat_with(NodeConn::default).take(spec.nodes).collect();
+            let admission =
+                || WireAdmission { cluster: &cluster, conns: conns(), contents: vec![] };
+            run_lanes(&spec.load, &lanes, spec.placement, spec.shards_per_node, admission)
+        },
+    );
+    let wall_ms = driven.start.elapsed().as_secs_f64() * 1e3;
 
     // Staged-rollout convergence: re-push the final cumulative layout,
     // so a node that missed an epoch (a push racing its kill window, a
@@ -992,11 +975,11 @@ pub fn wire_bench(spec: &WireSpec) -> Result<WireOutcome, EngineError> {
         pipeline: WirePipelineStats {
             window: spec.window as u64,
             wire_batch: spec.wire_batch as u64,
-            max_in_flight: drive_meter.max_window.load(Ordering::Relaxed),
-            frames_out: drive_meter.frames_out.load(Ordering::Relaxed),
-            frames_in: drive_meter.frames_in.load(Ordering::Relaxed),
-            bytes_out: drive_meter.bytes_out.load(Ordering::Relaxed),
-            bytes_in: drive_meter.bytes_in.load(Ordering::Relaxed),
+            max_in_flight: cluster.meter.max_window.load(Ordering::Relaxed),
+            frames_out: cluster.meter.frames_out.load(Ordering::Relaxed),
+            frames_in: cluster.meter.frames_in.load(Ordering::Relaxed),
+            bytes_out: cluster.meter.bytes_out.load(Ordering::Relaxed),
+            bytes_in: cluster.meter.bytes_in.load(Ordering::Relaxed),
         },
     };
     outcome.check_conservation()?;
@@ -1011,9 +994,7 @@ mod tests {
     #[test]
     fn in_process_loopback_cluster_serves_all_tiers_conservatively() {
         let mut spec = WireSpec::new(3);
-        spec.horizon_ms = 400.0;
-        spec.rate_per_node_per_ms = 2.0;
-        spec.seed = 7;
+        (spec.load.horizon_ms, spec.load.rate_per_node_per_ms, spec.load.seed) = (400.0, 2.0, 7);
         let outcome = wire_bench(&spec).expect("wire bench");
         outcome.check_conservation().expect("conservation");
         assert_eq!(outcome.epoch, 1);
@@ -1042,12 +1023,15 @@ mod tests {
     fn adaptive_wire_bench_stages_epochs_and_converges_every_node() {
         let mut spec = WireSpec::new(3);
         spec.ell = 0.2;
-        spec.zipf_s = 1.1;
-        spec.rate_per_node_per_ms = 4.0;
-        spec.horizon_ms = 600.0;
-        spec.paced = true;
-        spec.batch = 16;
-        spec.seed = 11;
+        spec.load = OpenLoopConfig {
+            zipf_s: 1.1,
+            rate_per_node_per_ms: 4.0,
+            horizon_ms: 600.0,
+            paced: true,
+            batch: 16,
+            seed: 11,
+            ..spec.load
+        };
         spec.adapt = Some(ControllerConfig {
             decay: 0.9,
             min_window: 300.0,
@@ -1072,7 +1056,7 @@ mod tests {
             "every issued epoch must have landed cluster-wide"
         );
         let fitted = report.fitted_s.expect("a fit happened");
-        assert!((fitted - spec.zipf_s).abs() < 0.2, "fit {fitted} missed s={}", spec.zipf_s);
+        assert!((fitted - 1.1).abs() < 0.2, "fit {fitted} missed s=1.1");
         for stats in outcome.node_stats.iter().flatten() {
             assert_eq!(stats.epoch, outcome.epoch, "all nodes converge to the same epoch");
             let node_view = f64::from_bits(stats.fitted_s_bits);
@@ -1143,6 +1127,25 @@ mod tests {
         let wire = wire_bench(&spec).expect_err("wire accepted");
         assert_eq!(in_process.to_string(), wire.to_string());
         assert!(wire.to_string().contains("catalogue 200 too small"), "{wire}");
+    }
+
+    /// One workload check for both tiers: a zero batch and a drift
+    /// point at the start are refused in process and on the wire with
+    /// the same words, before anything spawns.
+    #[test]
+    fn both_tiers_refuse_a_bad_workload_alike() {
+        let early = vec![crate::DriftSegment { at_ms: 0.0, zipf_s: 1.1 }];
+        for load in [
+            OpenLoopConfig { batch: 0, ..OpenLoopConfig::default() },
+            OpenLoopConfig { drift: early, ..OpenLoopConfig::default() },
+        ] {
+            let config = crate::ServeBenchConfig { load: load.clone(), ..Default::default() };
+            let in_process = crate::serve_bench(&config).expect_err("serve-bench accepted");
+            let mut spec = WireSpec::new(2);
+            spec.load = load;
+            let wire = wire_bench(&spec).expect_err("wire accepted");
+            assert_eq!(in_process.to_string(), wire.to_string());
+        }
     }
 
     #[test]

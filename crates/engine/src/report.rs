@@ -7,7 +7,7 @@ use ccn_sim::ServedBy;
 
 use crate::affinity::available_cores;
 use crate::cluster::{Cluster, ClusterConfig, EngineMetrics, StorePolicy};
-use crate::control::{ClusterController, ControllerConfig, ControllerReport};
+use crate::control::{drive_beside, ClusterController, ControllerConfig, ControllerReport};
 use crate::error::EngineError;
 use crate::fault::{AppliedFault, FaultPlan};
 use crate::layout::coordinated_slots;
@@ -253,14 +253,16 @@ pub fn controller_json(report: &ControllerReport) -> Json {
 /// [`EngineError::Accounting`] if any request went unaccounted
 /// (`completed + shed != offered` — an engine bug, never expected).
 pub fn serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchOutcome, EngineError> {
+    config.load.validate()?;
     let cluster = Cluster::with_faults(config.cluster.clone(), config.faults.clone())?;
-    let (load, controller) = match config.adapt {
-        None => (drive(&cluster, &config.load)?, None),
-        Some(adapt) => {
-            let (load, report) = drive_adaptive(&cluster, &config.load, adapt)?;
-            (load, Some(report))
-        }
-    };
+    let controller =
+        config.adapt.map(|adapt| ClusterController::attach(&cluster, adapt)).transpose()?;
+    let (load, report) = drive_beside(
+        controller.map(|controller| controller.runner),
+        |step| cluster.apply_layout(&step.assignments),
+        || drive(&cluster, &config.load),
+    );
+    let (controller, load) = (report.transpose()?, load?);
     let metrics = cluster.finish();
     let completed = metrics.completed();
     if completed + load.shed != load.offered {
@@ -273,27 +275,6 @@ pub fn serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchOutcome, Engin
         metrics,
         report: load,
         controller,
-    })
-}
-
-/// Drives the load with the controller's ticker riding the run on its
-/// own thread; the ticker's final tick and chain drain let a drift late
-/// in the run still converge.
-fn drive_adaptive(
-    cluster: &Cluster,
-    load: &OpenLoopConfig,
-    adapt: ControllerConfig,
-) -> Result<(LoadReport, ControllerReport), EngineError> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    let controller = ClusterController::attach(cluster, adapt)?;
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        let stop = &stop;
-        let ticker = scope.spawn(move || controller.run(cluster, || stop.load(Ordering::Acquire)));
-        let load_result = drive(cluster, load);
-        stop.store(true, Ordering::Release);
-        let report = ticker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
-        Ok((load_result?, report))
     })
 }
 

@@ -420,10 +420,8 @@ fn wire_spec(seed: u64, horizon_ms: f64) -> ccn_engine::net::WireSpec {
     spec.catalogue = CATALOGUE;
     spec.capacity = CAPACITY;
     spec.ell = 0.5;
-    spec.zipf_s = ZIPF_S;
-    spec.rate_per_node_per_ms = RATE_PER_MS;
-    spec.horizon_ms = horizon_ms;
-    spec.seed = seed;
+    // The in-process workload, one lane per node and 64 per frame.
+    spec.load = OpenLoopConfig { generators: NODES, batch: 64, ..chaos_load(seed, horizon_ms) };
     // A deliberately non-trivial credit window: frames are in flight
     // on the victim's connection at SIGKILL time, and every request
     // inside them must resolve to shed or completed — never lost.

@@ -1,9 +1,9 @@
 //! Wire-tier equivalence: the multi-process TCP serving tier must
 //! reproduce the in-process engine's tier economics.
 //!
-//! Both tiers drive the *identical* pre-drawn request stream — the
-//! wire driver issues the same single `zipf_irm` call as the
-//! in-process open-loop harness with one generator — and both
+//! Both tiers drive the *identical* pre-drawn request stream — one
+//! `OpenLoopConfig` run by the one load driver, whose stream depends
+//! only on the workload and the node count — and both
 //! provision the identical static stores (`x = round(ℓ·c)` slots of
 //! the coordinated slice plus the `c − x` popularity prefix). With
 //! static stores the tier a request lands in is a pure function of
@@ -17,15 +17,17 @@
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 
+use ccn_engine::load::drive;
 use ccn_engine::net::{
     wire_bench, NodeConfig, NodeLaunch, NodeServer, NodeStatsSnapshot, Provision, Request,
     Response, WireOutcome, WireSpec, PROTOCOL_VERSION,
 };
 use ccn_engine::{
-    serve_bench, shard_of, ClusterConfig, OpenLoopConfig, ServeBenchConfig, StorePolicy,
+    serve_bench, shard_of, Cluster, ClusterConfig, DriftSegment, OpenLoopConfig, ServeBenchConfig,
+    StorePolicy,
 };
 use ccn_sim::store::{ContentStore as _, LruStore};
-use ccn_sim::ContentId;
+use ccn_sim::{ContentId, TierCounts};
 use ccn_zipf::{Zipf, ZipfSampler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,42 +67,48 @@ fn ccn_exe() -> std::path::PathBuf {
     exe
 }
 
+/// The one workload both tiers are offered: one lane per node, 64
+/// requests per run.
+fn workload() -> OpenLoopConfig {
+    OpenLoopConfig {
+        generators: NODES,
+        zipf_s: ZIPF_S,
+        rate_per_node_per_ms: RATE_PER_MS,
+        horizon_ms: HORIZON_MS,
+        seed: SEED,
+        batch: 64,
+        ..OpenLoopConfig::default()
+    }
+}
+
 fn wire_spec(launch: NodeLaunch, shards: usize) -> WireSpec {
     let mut spec = WireSpec::new(NODES);
     spec.shards_per_node = shards;
     spec.catalogue = CATALOGUE;
     spec.capacity = CAPACITY;
     spec.ell = ELL;
-    spec.zipf_s = ZIPF_S;
-    spec.rate_per_node_per_ms = RATE_PER_MS;
-    spec.horizon_ms = HORIZON_MS;
-    spec.seed = SEED;
+    spec.load = workload();
     spec.launch = launch;
     spec
 }
 
+fn engine_cluster(shards_per_node: usize) -> ClusterConfig {
+    ClusterConfig {
+        nodes: NODES,
+        shards_per_node,
+        queue_capacity: 8_192,
+        catalogue: CATALOGUE,
+        capacity: CAPACITY,
+        ell: ELL,
+        policy: StorePolicy::Provisioned,
+        ..ClusterConfig::default()
+    }
+}
+
 fn engine_fractions() -> (u64, f64, f64, f64) {
     let config = ServeBenchConfig {
-        cluster: ClusterConfig {
-            nodes: NODES,
-            shards_per_node: 1,
-            queue_capacity: 8_192,
-            catalogue: CATALOGUE,
-            capacity: CAPACITY,
-            ell: ELL,
-            policy: StorePolicy::Provisioned,
-            ..ClusterConfig::default()
-        },
-        load: OpenLoopConfig {
-            generators: 1,
-            zipf_s: ZIPF_S,
-            rate_per_node_per_ms: RATE_PER_MS,
-            horizon_ms: HORIZON_MS,
-            paced: false,
-            seed: SEED,
-            batch: 1,
-            drift: Vec::new(),
-        },
+        cluster: engine_cluster(1),
+        load: workload(),
         faults: ccn_engine::FaultPlan::none(),
         adapt: None,
     };
@@ -159,6 +167,33 @@ fn in_process_wire_threads_match_engine_tiers() {
         let outcome = wire_bench(&spec).expect("threaded wire run");
         assert_matches_engine(&outcome, &format!("threads, {shards} shard(s)"));
     }
+}
+
+/// The offered stream depends only on the workload and the node count:
+/// in process, one, two or three lanes offer every node the same
+/// requests — under static stores, the same per-node tier counts —
+/// and the wire driver's lanes, one per node, offer each node as many,
+/// drift included.
+#[test]
+fn the_offered_stream_depends_only_on_the_workload_and_the_nodes() {
+    let drift = vec![DriftSegment { at_ms: HORIZON_MS / 2.0, zipf_s: 1.2 }];
+    let load = OpenLoopConfig { drift, ..workload() };
+    let per_node: Vec<Vec<TierCounts>> = (1..=3)
+        .map(|generators| {
+            let cluster = Cluster::new(engine_cluster(2)).expect("cluster");
+            let report = drive(&cluster, &OpenLoopConfig { generators, ..load.clone() });
+            let report = report.expect("in-process run");
+            assert_eq!((report.generators, report.shed), (generators, 0));
+            cluster.finish().per_node
+        })
+        .collect();
+    for (lanes, tiers) in per_node.iter().enumerate() {
+        assert_eq!(tiers, &per_node[0], "{} lanes changed what the nodes were offered", lanes + 1);
+    }
+    let wire = wire_bench(&WireSpec { load, ..wire_spec(NodeLaunch::InProcess, 1) });
+    let offered: Vec<u64> = wire.expect("wire run").per_node.iter().map(|l| l.offered).collect();
+    let engine: Vec<u64> = per_node[0].iter().map(TierCounts::total).collect();
+    assert_eq!(offered, engine, "the wire offered its nodes a different stream");
 }
 
 /// Pipelining is an optimization, not a semantics change: the same
