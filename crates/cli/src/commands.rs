@@ -4,13 +4,12 @@ use std::fmt::Write as _;
 
 use ccn_coord::{CoordinatorConfig, ResilientCoordinator, RetryPolicy, RoundOutcome};
 use ccn_engine::net::{
-    wire_bench, NodeConfig, NodeLaunch, NodeServer, NodeStatsSnapshot, WireLedger, WireOutcome,
-    WireSpec,
+    wire_bench, NodeConfig, NodeLaunch, NodeServer, NodeStatsSnapshot, WireOutcome, WireSpec,
 };
 use ccn_engine::{
-    controller_json, fault_log_json, serve_bench, ClusterConfig, ControllerConfig,
-    ControllerReport, DegradeConfig, DriftSegment, FaultPlan, OpenLoopConfig, ServeBenchConfig,
-    ShardPlacement, StorePolicy,
+    controller_json, fault_log_json, ledgers_json, load_report_json, serve_bench, tier_fractions,
+    AppliedFault, ClusterConfig, ControllerConfig, ControllerReport, DegradeConfig, DriftSegment,
+    FaultPlan, Ledger, LoadReport, OpenLoopConfig, ServeBenchConfig, ShardPlacement, StorePolicy,
 };
 use ccn_model::planner::{capacity_for_target_origin_load, plan, PlannerConfig};
 use ccn_model::{CacheModel, ModelParams};
@@ -479,8 +478,8 @@ fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
     let name = args.str_or("name", "SERVE");
     let mut clock = PhaseClock::new();
     let outcome = serve_bench(&config).map_err(|e| ArgError(e.to_string()))?;
-    let (m, run, completed) = (&outcome.metrics, &outcome.report, outcome.completed());
-    clock.lap_events("serve", run.offered);
+    let (m, run) = (&outcome.metrics, &outcome.report);
+    clock.lap_events("serve", run.total().offered);
     if !config.faults.is_empty() {
         // Zero-length lap recording how many plan events fired, so
         // the manifest carries the fault dimension of the run.
@@ -500,22 +499,10 @@ fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "serve-bench {name}: {} nodes x {} shard(s), {} generator(s), batch {}, {} offered",
-        config.cluster.nodes,
-        config.cluster.shards_per_node,
-        run.generators,
-        config.load.batch,
-        run.offered,
+        "serve-bench {name}: {} nodes x {} shard(s), batch {}, {} generator(s)",
+        config.cluster.nodes, config.cluster.shards_per_node, config.load.batch, run.generators,
     );
-    let _ = writeln!(
-        out,
-        "  completed {} ({:.0} req/s over {} ms), shed {}, degraded-to-origin {}",
-        completed,
-        outcome.requests_per_sec(),
-        run.wall_ms,
-        run.shed,
-        m.degraded_to_origin
-    );
+    ledger_summary(&mut out, run, outcome.controller.as_ref(), &m.fault_log);
     let _ = writeln!(
         out,
         "  placement: {} core(s) available, budget {}, pinned {} worker(s) + {} lane(s)",
@@ -526,38 +513,70 @@ fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
     );
     let _ = writeln!(
         out,
-        "  tiers: local {:.1}%, peer {:.1}%, origin {:.1}%  (max queue depth {})",
-        m.fraction(ccn_sim::ServedBy::Local) * 100.0,
-        m.fraction(ccn_sim::ServedBy::Peer) * 100.0,
-        m.fraction(ccn_sim::ServedBy::Origin) * 100.0,
-        m.max_queue_depth
+        "  queues: max depth {}, degraded-to-origin {}",
+        m.max_queue_depth, m.degraded_to_origin
     );
-    let _ = writeln!(
-        out,
-        "  accounting: completed + shed == offered ({} + {} == {})",
-        completed, run.shed, run.offered
-    );
-    if let Some(ctl) = &outcome.controller {
-        controller_summary(&mut out, ctl);
-    }
     if !config.faults.is_empty() {
         let _ = writeln!(
             out,
-            "  faults: {} applied, routing epoch {}, fault-served {}, shed-node-down {}",
-            m.fault_log.len(),
+            "  degradation: routing epoch {}, fault-served {}, shed-node-down {}, retried {}, \
+             failed-over {}, deadline-expired {}, health down/up {}/{}",
             m.routing_epoch,
             m.fault_served,
-            m.shed_node_down
-        );
-        let _ = writeln!(
-            out,
-            "  degradation: retried {}, failed-over {}, deadline-expired {}, \
-             health down/up {}/{}",
-            m.retried, m.failed_over, m.deadline_expired, m.health_marked_down, m.health_revived
+            m.shed_node_down,
+            m.retried,
+            m.failed_over,
+            m.deadline_expired,
+            m.health_marked_down,
+            m.health_revived
         );
     }
     let _ = writeln!(out, "report written to {out_path}");
     Ok(out)
+}
+
+/// The summary lines both serving benches print: what the run offered
+/// and what became of it, the tier split, the per-node accounting, the
+/// controller, and the faults applied.
+fn ledger_summary(
+    out: &mut String,
+    report: &LoadReport,
+    controller: Option<&ControllerReport>,
+    fault_log: &[AppliedFault],
+) {
+    let total = report.total();
+    let (local, peer, origin) = tier_fractions(&report.per_node);
+    #[allow(clippy::cast_precision_loss)]
+    let rate = total.completed() as f64 / (report.wall_ms / 1e3);
+    let _ = writeln!(
+        out,
+        "  offered {} over {:.3} ms, completed {} ({rate:.0} req/s), shed {}",
+        total.offered,
+        report.wall_ms,
+        total.completed(),
+        total.shed
+    );
+    let _ = writeln!(
+        out,
+        "  tiers: local {:.1}%, peer {:.1}%, origin {:.1}%",
+        local * 100.0,
+        peer * 100.0,
+        origin * 100.0
+    );
+    let _ = writeln!(
+        out,
+        "  accounting: completed + shed == offered on every node ({} + {} == {})",
+        total.completed(),
+        total.shed,
+        total.offered
+    );
+    if let Some(ctl) = controller {
+        controller_summary(out, ctl);
+    }
+    if !fault_log.is_empty() {
+        let applied: Vec<String> = fault_log.iter().map(ToString::to_string).collect();
+        let _ = writeln!(out, "  faults: {} applied: {}", applied.len(), applied.join(", "));
+    }
 }
 
 fn usize_flag(args: &Args, flag: &str, default: u64) -> Result<usize, ArgError> {
@@ -847,37 +866,22 @@ fn stats_json(stats: &NodeStatsSnapshot) -> Json {
     )
 }
 
-fn ledger_json(ledger: &WireLedger) -> Json {
-    Json::object()
-        .field("offered", ledger.offered)
-        .field("local", ledger.local)
-        .field("peer", ledger.peer)
-        .field("origin", ledger.origin)
-        .field("shed", ledger.shed)
-}
-
 /// A string list as a JSON array.
 fn strings(list: &[String]) -> Json {
     Json::Arr(list.iter().map(|s| Json::from(s.as_str())).collect())
 }
 
 fn wire_outcome_json(outcome: &WireOutcome) -> Json {
-    let ledgers = |list: &[WireLedger]| Json::Arr(list.iter().map(ledger_json).collect());
     let stats = outcome.node_stats.iter().map(|s| s.as_ref().map_or(Json::Null, stats_json));
-    let offered = outcome.offered();
+    let offered = outcome.report.total().offered;
     let p = &outcome.pipeline;
-    Json::object()
+    let body = Json::object()
         .field("nodes", outcome.nodes)
         .field("epoch", outcome.epoch)
-        .field("wall_ms", outcome.wall_ms)
-        .field("offered", offered)
-        .field("completed", outcome.completed())
-        .field("shed", outcome.shed())
         .field("listen_addrs", strings(&outcome.listen_addrs))
-        .field("per_node", ledgers(&outcome.per_node))
         .field("node_stats", Json::Arr(stats.collect()))
         .field("fault_log", fault_log_json(&outcome.fault_log))
-        .field("tail_per_node", outcome.tail_per_node.as_deref().map_or(Json::Null, ledgers))
+        .field("tail_per_node", outcome.tail_per_node.as_deref().map_or(Json::Null, ledgers_json))
         .field("adaptive", outcome.controller.is_some())
         .field("controller", outcome.controller.as_ref().map_or_else(Json::object, controller_json))
         .field(
@@ -892,7 +896,8 @@ fn wire_outcome_json(outcome: &WireOutcome) -> Json {
                 .field("bytes_in", p.bytes_in)
                 .field("frames_per_op", p.frames_per_op(offered))
                 .field("bytes_per_op", p.bytes_per_op(offered)),
-        )
+        );
+    load_report_json(body, &outcome.report)
 }
 
 /// wire-bench's flags as the library's spec.
@@ -939,7 +944,7 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
 
     let mut clock = PhaseClock::new();
     let outcome = wire_bench(&spec).map_err(|e| ArgError(e.to_string()))?;
-    let offered = outcome.offered();
+    let offered = outcome.report.total().offered;
     clock.lap_events("wire_serve", offered);
     if !spec.faults.is_empty() {
         clock.lap_events("faults", outcome.fault_log.len() as u64);
@@ -981,7 +986,6 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
         wire_outcome_json(&outcome),
     )?;
 
-    let (local, peer, origin) = WireOutcome::tier_fractions(&outcome.per_node);
     let launch = match &spec.launch {
         NodeLaunch::InProcess => "in-process threads".to_owned(),
         NodeLaunch::Exe(path) => format!("processes of {}", path.display()),
@@ -992,13 +996,7 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
         "wire-bench {name}: {} node(s) x {} shard(s) as {launch}, batch {}, window {}, epoch {}",
         outcome.nodes, spec.shards_per_node, spec.load.batch, spec.window, outcome.epoch
     );
-    let _ = writeln!(
-        out,
-        "  offered {offered} over {:.0} ms, completed {}, shed {}",
-        outcome.wall_ms,
-        outcome.completed(),
-        outcome.shed()
-    );
+    ledger_summary(&mut out, &outcome.report, outcome.controller.as_ref(), &outcome.fault_log);
     let _ = writeln!(
         out,
         "  wire: {:.3} frames/op, {:.1} bytes/op, max {} in flight (window {}, wire-batch {})",
@@ -1008,24 +1006,8 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
         spec.window,
         spec.wire_batch
     );
-    let _ = writeln!(
-        out,
-        "  tiers: local {:.1}%, peer {:.1}%, origin {:.1}%",
-        local * 100.0,
-        peer * 100.0,
-        origin * 100.0
-    );
-    let _ = writeln!(
-        out,
-        "  accounting: completed + shed == offered ({} + {} == {offered})",
-        outcome.completed(),
-        outcome.shed(),
-    );
-    if let Some(ctl) = &outcome.controller {
-        controller_summary(&mut out, ctl);
-    }
     if let Some(tail) = &outcome.tail_per_node {
-        let (tl, tp, to) = WireOutcome::tier_fractions(tail);
+        let (tl, tp, to) = tier_fractions(tail);
         let _ = writeln!(
             out,
             "  post-revival tail: local {:.1}%, peer {:.1}%, origin {:.1}% \
@@ -1033,12 +1015,8 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
             tl * 100.0,
             tp * 100.0,
             to * 100.0,
-            tail.iter().map(|l| l.offered).sum::<u64>()
+            tail.iter().copied().sum::<Ledger>().offered
         );
-    }
-    if !outcome.fault_log.is_empty() {
-        let applied: Vec<String> = outcome.fault_log.iter().map(ToString::to_string).collect();
-        let _ = writeln!(out, "  faults applied: {}", applied.join(", "));
     }
     if let Some((min, mean, max)) = rtt {
         let _ = writeln!(out, "  peer RTT: min {min} us, mean {mean:.1} us, max {max} us");
@@ -1338,6 +1316,53 @@ mod tests {
         };
         let err = run_tokens(&["serve-bench", "--drift", "1.1@0"]).unwrap_err();
         assert_eq!(err.to_string(), early.validate().unwrap_err().to_string());
+    }
+
+    /// One renderer for both bodies: each carries the shared ledger
+    /// block, and the same workload flags offer every node the same
+    /// requests on both tiers.
+    #[test]
+    fn both_benches_render_one_ledger_block() {
+        let dir = std::env::temp_dir().join("ccn-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let flags = ["--nodes", "3", "--rate", "0.5", "--duration", "200", "--batch", "16"];
+        let body = |cmd: &str, mode: &str, extra: &[&str]| -> Json {
+            let out = dir.join(format!("ledger_block_{mode}.json"));
+            let out = ["--out", out.to_str().unwrap()];
+            run_tokens(&[&[cmd], &flags[..], extra, &out[..]].concat()).unwrap();
+            let doc = Json::parse(&std::fs::read_to_string(out[1]).unwrap()).unwrap();
+            doc.get(mode).unwrap().clone()
+        };
+        let serve = body("serve-bench", "serve", &[]);
+        let wire = body("wire-bench", "wire", &["--in-process", "true"]);
+        for key in [
+            "offered",
+            "completed",
+            "shed",
+            "served_local",
+            "served_peer",
+            "served_origin",
+            "local_fraction",
+            "peer_fraction",
+            "origin_fraction",
+            "per_node",
+            "wall_ms",
+            "generators",
+            "pinned_generators",
+        ] {
+            assert!(serve.get(key).is_some(), "serve body lacks {key}");
+            assert!(wire.get(key).is_some(), "wire body lacks {key}");
+        }
+        let offered = |body: &Json| -> Vec<u64> {
+            let nodes = body.get("per_node").and_then(Json::as_array).unwrap();
+            nodes.iter().map(|node| node.get("offered").and_then(Json::as_u64).unwrap()).collect()
+        };
+        assert_eq!(offered(&serve).len(), 3);
+        assert_eq!(
+            offered(&serve),
+            offered(&wire),
+            "the tiers offered their nodes different streams"
+        );
     }
 
     #[test]

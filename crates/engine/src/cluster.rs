@@ -386,8 +386,6 @@ fn process(shared: &Shared, node: usize, store: &mut dyn ContentStore, job: Job)
 /// [`Cluster::finish`].
 #[derive(Debug, Clone)]
 pub struct EngineMetrics {
-    /// Per-node completions split by serving tier.
-    pub per_node: Vec<TierCounts>,
     /// Cluster-wide service latency per tier, indexed by
     /// [`ServedBy::index`].
     pub tier_latency: Vec<Histogram>,
@@ -419,46 +417,6 @@ pub struct EngineMetrics {
     pub fault_log: Vec<AppliedFault>,
     /// Shard workers that successfully pinned to their placement core.
     pub pinned_workers: usize,
-}
-
-impl EngineMetrics {
-    /// Cluster-wide completions per tier.
-    #[must_use]
-    pub fn totals(&self) -> TierCounts {
-        let mut t = TierCounts::default();
-        for n in &self.per_node {
-            t.local += n.local;
-            t.peer += n.peer;
-            t.origin += n.origin;
-        }
-        t
-    }
-
-    /// Total completed requests.
-    #[must_use]
-    pub fn completed(&self) -> u64 {
-        self.totals().total()
-    }
-
-    /// Fraction of completions served by `tier` (NaN-free: 0 when
-    /// nothing completed).
-    #[must_use]
-    pub fn fraction(&self, tier: ServedBy) -> f64 {
-        let totals = self.totals();
-        let total = totals.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let count = match tier {
-            ServedBy::Local => totals.local,
-            ServedBy::Peer => totals.peer,
-            ServedBy::Origin => totals.origin,
-        };
-        #[allow(clippy::cast_precision_loss)]
-        {
-            count as f64 / total as f64
-        }
-    }
 }
 
 /// A running in-process serving cluster.
@@ -706,7 +664,6 @@ impl Cluster {
             }
         }
         EngineMetrics {
-            per_node: self.tier_totals(),
             tier_latency,
             degraded_to_origin: sum(|r| &r.degraded),
             max_queue_depth,
@@ -825,6 +782,16 @@ mod tests {
         }
     }
 
+    /// Cluster-wide tier counts once everything admitted completed.
+    fn totals(cluster: &Cluster) -> TierCounts {
+        cluster.drain();
+        cluster.tier_totals().iter().fold(TierCounts::default(), |t, n| TierCounts {
+            local: t.local + n.local,
+            peer: t.peer + n.peer,
+            origin: t.origin + n.origin,
+        })
+    }
+
     #[test]
     fn provisioned_cluster_serves_all_three_tiers() {
         let config = ClusterConfig {
@@ -840,14 +807,14 @@ mod tests {
         drive_to_completion(&cluster, 0, ContentId(6)); // own slice → local
         drive_to_completion(&cluster, 0, ContentId(12)); // node 1's slice → peer
         drive_to_completion(&cluster, 0, ContentId(500)); // unprovisioned → origin
+        let totals = totals(&cluster);
         let metrics = cluster.finish();
-        let totals = metrics.totals();
         assert_eq!(
             (totals.local, totals.peer, totals.origin),
             (2, 1, 1),
             "tier misattribution: {totals:?}"
         );
-        assert_eq!(metrics.completed(), 4);
+        assert_eq!(totals.total(), 4);
         assert_eq!(metrics.degraded_to_origin, 0);
         assert_eq!(metrics.tier_latency[0].count(), 2);
     }
@@ -888,8 +855,8 @@ mod tests {
         let accepted = submitter.submit_run(0, 0, &mut run);
         assert_eq!(accepted, 4);
         assert!(run.is_empty(), "submit_run drains its input");
-        let metrics = cluster.finish();
-        let totals = metrics.totals();
+        let totals = totals(&cluster);
+        let _ = cluster.finish();
         assert_eq!((totals.local, totals.peer, totals.origin), (2, 1, 1), "{totals:?}");
     }
 
@@ -907,8 +874,8 @@ mod tests {
         drive_to_completion(&cluster, 0, ContentId(7)); // cold → origin, cached
         cluster.drain();
         drive_to_completion(&cluster, 0, ContentId(7)); // warm → local
-        let metrics = cluster.finish();
-        let totals = metrics.totals();
+        let totals = totals(&cluster);
+        let _ = cluster.finish();
         assert_eq!((totals.local, totals.origin), (1, 1));
     }
 
@@ -967,7 +934,8 @@ mod tests {
         assert_eq!(cluster.node_contents(1), ranks((1..=5).chain(16..=20)));
         assert_eq!(cluster.node_contents(2), ranks((1..=5).chain(11..=15)));
         drive_to_completion(&cluster, 0, ContentId(17)); // node 1's new slice → peer
-        let totals = cluster.finish().totals();
+        let totals = totals(&cluster);
+        let _ = cluster.finish();
         assert_eq!((totals.local, totals.peer, totals.origin), (0, 1, 0));
     }
 
@@ -1012,8 +980,8 @@ mod tests {
         };
         let cluster = Cluster::new(config).unwrap();
         drive_to_completion(&cluster, 0, ContentId(1));
+        assert_eq!(totals(&cluster).total(), 1);
         let metrics = cluster.finish();
-        assert_eq!(metrics.completed(), 1);
         // On Linux every worker pins (cores wrap the budget); on
         // unsupported platforms the count is honestly zero. The
         // metric is read after the join, so it is final.
@@ -1051,11 +1019,10 @@ mod tests {
         assert_eq!(cluster.routing_epoch(), 3, "revive bumped the epoch");
         cluster.drain();
         assert!(submit_one(&cluster, 1, ContentId(1)), "op 5: node 1 is back");
-        cluster.drain();
+        assert_eq!(totals(&cluster).total(), 4, "every admitted op completed");
+        assert_eq!(cluster.tier_totals()[1].local, 2, "ops 1 and 5 hit locally");
         let metrics = cluster.finish();
-        assert_eq!(metrics.completed(), 4, "every admitted op completed");
         assert_eq!(metrics.shed_node_down, 1);
-        assert_eq!(metrics.per_node[1].local, 2, "ops 1 and 5 hit locally");
         assert_eq!(metrics.fault_log.len(), 2);
         assert_eq!(metrics.fault_log[0].kind, FaultKind::KillNode(1));
         assert_eq!(metrics.fault_log[1].kind, FaultKind::ReviveNode(1));
@@ -1080,11 +1047,11 @@ mod tests {
         assert!(submit_one(&cluster, 0, ContentId(1)), "op 2: admitted into dead worker");
         cluster.drain();
         assert!(submit_one(&cluster, 0, ContentId(1)), "op 3: worker revived");
-        cluster.drain();
+        let totals = totals(&cluster);
         let metrics = cluster.finish();
-        assert_eq!(metrics.completed(), 3);
+        assert_eq!(totals.total(), 3);
         assert_eq!(metrics.fault_served, 1, "dead worker answered from origin");
-        assert_eq!(metrics.totals().local, 2, "ops 1 and 3 hit the warm store");
+        assert_eq!(totals.local, 2, "ops 1 and 3 hit the warm store");
         assert_eq!(metrics.shed_node_down, 0);
         assert_eq!(metrics.routing_epoch, 1, "worker faults never touch routing");
     }

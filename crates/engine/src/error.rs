@@ -17,9 +17,11 @@ pub enum EngineError {
     /// The generated workload was invalid (bad Zipf exponent, rate…).
     Workload(SimError),
     /// The accounting invariant `completed + shed == offered` was
-    /// violated — requests were lost inside the engine.
+    /// violated on one node — requests were lost inside the engine.
     Accounting {
-        /// Requests issued by the load generators.
+        /// The node whose ledger does not balance.
+        node: usize,
+        /// Requests issued by the node's clients.
         offered: u64,
         /// Requests completed by some tier.
         completed: u64,
@@ -70,9 +72,10 @@ impl fmt::Display for EngineError {
                 write!(f, "invalid engine configuration: {reason}")
             }
             EngineError::Workload(e) => write!(f, "workload error: {e}"),
-            EngineError::Accounting { offered, completed, shed } => write!(
+            EngineError::Accounting { node, offered, completed, shed } => write!(
                 f,
-                "request accounting violated: offered {offered} != completed {completed} + shed {shed}"
+                "request accounting violated on node {node}: \
+                 offered {offered} != completed {completed} + shed {shed}"
             ),
             EngineError::Spawn { reason } => write!(f, "failed to spawn shard worker: {reason}"),
             EngineError::FaultSpec { reason } => write!(f, "invalid fault plan: {reason}"),
@@ -107,8 +110,8 @@ mod tests {
         assert!(e.to_string().contains("nodes must be >= 1"));
         let e: EngineError = SimError::InvalidConfig { reason: "bad rate".into() }.into();
         assert!(e.to_string().contains("bad rate"));
-        let e = EngineError::Accounting { offered: 10, completed: 8, shed: 1 };
-        assert!(e.to_string().contains("offered 10"));
+        let e = EngineError::Accounting { node: 2, offered: 10, completed: 8, shed: 1 };
+        assert!(e.to_string().contains("on node 2: offered 10"));
         let e = EngineError::Spawn { reason: "resource exhausted".into() };
         assert!(e.to_string().contains("resource exhausted"));
         let e = EngineError::FaultSpec { reason: "node 9 out of range".into() };

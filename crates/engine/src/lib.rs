@@ -60,11 +60,14 @@
 //!   and the simulator are fed bit-identical request streams; requests
 //!   are grouped into runs of up to `batch` (paced runs flush before
 //!   sleeping, so batching never delays a due request), and batch size
-//!   provably does not change the outcome.
+//!   provably does not change the outcome. Its lane loop keeps every
+//!   node's [`Ledger`] `{offered, local, peer, origin, shed}` on both
+//!   tiers, and [`check_conservation`] holds each node to
+//!   `offered == completed + shed` before a run is reported.
 //! - [`report`] — [`serve_bench`] runs the whole pipeline and emits a
 //!   `ccn-obs`-wired, JSON-serializable outcome with per-tier latency
-//!   histograms and the accounting invariant
-//!   `completed + shed == offered` enforced.
+//!   histograms; [`load_report_json`] renders the ledger block both
+//!   serving reports share.
 //!
 //! # Example
 //!
@@ -77,7 +80,9 @@
 //! config.cluster.capacity = 20;
 //! config.load.horizon_ms = 50.0;
 //! let outcome = serve_bench(&config).unwrap();
-//! assert_eq!(outcome.report.offered, outcome.completed() + outcome.report.shed);
+//! for node in &outcome.report.per_node {
+//!     assert_eq!(node.offered, node.completed() + node.shed);
+//! }
 //! ```
 
 #![deny(missing_docs)]
@@ -109,11 +114,14 @@ pub use control::{
 };
 pub use error::EngineError;
 pub use fault::{AppliedFault, DegradeConfig, FaultEvent, FaultKind, FaultPlan};
-pub use load::{DriftSegment, LoadReport, OpenLoopConfig};
+pub use load::{
+    check_conservation, tier_fractions, DriftSegment, Ledger, LoadReport, OpenLoopConfig,
+};
 pub use net::{wire_bench, NodeLaunch, NodeServer, WireOutcome, WirePipelineStats, WireSpec};
 pub use pad::CachePadded;
 pub use report::{
-    controller_json, fault_log_json, serve_bench, ServeBenchConfig, ServeBenchOutcome,
+    controller_json, fault_log_json, ledgers_json, load_report_json, serve_bench, ServeBenchConfig,
+    ServeBenchOutcome,
 };
 pub use routing::{LiveRouting, RoutingTable};
 pub use shard::{shard_of, IdleStrategy, RingMode, ShardHandle, ShardSpec, ShardedStore};

@@ -22,7 +22,13 @@
 //!   per `(node, shard)` in process and per node on the wire, and each
 //!   goes to the tier's `Admission`: one
 //!   [`BatchSubmitter::submit_run`] queue claim, or one `BatchLookup`
-//!   frame.
+//!   frame;
+//! - it keeps the run's [`Ledger`] per node: it counts what each node
+//!   is offered and what admission sheds on the spot, each tier adds
+//!   the rest (in process the node's tier counts over the drive, on the
+//!   wire the reply tallies and the late shed), and
+//!   [`check_conservation`] holds every node to
+//!   `offered == completed + shed` before the report is returned.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -142,21 +148,140 @@ impl OpenLoopConfig {
     }
 }
 
-/// What the generators offered and what admission did with it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoadReport {
-    /// Requests issued by all generators.
+/// One node's accounting for a run, the one per-node shape of both
+/// serving tiers. `offered` counts every request the node's clients
+/// issued, and each lands in exactly one of the other buckets, so
+/// `offered == completed() + shed` — [`check_conservation`] holds
+/// every node to it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Ledger {
+    /// Requests issued by this node's clients.
     pub offered: u64,
-    /// Requests rejected at admission (bounded queue full).
+    /// Served from the node's own store.
+    pub local: u64,
+    /// Served by a peer's coordinated slice.
+    pub peer: u64,
+    /// Fell through to origin.
+    pub origin: u64,
+    /// Shed: refused at admission, or offered to a dead or
+    /// unreachable node.
     pub shed: u64,
-    /// Generator threads actually used.
+}
+
+impl Ledger {
+    /// Requests completed by some tier.
+    #[must_use]
+    pub fn completed(&self) -> u64 {
+        self.local + self.peer + self.origin
+    }
+
+    /// Per-field difference `self − earlier` (saturating), for
+    /// post-revival tail windows.
+    #[must_use]
+    pub fn since(&self, earlier: &Ledger) -> Ledger {
+        Ledger {
+            offered: self.offered.saturating_sub(earlier.offered),
+            local: self.local.saturating_sub(earlier.local),
+            peer: self.peer.saturating_sub(earlier.peer),
+            origin: self.origin.saturating_sub(earlier.origin),
+            shed: self.shed.saturating_sub(earlier.shed),
+        }
+    }
+}
+
+impl std::iter::Sum for Ledger {
+    fn sum<I: Iterator<Item = Ledger>>(ledgers: I) -> Ledger {
+        ledgers.fold(Ledger::default(), |a, b| Ledger {
+            offered: a.offered + b.offered,
+            local: a.local + b.local,
+            peer: a.peer + b.peer,
+            origin: a.origin + b.origin,
+            shed: a.shed + b.shed,
+        })
+    }
+}
+
+/// Verifies `offered == completed + shed` on every node.
+///
+/// # Errors
+///
+/// [`EngineError::Accounting`] naming the first node that is off.
+pub fn check_conservation(ledgers: &[Ledger]) -> Result<(), EngineError> {
+    for (node, ledger) in ledgers.iter().enumerate() {
+        if ledger.offered != ledger.completed() + ledger.shed {
+            return Err(EngineError::Accounting {
+                node,
+                offered: ledger.offered,
+                completed: ledger.completed(),
+                shed: ledger.shed,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// `(local, peer, origin)` fractions of the requests the given ledgers
+/// completed (the whole run, or a tail window); zeros when none did.
+#[must_use]
+pub fn tier_fractions(ledgers: &[Ledger]) -> (f64, f64, f64) {
+    let total: Ledger = ledgers.iter().copied().sum();
+    if total.completed() == 0 {
+        return (0.0, 0.0, 0.0);
+    }
+    #[allow(clippy::cast_precision_loss)]
+    let frac = |v: u64| v as f64 / total.completed() as f64;
+    (frac(total.local), frac(total.peer), frac(total.origin))
+}
+
+/// A [`Ledger`] filled concurrently: the lane loop adds `offered` and
+/// the shed at admission, each tier adds what only it knows.
+#[derive(Default)]
+pub(crate) struct LedgerCells {
+    pub(crate) offered: AtomicU64,
+    pub(crate) local: AtomicU64,
+    pub(crate) peer: AtomicU64,
+    pub(crate) origin: AtomicU64,
+    pub(crate) shed: AtomicU64,
+}
+
+impl LedgerCells {
+    /// One zeroed cell set per node.
+    pub(crate) fn per_node(nodes: usize) -> Vec<LedgerCells> {
+        std::iter::repeat_with(LedgerCells::default).take(nodes).collect()
+    }
+
+    pub(crate) fn snapshot(&self) -> Ledger {
+        Ledger {
+            offered: self.offered.load(Ordering::Relaxed),
+            local: self.local.load(Ordering::Relaxed),
+            peer: self.peer.load(Ordering::Relaxed),
+            origin: self.origin.load(Ordering::Relaxed),
+            shed: self.shed.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// What a run offered each node and what became of it, on either tier.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LoadReport {
+    /// One ledger per node, indexed by node id.
+    pub per_node: Vec<Ledger>,
+    /// Lanes (generator threads) actually used.
     pub generators: usize,
-    /// Generator threads that successfully pinned to their placement
-    /// core (0 when the cluster's placement does not pin).
+    /// Lanes that successfully pinned to their placement core (0 when
+    /// the placement does not pin).
     pub pinned_generators: usize,
-    /// Wall-clock duration from first issue until the cluster drained,
-    /// in milliseconds.
-    pub wall_ms: u64,
+    /// Wall-clock milliseconds from the first offer until the last
+    /// lane closed, with everything it admitted resolved.
+    pub wall_ms: f64,
+}
+
+impl LoadReport {
+    /// The run's totals over every node.
+    #[must_use]
+    pub fn total(&self) -> Ledger {
+        self.per_node.iter().copied().sum()
+    }
 }
 
 /// One serving tier's admission, built by each lane on its thread.
@@ -171,6 +296,7 @@ pub(crate) trait Admission {
     fn offer(&mut self, node: usize, group: usize, run: &mut Vec<ContentId>) -> u64;
 
     /// Resolves what the lane still has in flight once its stream ends.
+    /// The report's clock stops when the last lane has closed.
     fn close(&mut self) {}
 }
 
@@ -182,6 +308,10 @@ impl Admission for BatchSubmitter<'_> {
     fn offer(&mut self, node: usize, shard: usize, run: &mut Vec<ContentId>) -> u64 {
         let offered = run.len();
         (offered - self.submit_run(node, shard, run)) as u64
+    }
+
+    fn close(&mut self) {
+        self.cluster().drain();
     }
 }
 
@@ -223,81 +353,61 @@ pub(crate) fn deal(
     Ok(lanes)
 }
 
-/// What [`run_lanes`] offered and shed, and when its clock started.
-pub(crate) struct Driven {
-    offered: u64,
-    shed: u64,
-    lanes: usize,
-    pinned: usize,
-    pub(crate) start: Instant,
-}
-
-impl Driven {
-    /// The run's report, its wall clock read now.
-    fn report(&self) -> LoadReport {
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let wall_ms = (self.start.elapsed().as_secs_f64() * 1e3).ceil() as u64;
-        LoadReport {
-            offered: self.offered,
-            shed: self.shed,
-            generators: self.lanes,
-            pinned_generators: self.pinned,
-            wall_ms: wall_ms.max(1),
-        }
-    }
-}
-
 /// Runs every lane on its own thread, each offering its stream through
 /// the admission `admission()` builds on that thread, and returns once
-/// every lane has closed.
+/// every lane has closed. Each node's `offered` and shed at admission
+/// land in `cells[node]`; the report snapshots the cells then, and its
+/// clock stops.
 pub(crate) fn run_lanes<A: Admission>(
     config: &OpenLoopConfig,
     lanes: &[Lane],
     placement: ShardPlacement,
     shards_per_node: usize,
+    cells: &[LedgerCells],
     admission: impl Fn() -> A + Sync,
-) -> Driven {
-    let (offered, shed, pinned) = (AtomicU64::new(0), AtomicU64::new(0), AtomicUsize::new(0));
+) -> LoadReport {
+    let pinned = AtomicUsize::new(0);
     let start = Instant::now();
     std::thread::scope(|scope| {
         for (g, lane) in lanes.iter().enumerate() {
-            let (offered, shed, pinned, admission) = (&offered, &shed, &pinned, &admission);
+            let (pinned, admission) = (&pinned, &admission);
             scope.spawn(move || {
                 if placement.pin_to(placement.generator_core(g, shards_per_node)) {
                     pinned.fetch_add(1, Ordering::Relaxed);
                 }
-                let lane_shed = run_lane(config, lane, lanes.len(), start, &mut admission());
-                offered.fetch_add(lane.stream.len() as u64, Ordering::Relaxed);
-                shed.fetch_add(lane_shed, Ordering::Relaxed);
+                run_lane(config, lane, lanes.len(), start, cells, &mut admission());
             });
         }
     });
-    Driven {
-        offered: offered.into_inner(),
-        shed: shed.into_inner(),
-        lanes: lanes.len(),
-        pinned: pinned.into_inner(),
-        start,
+    LoadReport {
+        wall_ms: start.elapsed().as_secs_f64() * 1e3,
+        per_node: cells.iter().map(LedgerCells::snapshot).collect(),
+        generators: lanes.len(),
+        pinned_generators: pinned.into_inner(),
     }
 }
 
-/// The lane loop: paces, groups into runs, offers, and closes. Returns
-/// the requests shed on the spot.
+/// The lane loop: paces, groups into runs, offers, counts, and closes.
 fn run_lane<A: Admission>(
     config: &OpenLoopConfig,
     lane: &Lane,
     lanes: usize,
     start: Instant,
+    cells: &[LedgerCells],
     admission: &mut A,
-) -> u64 {
+) {
     let groups = admission.groups();
     // Pending runs, indexed `owned slot * groups + group`; lane `g`
     // owns node `g + k·lanes` at slot `k`.
     let mut runs = vec![Vec::with_capacity(config.batch); lane.owned.len() * groups];
-    let mut shed = 0;
-    let mut offer = |admission: &mut A, slot: usize, run: &mut Vec<ContentId>| {
+    let offer = |admission: &mut A, slot: usize, run: &mut Vec<ContentId>| {
         if !run.is_empty() {
-            shed += admission.offer(lane.owned[slot / groups], slot % groups, run);
+            let node = lane.owned[slot / groups];
+            cells[node].offered.fetch_add(run.len() as u64, Ordering::Relaxed);
+            let shed = admission.offer(node, slot % groups, run);
+            if shed > 0 {
+                cells[node].shed.fetch_add(shed, Ordering::Relaxed);
+            }
         }
     };
     for request in &lane.stream {
@@ -322,7 +432,6 @@ fn run_lane<A: Admission>(
         offer(admission, slot, run);
     }
     admission.close();
-    shed
 }
 
 /// Sleeps (coarsely) then spins (precisely) until `start + due`.
@@ -336,28 +445,40 @@ fn pace_until(start: Instant, due: Duration) {
     }
 }
 
-/// Drives `cluster` with open-loop load and blocks until every
-/// admitted request has completed.
+/// Drives `cluster` with open-loop load, blocks until every admitted
+/// request has completed, and checks every node's ledger. A node's
+/// tiers are what its clients' completions added to
+/// [`Cluster::tier_totals`] over the drive.
 ///
 /// # Errors
 ///
 /// Returns [`EngineError::InvalidConfig`] for a config
-/// [`OpenLoopConfig::validate`] rejects, and [`EngineError::Workload`]
-/// when the workload parameters are rejected.
+/// [`OpenLoopConfig::validate`] rejects, [`EngineError::Workload`]
+/// when the workload parameters are rejected, and
+/// [`EngineError::Accounting`] if a node's ledger does not balance
+/// (an engine bug, never expected).
 pub fn drive(cluster: &Cluster, config: &OpenLoopConfig) -> Result<LoadReport, EngineError> {
     let cc = cluster.config();
     let lanes = deal(config, cc.nodes, cc.catalogue)?;
-    let driven =
-        run_lanes(config, &lanes, cc.placement, cc.shards_per_node, || cluster.batch_submitter());
-    cluster.drain();
-    Ok(driven.report())
+    let cells = LedgerCells::per_node(cc.nodes);
+    let before = cluster.tier_totals();
+    let admission = || cluster.batch_submitter();
+    let mut report = run_lanes(config, &lanes, cc.placement, cc.shards_per_node, &cells, admission);
+    for ((ledger, after), before) in
+        report.per_node.iter_mut().zip(cluster.tier_totals()).zip(before)
+    {
+        ledger.local = after.local - before.local;
+        ledger.peer = after.peer - before.peer;
+        ledger.origin = after.origin - before.origin;
+    }
+    check_conservation(&report.per_node)?;
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::{ClusterConfig, StorePolicy};
-    use ccn_sim::TierCounts;
 
     fn small_cluster(shards: usize) -> ClusterConfig {
         ClusterConfig {
@@ -374,7 +495,7 @@ mod tests {
         }
     }
 
-    fn run(shards: usize, seed: u64) -> (LoadReport, TierCounts) {
+    fn run(shards: usize, seed: u64) -> LoadReport {
         let cluster = Cluster::new(small_cluster(shards)).unwrap();
         let load = OpenLoopConfig {
             rate_per_node_per_ms: 2.0,
@@ -383,25 +504,34 @@ mod tests {
             ..OpenLoopConfig::default()
         };
         let report = drive(&cluster, &load).unwrap();
-        let metrics = cluster.finish();
-        (report, metrics.totals())
+        let _ = cluster.finish();
+        report
     }
 
     #[test]
     fn every_offered_request_is_accounted() {
-        let (report, totals) = run(2, 11);
-        assert!(report.offered > 1_000, "workload too small: {report:?}");
-        assert_eq!(report.offered, totals.total() + report.shed);
+        let total = run(2, 11).total();
+        assert!(total.offered > 1_000, "workload too small: {total:?}");
+        assert_eq!(total.offered, total.completed() + total.shed);
     }
 
     #[test]
     fn single_shard_runs_are_deterministic() {
-        let (report_a, totals_a) = run(1, 7);
-        let (report_b, totals_b) = run(1, 7);
-        assert_eq!(report_a.offered, report_b.offered);
-        assert_eq!(totals_a, totals_b);
+        let (report_a, report_b) = (run(1, 7), run(1, 7));
+        assert_eq!(report_a.per_node, report_b.per_node);
         // All three tiers are exercised by the coordinated layout.
-        assert!(totals_a.local > 0 && totals_a.peer > 0 && totals_a.origin > 0);
+        let totals = report_a.total();
+        assert!(totals.local > 0 && totals.peer > 0 && totals.origin > 0);
+    }
+
+    #[test]
+    fn conservation_names_the_node_that_is_off() {
+        let balanced = Ledger { offered: 10, local: 4, peer: 2, origin: 3, shed: 1 };
+        check_conservation(&[balanced, balanced]).unwrap();
+        let off_by_one = Ledger { shed: 0, ..balanced };
+        let err = check_conservation(&[balanced, off_by_one, balanced]).unwrap_err();
+        assert_eq!(err, EngineError::Accounting { node: 1, offered: 10, completed: 9, shed: 0 });
+        assert!(err.to_string().contains("node 1"), "{err}");
     }
 
     #[test]
@@ -414,7 +544,8 @@ mod tests {
             ..OpenLoopConfig::default()
         };
         let report = drive(&cluster, &load).unwrap();
-        assert!(report.wall_ms >= 60, "paced run finished implausibly fast: {} ms", report.wall_ms);
+        let wall_ms = report.wall_ms;
+        assert!(wall_ms >= 60.0, "paced run finished implausibly fast: {wall_ms} ms");
         let _ = cluster.finish();
     }
 
@@ -465,14 +596,11 @@ mod tests {
             drift: vec![DriftSegment { at_ms: 200.0, zipf_s: 1.6 }],
             ..OpenLoopConfig::default()
         };
-        let before = cluster.tier_totals();
         let report = drive(&cluster, &load).unwrap();
-        cluster.drain();
-        let after = cluster.tier_totals();
-        let metrics = cluster.finish();
-        assert_eq!(report.offered, metrics.totals().total() + report.shed);
-        let local: u64 = after.iter().zip(&before).map(|(a, b)| a.local - b.local).sum();
-        let total: u64 = metrics.completed();
+        let _ = cluster.finish();
+        let totals = report.total();
+        assert_eq!(totals.offered, totals.completed() + totals.shed);
+        let (local, total) = (totals.local, totals.completed());
         assert!(total > 1_000, "workload too small");
         // A pure s=0.4 run over catalogue 2000 with capacity 50 hits
         // locally well under half the time; the drifted second half
@@ -520,16 +648,22 @@ mod tests {
         };
         let lanes = deal(&config, 3, 1_000).unwrap();
         let log = std::sync::Mutex::new(Vec::new());
-        let driven = run_lanes(&config, &lanes, ShardPlacement::disabled(), 1, || Recorder(&log));
+        let cells = LedgerCells::per_node(3);
+        let recorder = || Recorder(&log);
+        // Read just before the lane loop's own clock starts, so each
+        // `elapsed` below overstates the loop's by the cost of a call.
+        let start = Instant::now();
+        let report = run_lanes(&config, &lanes, ShardPlacement::disabled(), 1, &cells, recorder);
         let log = log.into_inner().unwrap();
         let mut arrivals: Vec<Vec<&Request>> = vec![Vec::new(); 3];
         for request in lanes.iter().flat_map(|lane| &lane.stream) {
             arrivals[request.router].push(request);
         }
-        assert!(driven.offered > 40, "workload too small: {}", driven.offered);
+        let offered = report.total().offered;
+        assert!(offered > 40, "workload too small: {offered}");
         let mut next = [0usize; 3];
         for (node, run, at) in &log {
-            let elapsed = at.duration_since(driven.start).as_secs_f64() * 1e3;
+            let elapsed = at.duration_since(start).as_secs_f64() * 1e3;
             assert!(!run.is_empty() && run.len() <= config.batch, "run of {}", run.len());
             for &content in run {
                 let request = arrivals[*node][next[*node]];
@@ -556,24 +690,24 @@ mod tests {
             batch: 64,
             ..OpenLoopConfig::default()
         };
-        let report = drive(&cluster, &load).unwrap();
-        let metrics = cluster.finish();
-        assert!(report.offered > 1_000, "workload too small: {report:?}");
-        assert_eq!(report.offered, metrics.totals().total() + report.shed);
+        let total = drive(&cluster, &load).unwrap().total();
+        let _ = cluster.finish();
+        assert!(total.offered > 1_000, "workload too small: {total:?}");
+        assert_eq!(total.offered, total.completed() + total.shed);
     }
 
     mod equivalence {
         //! Satellite property: batched submission is observationally
         //! equivalent to per-op submission — same seed + same jobs ⇒
-        //! identical `TierCounts`, and identical final store contents
+        //! identical tier totals, and identical final store contents
         //! on a single-shard cluster (where submission order is the
         //! only order).
         use super::*;
         use ccn_sim::ContentId;
         use proptest::prelude::*;
 
-        /// Runs one workload and returns (tiers, final node-0 store).
-        fn observe(config: ClusterConfig, seed: u64, batch: usize) -> (TierCounts, Vec<ContentId>) {
+        /// Runs one workload and returns (totals, final node-0 store).
+        fn observe(config: ClusterConfig, seed: u64, batch: usize) -> (Ledger, Vec<ContentId>) {
             let cluster = Cluster::new(config).unwrap();
             let load = OpenLoopConfig {
                 rate_per_node_per_ms: 2.0,
@@ -583,9 +717,10 @@ mod tests {
                 ..OpenLoopConfig::default()
             };
             let report = drive(&cluster, &load).unwrap();
-            assert_eq!(report.shed, 0, "queues sized to never shed");
+            assert_eq!(report.total().shed, 0, "queues sized to never shed");
             let contents = cluster.node_contents(0);
-            (cluster.finish().totals(), contents)
+            let _ = cluster.finish();
+            (report.total(), contents)
         }
 
         proptest! {

@@ -1,8 +1,8 @@
 //! The coordinator: spawns and provisions the nodes, offers the load
 //! driver's runs over the wire ([`crate::load`], one `BatchLookup`
 //! frame per run), replays the kill/revive schedule through the fault
-//! clock both tiers share, and folds the ledgers into a
-//! [`WireOutcome`].
+//! clock both tiers share, and adds the reply tallies to the load
+//! driver's per-node ledgers ([`crate::load::Ledger`]).
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead as _};
@@ -31,7 +31,9 @@ use crate::fault::{
     AppliedFault, DegradeConfig, FaultController, FaultEvent, FaultKind, FaultPlan,
 };
 use crate::layout::Layout;
-use crate::load::{deal, run_lanes, Admission, OpenLoopConfig};
+use crate::load::{
+    check_conservation, deal, run_lanes, Admission, Ledger, LedgerCells, LoadReport, OpenLoopConfig,
+};
 use crate::shard::lock_recover;
 
 /// How the driver brings up node serving loops.
@@ -197,67 +199,6 @@ impl WireSpec {
     }
 }
 
-/// Per-node driver-side tier ledger. `offered` counts every request
-/// the driver issued for this node's clients; each lands in exactly
-/// one of the other buckets, so `offered == completed() + shed`
-/// bit-exactly by construction — including requests offered to a
-/// SIGKILLed node, which are shed at the driver edge.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireLedger {
-    /// Requests issued by this node's clients.
-    pub offered: u64,
-    /// Served from the node's own store.
-    pub local: u64,
-    /// Served by a peer's coordinated slice.
-    pub peer: u64,
-    /// Fell through to origin.
-    pub origin: u64,
-    /// Shed: offered to a dead or unreachable node.
-    pub shed: u64,
-}
-
-impl WireLedger {
-    /// Requests completed by some tier.
-    #[must_use]
-    pub fn completed(&self) -> u64 {
-        self.local + self.peer + self.origin
-    }
-
-    /// Per-field difference `self − earlier` (saturating), for
-    /// post-revival tail windows.
-    #[must_use]
-    pub fn since(&self, earlier: &WireLedger) -> WireLedger {
-        WireLedger {
-            offered: self.offered.saturating_sub(earlier.offered),
-            local: self.local.saturating_sub(earlier.local),
-            peer: self.peer.saturating_sub(earlier.peer),
-            origin: self.origin.saturating_sub(earlier.origin),
-            shed: self.shed.saturating_sub(earlier.shed),
-        }
-    }
-}
-
-#[derive(Default)]
-struct LedgerCells {
-    offered: AtomicU64,
-    local: AtomicU64,
-    peer: AtomicU64,
-    origin: AtomicU64,
-    shed: AtomicU64,
-}
-
-impl LedgerCells {
-    fn snapshot(&self) -> WireLedger {
-        WireLedger {
-            offered: self.offered.load(Ordering::Relaxed),
-            local: self.local.load(Ordering::Relaxed),
-            peer: self.peer.load(Ordering::Relaxed),
-            origin: self.origin.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Driver-side wire-efficiency counters for one bench run, folded
 /// from the drive-path connection meters. Epoch pushes and stats
 /// collection use unmetered connections, so frames/op and bytes/op
@@ -314,12 +255,13 @@ pub struct WireOutcome {
     pub epoch: u64,
     /// Final listen address of every node.
     pub listen_addrs: Vec<String>,
-    /// Per-node driver ledgers for the whole run.
-    pub per_node: Vec<WireLedger>,
+    /// Every node's ledger for the whole run, the lanes, and the wall
+    /// clock of the drive.
+    pub report: LoadReport,
     /// Per-node ledgers counting only traffic after the last revival
     /// re-provision (present iff a revival happened) — the window the
     /// re-convergence acceptance check evaluates.
-    pub tail_per_node: Option<Vec<WireLedger>>,
+    pub tail_per_node: Option<Vec<Ledger>>,
     /// Final node-side counter snapshots (None for a node that was
     /// dead at collection time).
     pub node_stats: Vec<Option<NodeStatsSnapshot>>,
@@ -328,68 +270,11 @@ pub struct WireOutcome {
     /// Events past the end of the stream are neither applied nor
     /// logged.
     pub fault_log: Vec<AppliedFault>,
-    /// Wall-clock duration of the driven phase, milliseconds.
-    pub wall_ms: f64,
     /// Decision log and counters of the driver-side adaptive
     /// controller (present iff [`WireSpec::adapt`] was set).
     pub controller: Option<ControllerReport>,
     /// Driver-side wire-efficiency counters for the drive path.
     pub pipeline: WirePipelineStats,
-}
-
-impl WireOutcome {
-    /// Total requests offered across all nodes.
-    #[must_use]
-    pub fn offered(&self) -> u64 {
-        self.per_node.iter().map(|l| l.offered).sum()
-    }
-
-    /// Total requests completed by some tier.
-    #[must_use]
-    pub fn completed(&self) -> u64 {
-        self.per_node.iter().map(WireLedger::completed).sum()
-    }
-
-    /// Total requests shed at the driver edge.
-    #[must_use]
-    pub fn shed(&self) -> u64 {
-        self.per_node.iter().map(|l| l.shed).sum()
-    }
-
-    /// Verifies `offered == completed + shed`, per node and in total.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Accounting`] with the offending totals.
-    pub fn check_conservation(&self) -> Result<(), EngineError> {
-        for ledger in &self.per_node {
-            if ledger.offered != ledger.completed() + ledger.shed {
-                return Err(EngineError::Accounting {
-                    offered: ledger.offered,
-                    completed: ledger.completed(),
-                    shed: ledger.shed,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// `(local, peer, origin)` fractions of completed requests over
-    /// the given ledgers (the whole run, or a tail window).
-    #[must_use]
-    pub fn tier_fractions(ledgers: &[WireLedger]) -> (f64, f64, f64) {
-        let completed: u64 = ledgers.iter().map(WireLedger::completed).sum();
-        if completed == 0 {
-            return (0.0, 0.0, 0.0);
-        }
-        #[allow(clippy::cast_precision_loss)]
-        let frac = |v: u64| v as f64 / completed as f64;
-        (
-            frac(ledgers.iter().map(|l| l.local).sum()),
-            frac(ledgers.iter().map(|l| l.peer).sum()),
-            frac(ledgers.iter().map(|l| l.origin).sum()),
-        )
-    }
 }
 
 enum RunningNode {
@@ -669,7 +554,7 @@ struct WireCluster<'a> {
     faults: FaultController,
     /// Ledgers when the last revived node went live: the base of the
     /// post-revival tail window.
-    tail_base: Mutex<Option<Vec<WireLedger>>>,
+    tail_base: Mutex<Option<Vec<Ledger>>>,
     /// The first failed revival, returned once every node is stopped.
     error: Mutex<Option<EngineError>>,
     /// Meters the drive path's frames and bytes.
@@ -808,7 +693,6 @@ impl WireAdmission<'_> {
 impl Admission for WireAdmission<'_> {
     fn offer(&mut self, node: usize, _: usize, run: &mut Vec<ContentId>) -> u64 {
         let (cluster, n) = (self.cluster, run.len() as u64);
-        cluster.cells[node].offered.fetch_add(n, Ordering::Relaxed);
         // One fault-clock tick per run, as in process: a run that
         // crosses a trigger is offered to the post-fault cluster.
         let op = cluster.offered.fetch_add(n, Ordering::Relaxed) + n;
@@ -822,9 +706,7 @@ impl Admission for WireAdmission<'_> {
         }
         self.contents.clear();
         self.contents.extend(run.drain(..).map(ContentId::rank));
-        let shed = self.send(node);
-        cluster.cells[node].shed.fetch_add(shed, Ordering::Relaxed);
-        shed
+        self.send(node)
     }
 
     fn close(&mut self) {
@@ -840,15 +722,15 @@ impl Admission for WireAdmission<'_> {
 /// Runs a multi-process (or in-process multi-thread) wire-mode
 /// serving benchmark: spawns the nodes, provisions them at epoch 1,
 /// drives the load's lanes over TCP, applies the kill/revive
-/// schedule, and folds the driver ledgers into a [`WireOutcome`]
-/// whose conservation invariant has already been verified.
+/// schedule, and returns a [`WireOutcome`] whose every node's ledger
+/// has been checked.
 ///
 /// # Errors
 ///
 /// [`EngineError::InvalidConfig`] / [`EngineError::FaultSpec`] for a
 /// bad spec, [`EngineError::Workload`] for a bad stream,
 /// [`EngineError::Net`] if bring-up or a revival fails, and
-/// [`EngineError::Accounting`] if the conservation invariant breaks.
+/// [`EngineError::Accounting`] if a node's ledger does not balance.
 pub fn wire_bench(spec: &WireSpec) -> Result<WireOutcome, EngineError> {
     let layout = spec.validate()?;
     let runner = spec
@@ -885,7 +767,7 @@ pub fn wire_bench(spec: &WireSpec) -> Result<WireOutcome, EngineError> {
         spec,
         slots: slots.into_iter().map(Mutex::new).collect(),
         ctl: Mutex::new(ctl),
-        cells: (0..spec.nodes).map(|_| LedgerCells::default()).collect(),
+        cells: LedgerCells::per_node(spec.nodes),
         offered: AtomicU64::new(0),
         faults: FaultController::new(spec.faults.clone()),
         tail_base: Mutex::new(None),
@@ -896,17 +778,17 @@ pub fn wire_bench(spec: &WireSpec) -> Result<WireOutcome, EngineError> {
     // The adaptive controller ticks while the lanes run, then drains
     // its chain so the cluster lands on the final layout before stats
     // collection.
-    let (driven, controller) = drive_beside(
+    let (report, controller) = drive_beside(
         runner,
         |step| cluster.install(step),
         || {
             let conns = || std::iter::repeat_with(NodeConn::default).take(spec.nodes).collect();
             let admission =
                 || WireAdmission { cluster: &cluster, conns: conns(), contents: vec![] };
-            run_lanes(&spec.load, &lanes, spec.placement, spec.shards_per_node, admission)
+            let (placement, cells) = (spec.placement, &cluster.cells);
+            run_lanes(&spec.load, &lanes, placement, spec.shards_per_node, cells, admission)
         },
     );
-    let wall_ms = driven.start.elapsed().as_secs_f64() * 1e3;
 
     // Staged-rollout convergence: re-push the final cumulative layout,
     // so a node that missed an epoch (a push racing its kill window, a
@@ -958,19 +840,18 @@ pub fn wire_bench(spec: &WireSpec) -> Result<WireOutcome, EngineError> {
         }
     }
 
-    let per_node: Vec<WireLedger> = cluster.cells.iter().map(LedgerCells::snapshot).collect();
+    check_conservation(&report.per_node)?;
     let tail_per_node = lock_recover(&cluster.tail_base)
         .take()
-        .map(|base| per_node.iter().zip(&base).map(|(now, then)| now.since(then)).collect());
-    let outcome = WireOutcome {
+        .map(|base| report.per_node.iter().zip(&base).map(|(now, then)| now.since(then)).collect());
+    Ok(WireOutcome {
         nodes: spec.nodes,
         epoch,
         listen_addrs: cluster.slots.iter().map(|slot| lock_recover(slot).addr.clone()).collect(),
-        per_node,
+        report,
         tail_per_node,
         node_stats,
         fault_log: cluster.faults.log(),
-        wall_ms,
         controller,
         pipeline: WirePipelineStats {
             window: spec.window as u64,
@@ -981,14 +862,13 @@ pub fn wire_bench(spec: &WireSpec) -> Result<WireOutcome, EngineError> {
             bytes_out: cluster.meter.bytes_out.load(Ordering::Relaxed),
             bytes_in: cluster.meter.bytes_in.load(Ordering::Relaxed),
         },
-    };
-    outcome.check_conservation()?;
-    Ok(outcome)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::load::tier_fractions;
     use std::net::{TcpListener, TcpStream};
 
     #[test]
@@ -996,13 +876,13 @@ mod tests {
         let mut spec = WireSpec::new(3);
         (spec.load.horizon_ms, spec.load.rate_per_node_per_ms, spec.load.seed) = (400.0, 2.0, 7);
         let outcome = wire_bench(&spec).expect("wire bench");
-        outcome.check_conservation().expect("conservation");
+        check_conservation(&outcome.report.per_node).expect("conservation");
         assert_eq!(outcome.epoch, 1);
-        assert_eq!(outcome.per_node.len(), 3);
-        let offered = outcome.offered();
-        assert!(offered > 0, "workload must offer requests");
-        assert_eq!(outcome.shed(), 0, "no faults: nothing sheds");
-        let (local, peer, origin) = WireOutcome::tier_fractions(&outcome.per_node);
+        assert_eq!(outcome.report.per_node.len(), 3);
+        let total = outcome.report.total();
+        assert!(total.offered > 0, "workload must offer requests");
+        assert_eq!(total.shed, 0, "no faults: nothing sheds");
+        let (local, peer, origin) = tier_fractions(&outcome.report.per_node);
         assert!(local > 0.0, "popularity prefix must serve locally");
         assert!(peer > 0.0, "coordinated slices must serve over the wire");
         assert!(origin > 0.0, "catalogue tail must fall through to origin");
@@ -1041,7 +921,7 @@ mod tests {
             ..ControllerConfig::default()
         });
         let outcome = wire_bench(&spec).expect("adaptive wire bench");
-        outcome.check_conservation().expect("conservation");
+        check_conservation(&outcome.report.per_node).expect("conservation");
         let report = outcome.controller.as_ref().expect("controller report present");
         assert!(report.retargets >= 1, "a mis-provisioned ell must retarget");
         assert!(
@@ -1164,6 +1044,31 @@ mod tests {
         spec.faults = FaultPlan::parse("seeded:7:800:200", 2, 1, 2_000).expect("grammar");
         assert!(!spec.faults.is_empty());
         spec.validate().expect("seeded outages are wire-legal");
+    }
+
+    /// The report's clock is the drive's: it stops when the last lane
+    /// has closed, not when the controller's ticker beside the drive
+    /// next wakes — on either tier.
+    #[test]
+    fn wall_clock_stops_when_the_lanes_close() {
+        let adapt = ControllerConfig {
+            tick_interval: Duration::from_secs(1),
+            ..ControllerConfig::default()
+        };
+        let mut spec = WireSpec::new(3);
+        spec.load.horizon_ms = 20.0;
+        spec.adapt = Some(adapt);
+        let wire = wire_bench(&spec).expect("adaptive wire bench");
+        let config = crate::ServeBenchConfig {
+            load: spec.load.clone(),
+            adapt: Some(adapt),
+            ..Default::default()
+        };
+        let serve = crate::serve_bench(&config).expect("adaptive serve bench");
+        for (tier, report) in [("wire", &wire.report), ("in process", &serve.report)] {
+            assert!(report.total().offered > 0, "{tier}: workload offered nothing");
+            assert!(report.wall_ms < 1_000.0, "{tier}: wall {} ms", report.wall_ms);
+        }
     }
 
     /// Driver-side desync handling: a reply carrying a stale tag (or

@@ -61,9 +61,9 @@
 //!   (epoch 1), drives per-node Zipf request streams over the same
 //!   protocol, replays a kill/revive schedule by SIGKILLing node
 //!   *processes* and re-provisioning the survivors plus the respawned
-//!   node under a bumped epoch, and folds per-node ledgers into a
-//!   [`WireOutcome`] whose accounting (`offered == completed + shed`)
-//!   is enforced exactly, per node and in total.
+//!   node under a bumped epoch, and adds the reply tallies to the load
+//!   driver's per-node ledgers, each held to `offered == completed +
+//!   shed` before the [`WireOutcome`] is returned.
 //!
 //! # Epoch semantics
 //!
@@ -128,5 +128,5 @@ pub use codec::{
     NodeStatsSnapshot, Provision, Request, Response, SliceAssignment, FWD_HIT, FWD_MISS,
     FWD_REFUSED, MAX_FRAME, PROTOCOL_VERSION, TIER_LOCAL, TIER_ORIGIN, TIER_PEER,
 };
-pub use driver::{wire_bench, NodeLaunch, WireLedger, WireOutcome, WirePipelineStats, WireSpec};
+pub use driver::{wire_bench, NodeLaunch, WireOutcome, WirePipelineStats, WireSpec};
 pub use node::{NodeConfig, NodeServer};

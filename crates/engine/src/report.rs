@@ -2,7 +2,7 @@
 //! with open-loop load, and fold the results into a serializable,
 //! observability-wired outcome.
 
-use ccn_obs::{Json, Registry, ToJson};
+use ccn_obs::{Json, ToJson};
 use ccn_sim::ServedBy;
 
 use crate::affinity::available_cores;
@@ -11,7 +11,7 @@ use crate::control::{drive_beside, ClusterController, ControllerConfig, Controll
 use crate::error::EngineError;
 use crate::fault::{AppliedFault, FaultPlan};
 use crate::layout::coordinated_slots;
-use crate::load::{drive, LoadReport, OpenLoopConfig};
+use crate::load::{drive, tier_fractions, Ledger, LoadReport, OpenLoopConfig};
 
 /// Everything one serve-bench run needs.
 #[derive(Debug, Clone, Default)]
@@ -42,9 +42,9 @@ pub struct ServeBenchOutcome {
     pub load: OpenLoopConfig,
     /// Cores this process may run on (affinity-mask popcount).
     pub available_cores: usize,
-    /// What the cluster served: tiers, latency, degradation, faults.
+    /// What the cluster measured: latency, degradation, faults.
     pub metrics: EngineMetrics,
-    /// What the generators offered and shed, and for how long.
+    /// Every node's ledger, the lanes, and the wall clock.
     pub report: LoadReport,
     /// The adaptive controller's full observability snapshot (`None`
     /// on static runs).
@@ -58,18 +58,12 @@ impl ServeBenchOutcome {
         self.cluster.nodes * self.cluster.shards_per_node
     }
 
-    /// Requests completed by some tier (`offered − shed`).
-    #[must_use]
-    pub fn completed(&self) -> u64 {
-        self.metrics.completed()
-    }
-
     /// Completed requests per wall-clock second.
     #[must_use]
     pub fn requests_per_sec(&self) -> f64 {
         #[allow(clippy::cast_precision_loss)]
         {
-            self.completed() as f64 / (self.report.wall_ms as f64 / 1e3)
+            self.report.total().completed() as f64 / (self.report.wall_ms / 1e3)
         }
     }
 
@@ -82,65 +76,6 @@ impl ServeBenchOutcome {
             self.requests_per_sec() / self.cluster.placement.cores() as f64
         }
     }
-
-    /// The run's counters, gauges, and per-tier histograms as a
-    /// [`ccn_obs::Registry`] — the same shapes a scrape endpoint
-    /// would export.
-    #[must_use]
-    pub fn registry(&self) -> Registry {
-        let (m, tiers) = (&self.metrics, self.metrics.totals());
-        let mut registry = Registry::new();
-        registry.counter("engine.requests.offered").add(self.report.offered);
-        registry.counter("engine.requests.shed").add(self.report.shed);
-        registry.counter("engine.requests.completed").add(tiers.total());
-        registry.counter("engine.requests.degraded_to_origin").add(m.degraded_to_origin);
-        for tier in ServedBy::ALL {
-            let count = match tier {
-                ServedBy::Local => tiers.local,
-                ServedBy::Peer => tiers.peer,
-                ServedBy::Origin => tiers.origin,
-            };
-            registry.counter(&format!("engine.served.{}", tier.name())).add(count);
-            // Assign rather than merge: the registry's default bucket
-            // grid differs from the engine's finer sub-ms grid.
-            *registry.histogram(&format!("engine.latency_ms.{}", tier.name())) =
-                m.tier_latency[tier.index()].clone();
-        }
-        registry.counter("engine.faults.retried").add(m.retried);
-        registry.counter("engine.faults.failed_over").add(m.failed_over);
-        registry.counter("engine.faults.deadline_expired").add(m.deadline_expired);
-        registry.counter("engine.faults.fault_served").add(m.fault_served);
-        registry.counter("engine.faults.shed_node_down").add(m.shed_node_down);
-        registry.counter("engine.faults.health_marked_down").add(m.health_marked_down);
-        registry.counter("engine.faults.health_revived").add(m.health_revived);
-        registry.counter("engine.faults.applied").add(m.fault_log.len() as u64);
-        #[allow(clippy::cast_precision_loss)]
-        registry.gauge("engine.routing.epoch").set(m.routing_epoch as f64);
-        #[allow(clippy::cast_precision_loss)]
-        registry.gauge("engine.config.epoch").set(m.config_epoch as f64);
-        if let Some(ctl) = &self.controller {
-            registry.counter("engine.controller.refits").add(ctl.refits);
-            registry.counter("engine.controller.holds").add(ctl.holds);
-            registry.counter("engine.controller.retargets").add(ctl.retargets);
-            registry.counter("engine.controller.epochs_issued").add(ctl.epochs_issued);
-            registry.counter("engine.controller.slices_moved").add(ctl.slices_moved);
-            registry.counter("engine.controller.samples_observed").add(ctl.samples_observed);
-            registry.gauge("engine.controller.fitted_s").set(ctl.fitted_s.unwrap_or(f64::NAN));
-            registry.gauge("engine.controller.current_ell").set(ctl.current_ell);
-            registry.gauge("engine.controller.window_weight").set(ctl.window_weight);
-        }
-        #[allow(clippy::cast_precision_loss)]
-        registry.gauge("engine.queue.max_depth").set(m.max_queue_depth as f64);
-        registry.gauge("engine.throughput.req_per_sec").set(self.requests_per_sec());
-        registry
-            .gauge("engine.throughput.req_per_sec_per_core")
-            .set(self.requests_per_sec_per_core());
-        #[allow(clippy::cast_precision_loss)]
-        registry
-            .gauge("engine.placement.pinned_threads")
-            .set((m.pinned_workers + self.report.pinned_generators) as f64);
-        registry
-    }
 }
 
 impl ToJson for ServeBenchOutcome {
@@ -151,23 +86,21 @@ impl ToJson for ServeBenchOutcome {
         };
         let coordinated = coordinated_slots(self.cluster.ell, self.cluster.capacity) > 0;
         let provisioning = if coordinated { "coordinated" } else { "non-coordinated" };
-        let (m, r, tiers) = (&self.metrics, &self.report, self.metrics.totals());
+        let m = &self.metrics;
         let mut latency = Json::object();
         for tier in ServedBy::ALL {
             latency = latency.field(tier.name(), m.tier_latency[tier.index()].to_json());
         }
-        Json::object()
+        let body = Json::object()
             .field("provisioning", provisioning)
             .field("policy", mode)
             .field("nodes", self.cluster.nodes as u64)
             .field("shards_per_node", self.cluster.shards_per_node as u64)
             .field("worker_threads", self.worker_threads() as u64)
-            .field("generators", r.generators as u64)
             .field("available_cores", self.available_cores as u64)
             .field("placement_cores", self.cluster.placement.cores() as u64)
             .field("placement_pin", self.cluster.placement.pin())
             .field("pinned_workers", m.pinned_workers as u64)
-            .field("pinned_generators", r.pinned_generators as u64)
             .field("queue_capacity", self.cluster.queue_capacity as u64)
             .field("batch", self.load.batch as u64)
             .field("catalogue", self.cluster.catalogue)
@@ -178,17 +111,7 @@ impl ToJson for ServeBenchOutcome {
             .field("horizon_ms", self.load.horizon_ms)
             .field("paced", self.load.paced)
             .field("seed", self.load.seed)
-            .field("offered", r.offered)
-            .field("completed", tiers.total())
-            .field("shed", r.shed)
             .field("degraded_to_origin", m.degraded_to_origin)
-            .field("served_local", tiers.local)
-            .field("served_peer", tiers.peer)
-            .field("served_origin", tiers.origin)
-            .field("local_fraction", m.fraction(ServedBy::Local))
-            .field("peer_fraction", m.fraction(ServedBy::Peer))
-            .field("origin_fraction", m.fraction(ServedBy::Origin))
-            .field("wall_ms", r.wall_ms)
             .field("requests_per_sec", self.requests_per_sec())
             .field("requests_per_sec_per_core", self.requests_per_sec_per_core())
             .field("max_queue_depth", m.max_queue_depth as u64)
@@ -208,9 +131,45 @@ impl ToJson for ServeBenchOutcome {
             .field(
                 "controller",
                 self.controller.as_ref().map_or_else(Json::object, controller_json),
-            )
-            .field("metrics", self.registry().to_json())
+            );
+        load_report_json(body, &self.report)
     }
+}
+
+/// Appends the block both serving reports share to `body`: the run's
+/// `offered`, `completed` and `shed`, its `served_{local,peer,origin}`
+/// and their fractions, every node's ledger as `per_node`, `wall_ms`,
+/// and the lanes as `generators` / `pinned_generators`.
+pub fn load_report_json(body: Json, report: &LoadReport) -> Json {
+    let total = report.total();
+    let (local, peer, origin) = tier_fractions(&report.per_node);
+    body.field("offered", total.offered)
+        .field("completed", total.completed())
+        .field("shed", total.shed)
+        .field("served_local", total.local)
+        .field("served_peer", total.peer)
+        .field("served_origin", total.origin)
+        .field("local_fraction", local)
+        .field("peer_fraction", peer)
+        .field("origin_fraction", origin)
+        .field("per_node", ledgers_json(&report.per_node))
+        .field("wall_ms", report.wall_ms)
+        .field("generators", report.generators as u64)
+        .field("pinned_generators", report.pinned_generators as u64)
+}
+
+/// Per-node ledgers as a JSON array of
+/// `{offered, local, peer, origin, shed}`.
+pub fn ledgers_json(ledgers: &[Ledger]) -> Json {
+    let ledger = |l: &Ledger| {
+        Json::object()
+            .field("offered", l.offered)
+            .field("local", l.local)
+            .field("peer", l.peer)
+            .field("origin", l.origin)
+            .field("shed", l.shed)
+    };
+    Json::Arr(ledgers.iter().map(ledger).collect())
 }
 
 /// An applied-fault log as JSON, one `kind@OP (epoch E)` string per
@@ -244,14 +203,14 @@ pub fn controller_json(report: &ControllerReport) -> Json {
         )
 }
 
-/// Provisions a cluster, drives it, and verifies the accounting
-/// invariant before reporting.
+/// Provisions a cluster, drives it, and reports; [`drive`] has
+/// checked every node's ledger.
 ///
 /// # Errors
 ///
-/// Propagates configuration and workload errors, and returns
-/// [`EngineError::Accounting`] if any request went unaccounted
-/// (`completed + shed != offered` — an engine bug, never expected).
+/// Propagates configuration and workload errors, and
+/// [`EngineError::Accounting`] if a node's ledger does not balance
+/// (an engine bug, never expected).
 pub fn serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchOutcome, EngineError> {
     config.load.validate()?;
     let cluster = Cluster::with_faults(config.cluster.clone(), config.faults.clone())?;
@@ -264,10 +223,6 @@ pub fn serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchOutcome, Engin
     );
     let (controller, load) = (report.transpose()?, load?);
     let metrics = cluster.finish();
-    let completed = metrics.completed();
-    if completed + load.shed != load.offered {
-        return Err(EngineError::Accounting { offered: load.offered, completed, shed: load.shed });
-    }
     Ok(ServeBenchOutcome {
         cluster: config.cluster.clone(),
         load: config.load.clone(),
@@ -303,17 +258,15 @@ mod tests {
     #[test]
     fn outcome_accounts_and_serializes() {
         let outcome = serve_bench(&smoke_config()).unwrap();
-        assert_eq!(outcome.report.offered, outcome.completed() + outcome.report.shed);
+        let total = outcome.report.total();
+        assert_eq!(total.offered, total.completed() + total.shed);
         assert!(outcome.requests_per_sec() > 0.0);
         let json = outcome.to_json();
-        assert_eq!(json.get("offered").and_then(Json::as_u64), Some(outcome.report.offered));
+        assert_eq!(json.get("offered").and_then(Json::as_u64), Some(total.offered));
         assert_eq!(json.get("provisioning").and_then(Json::as_str), Some("coordinated"));
         assert_eq!(json.get("batch").and_then(Json::as_u64), Some(1));
-        let fractions: f64 = [ServedBy::Local, ServedBy::Peer, ServedBy::Origin]
-            .iter()
-            .map(|&t| outcome.metrics.fraction(t))
-            .sum();
-        assert!((fractions - 1.0).abs() < 1e-9);
+        let (local, peer, origin) = tier_fractions(&outcome.report.per_node);
+        assert!((local + peer + origin - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -321,7 +274,8 @@ mod tests {
         let mut config = smoke_config();
         config.load.batch = 64;
         let outcome = serve_bench(&config).unwrap();
-        assert_eq!(outcome.report.offered, outcome.completed() + outcome.report.shed);
+        let total = outcome.report.total();
+        assert_eq!(total.offered, total.completed() + total.shed);
         let json = outcome.to_json();
         assert_eq!(json.get("batch").and_then(Json::as_u64), Some(64));
     }
@@ -344,20 +298,6 @@ mod tests {
             json.get("pinned_workers").and_then(Json::as_u64),
             Some(outcome.metrics.pinned_workers as u64)
         );
-        let rendered = outcome.registry().to_json().to_string_compact();
-        assert!(rendered.contains("engine.throughput.req_per_sec_per_core"));
-        assert!(rendered.contains("engine.placement.pinned_threads"));
-    }
-
-    #[test]
-    fn registry_exports_the_run() {
-        let outcome = serve_bench(&smoke_config()).unwrap();
-        let registry = outcome.registry();
-        assert!(registry.len() >= 9);
-        let rendered = registry.to_json().to_string_compact();
-        assert!(rendered.contains("engine.requests.offered"));
-        assert!(rendered.contains("engine.faults.fault_served"));
-        assert!(rendered.contains("engine.routing.epoch"));
     }
 
     #[test]
@@ -373,7 +313,8 @@ mod tests {
             ..ControllerConfig::default()
         });
         let outcome = serve_bench(&config).unwrap();
-        assert_eq!(outcome.report.offered, outcome.completed() + outcome.report.shed);
+        let total = outcome.report.total();
+        assert_eq!(total.offered, total.completed() + total.shed);
         let ctl = outcome.controller.as_ref().expect("adaptive run must report its controller");
         assert_eq!(ctl.pending_steps, 0, "the chain is drained before reporting");
         assert_eq!(
@@ -386,9 +327,6 @@ mod tests {
         let block = json.get("controller").expect("controller block");
         assert_eq!(block.get("epochs_issued").and_then(Json::as_u64), Some(ctl.epochs_issued));
         assert_eq!(block.get("movement_budget").and_then(Json::as_u64), Some(ctl.movement_budget));
-        let rendered = outcome.registry().to_json().to_string_compact();
-        assert!(rendered.contains("engine.controller.refits"));
-        assert!(rendered.contains("engine.config.epoch"));
     }
 
     #[test]
@@ -406,8 +344,8 @@ mod tests {
         // Kill node 1 early, revive it mid-run.
         config.faults = FaultPlan::none().with_node_outage(1, 20, Some(120));
         let outcome = serve_bench(&config).unwrap();
-        let (m, r) = (&outcome.metrics, &outcome.report);
-        assert_eq!(r.offered, outcome.completed() + r.shed, "conservation under faults");
+        let (m, r) = (&outcome.metrics, outcome.report.total());
+        assert_eq!(r.offered, r.completed() + r.shed, "conservation under faults");
         assert_eq!(m.fault_log.len(), 2, "kill and revive both applied");
         assert!(m.routing_epoch >= 3, "two liveness flips bump the epoch twice");
         assert!(r.shed >= m.shed_node_down, "node-down sheds are a subset of all sheds");

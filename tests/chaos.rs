@@ -29,8 +29,8 @@ use std::time::Duration;
 
 use ccn_engine::load::drive;
 use ccn_engine::{
-    Cluster, ClusterConfig, DegradeConfig, EngineMetrics, FaultPlan, LoadReport, OpenLoopConfig,
-    ShardPlacement, StorePolicy,
+    check_conservation, tier_fractions, Cluster, ClusterConfig, DegradeConfig, EngineMetrics,
+    FaultPlan, LoadReport, OpenLoopConfig, ShardPlacement, StorePolicy,
 };
 use ccn_sim::workload::{self, Request};
 use proptest::prelude::*;
@@ -110,17 +110,17 @@ proptest! {
             plan,
             &chaos_load(seed, 400.0),
         );
-        prop_assert!(report.offered > 500, "workload too small: {:?}", report);
+        let total = report.total();
+        prop_assert!(total.offered > 500, "workload too small: {:?}", report);
         prop_assert_eq!(
-            report.offered,
-            metrics.completed() + report.shed,
-            "conservation violated: {:?} vs {:?}",
-            report,
-            metrics.totals()
+            total.offered,
+            total.completed() + total.shed,
+            "conservation violated: {:?}",
+            report
         );
         // Queues are deep enough that the only shed cause is a killed
         // node refusing admission.
-        prop_assert_eq!(report.shed, metrics.shed_node_down);
+        prop_assert_eq!(total.shed, metrics.shed_node_down);
         prop_assert_eq!(metrics.health_marked_down, 0, "plan kills must bypass the detector");
         // Seeded plans strictly alternate per node, so every applied
         // transition is an effective liveness change.
@@ -145,16 +145,18 @@ proptest! {
         const SEED: u64 = 4242;
         const HORIZON: f64 = 400.0;
         let load = chaos_load(SEED, HORIZON);
-        let (base_report, baseline) =
+        let (base_report, _) =
             run(chaos_config(DegradeConfig::default()), FaultPlan::none(), &load);
-        prop_assert_eq!(base_report.shed, 0, "baseline must not shed");
+        let baseline = base_report.total();
+        prop_assert_eq!(baseline.shed, 0, "baseline must not shed");
         let plan = FaultPlan::none().with_node_outage(victim, kill_op, None);
         let (report, metrics) = run(chaos_config(DegradeConfig::default()), plan, &load);
-        prop_assert_eq!(report.offered, base_report.offered);
-        prop_assert_eq!(report.offered, metrics.completed() + report.shed);
+        let total = report.total();
+        prop_assert_eq!(total.offered, baseline.offered);
+        prop_assert_eq!(total.offered, total.completed() + total.shed);
 
         let stream = replay(SEED, HORIZON);
-        prop_assert_eq!(stream.len() as u64, report.offered, "replay diverged from drive");
+        prop_assert_eq!(stream.len() as u64, total.offered, "replay diverged from drive");
         let victim_total =
             stream.iter().filter(|r| r.router == victim).count() as u64;
         let expected_shed = stream
@@ -162,18 +164,18 @@ proptest! {
             .enumerate()
             .filter(|(i, r)| r.router == victim && (i + 1) as u64 >= kill_op)
             .count() as u64;
-        prop_assert_eq!(report.shed, expected_shed, "shed is not exactly the victim's tail");
+        prop_assert_eq!(total.shed, expected_shed, "shed is not exactly the victim's tail");
         prop_assert_eq!(metrics.shed_node_down, expected_shed);
         // The victim's pre-kill admissions all completed (dead mode
         // finishes in-flight work at origin instead of losing it).
-        let victim_counts = &metrics.per_node[victim];
-        prop_assert_eq!(victim_counts.total(), victim_total - expected_shed);
+        let victim_counts = &report.per_node[victim];
+        prop_assert_eq!(victim_counts.completed(), victim_total - expected_shed);
         // Survivors' local tier is a pure function of (requester,
         // content): bit-identical to the no-fault run.
         for node in (0..NODES).filter(|&n| n != victim) {
             prop_assert_eq!(
-                metrics.per_node[node].local,
-                baseline.per_node[node].local,
+                report.per_node[node].local,
+                base_report.per_node[node].local,
                 "survivor {}'s local share moved",
                 node
             );
@@ -202,43 +204,35 @@ fn tier_fractions_reconverge_after_revival() {
     // Phase 1a (outage): drained end-to-end with the victim dead, so
     // every post-kill request for its share was served by rendezvous
     // survivors or degraded — never by the victim.
-    let phase1a = drive(&cluster, &chaos_load(11, 250.0)).expect("phase 1a serves");
+    let phase1a = drive(&cluster, &chaos_load(11, 250.0)).expect("phase 1a serves").total();
     assert!(phase1a.offered >= 400, "phase 1a too small: {phase1a:?}");
     assert_eq!(cluster.routing_epoch(), 2, "the kill bumped the epoch; the revive is pending");
 
     // Phase 1b (recovery): pushes the op counter past the revive.
-    let phase1b = drive(&cluster, &chaos_load(13, 250.0)).expect("phase 1b serves");
+    let phase1b = drive(&cluster, &chaos_load(13, 250.0)).expect("phase 1b serves").total();
     assert!(phase1a.offered + phase1b.offered >= 1_000, "phases 1a+1b never reached the revive op");
     assert_eq!(cluster.routing_epoch(), 3, "the revive bumped the epoch");
-    let turbulent: Vec<_> = cluster.tier_totals();
 
-    // Phase 2 (measurement): fresh stream against the revived cluster.
+    // Phase 2 (measurement): fresh stream against the revived cluster;
+    // its report counts only what phase 2 completed, the turbulent
+    // phases differenced out.
     let phase2 = drive(&cluster, &chaos_load(12, 400.0)).expect("phase 2 serves");
-    assert_eq!(phase2.shed, 0, "no faults are active after revival");
+    let delta = phase2.total();
+    assert_eq!(delta.shed, 0, "no faults are active after revival");
     let metrics = cluster.finish();
 
     // The same measurement stream against a never-faulted cluster.
-    let (base_report, baseline) = run(config, FaultPlan::none(), &chaos_load(12, 400.0));
-    assert_eq!(base_report.offered, phase2.offered);
-    assert_eq!(base_report.shed, 0);
+    let (base_report, _) = run(config, FaultPlan::none(), &chaos_load(12, 400.0));
+    let base = base_report.total();
+    assert_eq!(base.offered, delta.offered);
+    assert_eq!(base.shed, 0);
 
-    // Difference out the turbulent phase and compare fractions.
-    let final_totals = metrics.totals();
-    let turbulent_sum = turbulent
-        .iter()
-        .fold((0u64, 0u64, 0u64), |acc, t| (acc.0 + t.local, acc.1 + t.peer, acc.2 + t.origin));
-    let delta = [
-        final_totals.local - turbulent_sum.0,
-        final_totals.peer - turbulent_sum.1,
-        final_totals.origin - turbulent_sum.2,
-    ];
-    let delta_total: u64 = delta.iter().sum();
-    assert_eq!(delta_total, phase2.offered, "phase 2 accounting");
-    let base_totals = baseline.totals();
-    let base = [base_totals.local, base_totals.peer, base_totals.origin];
-    for (tier, (d, b)) in ["local", "peer", "origin"].iter().zip(delta.iter().zip(base.iter())) {
-        #[allow(clippy::cast_precision_loss)]
-        let (df, bf) = (*d as f64 / delta_total as f64, *b as f64 / base_totals.total() as f64);
+    // Compare fractions.
+    assert_eq!(delta.completed(), delta.offered, "phase 2 accounting");
+    let (post, never) = (tier_fractions(&phase2.per_node), tier_fractions(&base_report.per_node));
+    for (tier, df, bf) in
+        [("local", post.0, never.0), ("peer", post.1, never.1), ("origin", post.2, never.2)]
+    {
         assert!(
             (df - bf).abs() <= TOLERANCE,
             "{tier}: post-revival {df:.4} vs no-fault {bf:.4} beyond {TOLERANCE}"
@@ -276,10 +270,10 @@ fn mid_batch_epoch_transitions_stay_conserved() {
         .with_stall(0, 500, 50);
     let cluster = Cluster::with_faults(config, plan).expect("cluster provisions");
     let load = OpenLoopConfig { batch: 64, ..chaos_load(21, 500.0) };
-    let report = drive(&cluster, &load).expect("engine serves the batched workload");
+    let report = drive(&cluster, &load).expect("engine serves the batched workload").total();
     let metrics = cluster.finish();
     assert!(report.offered > 1_000, "workload too small: {report:?}");
-    assert_eq!(report.offered, metrics.completed() + report.shed, "conservation violated");
+    assert_eq!(report.offered, report.completed() + report.shed, "conservation violated");
     assert_eq!(report.shed, metrics.shed_node_down, "only killed nodes shed");
     assert_eq!(metrics.fault_log.len(), 6, "every scheduled transition applied");
     // Four node transitions bump the epoch; the worker fault and the
@@ -318,29 +312,30 @@ fn placement_leaves_fault_accounting_bit_identical() {
     let load = chaos_load(SEED, 400.0);
 
     // Claim 1: no faults — full bit-exactness under placement.
-    let (base_report, baseline) =
+    let (baseline, base_metrics) =
         run(chaos_config(DegradeConfig::default()), FaultPlan::none(), &load);
-    let (calm_report, calm) = run(pinned_config(), FaultPlan::none(), &load);
-    assert!(base_report.offered > 500, "workload too small: {base_report:?}");
-    assert_eq!(calm_report.offered, base_report.offered);
-    assert_eq!(calm.totals(), baseline.totals(), "tier totals moved under placement");
+    let (calm, _) = run(pinned_config(), FaultPlan::none(), &load);
+    assert!(baseline.total().offered > 500, "workload too small: {baseline:?}");
+    assert_eq!(calm.total().offered, baseline.total().offered);
+    assert_eq!(calm.total(), baseline.total(), "tier totals moved under placement");
     for node in 0..NODES {
         assert_eq!(
             calm.per_node[node], baseline.per_node[node],
             "node {node}'s tier counts moved under placement"
         );
     }
-    assert_eq!(baseline.pinned_workers, 0, "the unpinned baseline must not pin");
+    assert_eq!(base_metrics.pinned_workers, 0, "the unpinned baseline must not pin");
 
     // Claim 2: seeded kill/revive schedule — conservation and
     // admission-side accounting stay exact under placement.
     let plan = || FaultPlan::seeded(SEED, NODES, 200, 80, 1_500);
     let (unpinned_report, unpinned) = run(chaos_config(DegradeConfig::default()), plan(), &load);
     let (report, metrics) = run(pinned_config(), plan(), &load);
+    let (report, unpinned_report) = (report.total(), unpinned_report.total());
     assert!(report.shed > 0, "schedule never shed — the fault plan did not bite");
     assert_eq!(report.offered, unpinned_report.offered);
     assert_eq!(report.shed, unpinned_report.shed, "admission-side shed moved under placement");
-    assert_eq!(report.offered, metrics.completed() + report.shed, "conservation violated");
+    assert_eq!(report.offered, report.completed() + report.shed, "conservation violated");
     assert_eq!(metrics.shed_node_down, unpinned.shed_node_down);
     assert_eq!(metrics.fault_log.len(), unpinned.fault_log.len());
     assert_eq!(metrics.routing_epoch, unpinned.routing_epoch);
@@ -368,7 +363,8 @@ fn slow_node_blows_deadlines_and_is_routed_around() {
     // queued forward far past the 50 ms deadline.
     let plan = FaultPlan::none().with_slowdown(1, 2_000, 10, None);
     let (report, metrics) = run(chaos_config(degrade), plan, &chaos_load(31, 150.0));
-    assert_eq!(report.offered, metrics.completed() + report.shed, "conservation violated");
+    let report = report.total();
+    assert_eq!(report.offered, report.completed() + report.shed, "conservation violated");
     assert_eq!(report.shed, 0, "a slow node sheds nothing — it degrades");
     assert!(metrics.deadline_expired > 0, "no forward ever expired against the slow node");
     // The deadline budgets the whole local→peer detour, so a slowed
@@ -448,7 +444,7 @@ fn wire_spec(seed: u64, horizon_ms: f64) -> ccn_engine::net::WireSpec {
 ///    tolerance.
 #[test]
 fn sigkilled_node_process_sheds_only_its_own_share_and_reconverges() {
-    use ccn_engine::net::{wire_bench, WireOutcome};
+    use ccn_engine::net::wire_bench;
 
     const SEED: u64 = 7;
     // Long enough that the op-5000 revival leaves a judgeable tail
@@ -464,11 +460,12 @@ fn sigkilled_node_process_sheds_only_its_own_share_and_reconverges() {
     let clean = wire_bench(&wire_spec(SEED, HORIZON_MS)).expect("clean wire run");
 
     // Invariant 1: conservation, and the shed belongs to the victim.
-    faulted.check_conservation().expect("faulted run conserves");
-    clean.check_conservation().expect("clean run conserves");
-    assert_eq!(clean.shed(), 0, "clean loopback run shed requests");
-    assert!(faulted.per_node[VICTIM].shed > 0, "SIGKILL shed nothing");
-    for (node, ledger) in faulted.per_node.iter().enumerate() {
+    let (faulted_ledgers, clean_ledgers) = (&faulted.report.per_node, &clean.report.per_node);
+    check_conservation(faulted_ledgers).expect("faulted run conserves");
+    check_conservation(clean_ledgers).expect("clean run conserves");
+    assert_eq!(clean.report.total().shed, 0, "clean loopback run shed requests");
+    assert!(faulted_ledgers[VICTIM].shed > 0, "SIGKILL shed nothing");
+    for (node, ledger) in faulted_ledgers.iter().enumerate() {
         if node != VICTIM {
             assert_eq!(ledger.shed, 0, "survivor {node} shed requests");
         }
@@ -483,15 +480,15 @@ fn sigkilled_node_process_sheds_only_its_own_share_and_reconverges() {
     for request in &stream {
         expected[request.router] += 1;
     }
-    for (node, ledger) in faulted.per_node.iter().enumerate() {
+    for (node, ledger) in faulted_ledgers.iter().enumerate() {
         assert_eq!(
             ledger.offered, expected[node],
             "node {node} offered count diverges from the zipf_irm replay"
         );
-        assert_eq!(clean.per_node[node].offered, expected[node]);
+        assert_eq!(clean_ledgers[node].offered, expected[node]);
         if node != VICTIM {
             assert_eq!(
-                ledger.local, clean.per_node[node].local,
+                ledger.local, clean_ledgers[node].local,
                 "survivor {node} local tier moved — more than the victim's share shifted"
             );
         }
@@ -501,8 +498,8 @@ fn sigkilled_node_process_sheds_only_its_own_share_and_reconverges() {
     let tail = faulted.tail_per_node.as_ref().expect("revival records a tail window");
     let tail_offered: u64 = tail.iter().map(|l| l.offered).sum();
     assert!(tail_offered > 500, "tail window too small to judge: {tail_offered}");
-    let (tail_local, tail_peer, tail_origin) = WireOutcome::tier_fractions(tail);
-    let (local, peer, origin) = WireOutcome::tier_fractions(&clean.per_node);
+    let (tail_local, tail_peer, tail_origin) = tier_fractions(tail);
+    let (local, peer, origin) = tier_fractions(clean_ledgers);
     for (name, got, want) in
         [("local", tail_local, local), ("peer", tail_peer, peer), ("origin", tail_origin, origin)]
     {
@@ -554,15 +551,16 @@ fn sigkill_mid_rollout_revives_onto_the_controllers_current_layout() {
 
     // Conservation, bit-exact, per node and in total — across the
     // SIGKILL, every chain epoch, and the revival re-provision.
-    outcome.check_conservation().expect("conservation");
-    assert!(outcome.per_node[VICTIM].shed > 0, "SIGKILL shed nothing");
-    for (node, ledger) in outcome.per_node.iter().enumerate() {
+    let ledgers = &outcome.report.per_node;
+    check_conservation(ledgers).expect("conservation");
+    assert!(ledgers[VICTIM].shed > 0, "SIGKILL shed nothing");
+    for (node, ledger) in ledgers.iter().enumerate() {
         if node != VICTIM {
             assert_eq!(ledger.shed, 0, "survivor {node} shed requests");
         }
     }
     let stream = replay(SEED, HORIZON_MS);
-    let offered: u64 = outcome.per_node.iter().map(|l| l.offered).sum();
+    let offered = outcome.report.total().offered;
     assert_eq!(offered, stream.len() as u64, "offered diverges from the zipf_irm replay");
     assert_eq!(outcome.fault_log.len(), 2, "fault log: {:?}", outcome.fault_log);
 
@@ -626,13 +624,14 @@ fn sigkill_is_logged_at_its_trigger_and_a_revival_past_the_stream_is_not() {
     assert!(outcome.tail_per_node.is_none(), "no revival, no tail window");
     assert!(outcome.node_stats[VICTIM].is_none(), "the victim stays dead");
 
-    outcome.check_conservation().expect("conservation");
-    assert!(outcome.per_node[VICTIM].shed > 0, "SIGKILL shed nothing");
+    let ledgers = &outcome.report.per_node;
+    check_conservation(ledgers).expect("conservation");
+    assert!(ledgers[VICTIM].shed > 0, "SIGKILL shed nothing");
     let mut expected = [0u64; NODES];
     for request in &replay(SEED, HORIZON_MS) {
         expected[request.router] += 1;
     }
-    for (node, ledger) in outcome.per_node.iter().enumerate() {
+    for (node, ledger) in ledgers.iter().enumerate() {
         assert_eq!(ledger.offered, expected[node], "node {node} diverges from the zipf_irm replay");
         if node != VICTIM {
             assert_eq!(ledger.shed, 0, "survivor {node} shed requests");

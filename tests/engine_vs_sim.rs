@@ -10,7 +10,7 @@
 //! means the engine's escalation path disagrees with the model.
 
 use ccn_engine::load::drive;
-use ccn_engine::{Cluster, ClusterConfig, OpenLoopConfig, StorePolicy};
+use ccn_engine::{tier_fractions, Cluster, ClusterConfig, OpenLoopConfig, StorePolicy};
 use ccn_sim::scenario::{steady_state, SteadyStateConfig};
 use ccn_sim::ServedBy;
 use ccn_topology::datasets;
@@ -67,14 +67,12 @@ fn engine_fractions(ell: f64, shards_per_node: usize, batch: usize) -> [f64; 3] 
         drift: Vec::new(),
     };
     let report = drive(&cluster, &load).expect("engine serves the workload");
-    let metrics = cluster.finish();
-    assert_eq!(report.shed, 0, "queues sized to never shed this workload");
-    assert_eq!(report.offered, metrics.completed(), "every request accounted");
-    [
-        metrics.fraction(ServedBy::Local),
-        metrics.fraction(ServedBy::Peer),
-        metrics.fraction(ServedBy::Origin),
-    ]
+    let _ = cluster.finish();
+    let total = report.total();
+    assert_eq!(total.shed, 0, "queues sized to never shed this workload");
+    assert_eq!(total.offered, total.completed(), "every request accounted");
+    let (local, peer, origin) = tier_fractions(&report.per_node);
+    [local, peer, origin]
 }
 
 fn assert_fractions_match(ell: f64, shards_per_node: usize, batch: usize) {

@@ -23,11 +23,11 @@ use ccn_engine::net::{
     Response, WireOutcome, WireSpec, PROTOCOL_VERSION,
 };
 use ccn_engine::{
-    serve_bench, shard_of, Cluster, ClusterConfig, DriftSegment, OpenLoopConfig, ServeBenchConfig,
-    StorePolicy,
+    check_conservation, serve_bench, shard_of, tier_fractions, Cluster, ClusterConfig,
+    DriftSegment, LoadReport, OpenLoopConfig, ServeBenchConfig, StorePolicy,
 };
 use ccn_sim::store::{ContentStore as _, LruStore};
-use ccn_sim::{ContentId, TierCounts};
+use ccn_sim::ContentId;
 use ccn_zipf::{Zipf, ZipfSampler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -113,25 +113,22 @@ fn engine_fractions() -> (u64, f64, f64, f64) {
         adapt: None,
     };
     let outcome = serve_bench(&config).expect("in-process engine run");
-    assert_eq!(outcome.report.shed, 0, "deep queues must not shed");
-    (
-        outcome.report.offered,
-        outcome.metrics.fraction(ccn_sim::ServedBy::Local),
-        outcome.metrics.fraction(ccn_sim::ServedBy::Peer),
-        outcome.metrics.fraction(ccn_sim::ServedBy::Origin),
-    )
+    let total = outcome.report.total();
+    assert_eq!(total.shed, 0, "deep queues must not shed");
+    let (local, peer, origin) = tier_fractions(&outcome.report.per_node);
+    (total.offered, local, peer, origin)
 }
 
 fn assert_matches_engine(outcome: &WireOutcome, label: &str) {
-    outcome.check_conservation().expect("wire run conserves");
-    assert_eq!(outcome.shed(), 0, "{label}: healthy loopback run shed requests");
+    check_conservation(&outcome.report.per_node).expect("wire run conserves");
+    let total = outcome.report.total();
+    assert_eq!(total.shed, 0, "{label}: healthy loopback run shed requests");
     let (offered, local, peer, origin) = engine_fractions();
     assert_eq!(
-        outcome.offered(),
-        offered,
+        total.offered, offered,
         "{label}: wire driver drew a different request stream than the engine"
     );
-    let (wire_local, wire_peer, wire_origin) = WireOutcome::tier_fractions(&outcome.per_node);
+    let (wire_local, wire_peer, wire_origin) = tier_fractions(&outcome.report.per_node);
     for (tier, got, want) in
         [("local", wire_local, local), ("peer", wire_peer, peer), ("origin", wire_origin, origin)]
     {
@@ -171,29 +168,41 @@ fn in_process_wire_threads_match_engine_tiers() {
 
 /// The offered stream depends only on the workload and the node count:
 /// in process, one, two or three lanes offer every node the same
-/// requests — under static stores, the same per-node tier counts —
-/// and the wire driver's lanes, one per node, offer each node as many,
+/// requests — under static stores, the same per-node ledgers — and
+/// the wire driver's lanes, one per node, offer each node as many,
 /// drift included.
 #[test]
 fn the_offered_stream_depends_only_on_the_workload_and_the_nodes() {
     let drift = vec![DriftSegment { at_ms: HORIZON_MS / 2.0, zipf_s: 1.2 }];
     let load = OpenLoopConfig { drift, ..workload() };
-    let per_node: Vec<Vec<TierCounts>> = (1..=3)
+    let reports: Vec<_> = (1..=3)
         .map(|generators| {
             let cluster = Cluster::new(engine_cluster(2)).expect("cluster");
             let report = drive(&cluster, &OpenLoopConfig { generators, ..load.clone() });
             let report = report.expect("in-process run");
-            assert_eq!((report.generators, report.shed), (generators, 0));
-            cluster.finish().per_node
+            let _ = cluster.finish();
+            assert_eq!((report.generators, report.total().shed), (generators, 0));
+            report
         })
         .collect();
-    for (lanes, tiers) in per_node.iter().enumerate() {
-        assert_eq!(tiers, &per_node[0], "{} lanes changed what the nodes were offered", lanes + 1);
+    for (lanes, report) in reports.iter().enumerate() {
+        assert_eq!(
+            report.per_node,
+            reports[0].per_node,
+            "{} lanes changed what the nodes were offered",
+            lanes + 1
+        );
     }
     let wire = wire_bench(&WireSpec { load, ..wire_spec(NodeLaunch::InProcess, 1) });
-    let offered: Vec<u64> = wire.expect("wire run").per_node.iter().map(|l| l.offered).collect();
-    let engine: Vec<u64> = per_node[0].iter().map(TierCounts::total).collect();
-    assert_eq!(offered, engine, "the wire offered its nodes a different stream");
+    let wire = wire.expect("wire run").report;
+    let offered = |report: &LoadReport| -> Vec<u64> {
+        report.per_node.iter().map(|ledger| ledger.offered).collect()
+    };
+    assert_eq!(
+        offered(&wire),
+        offered(&reports[0]),
+        "the wire offered its nodes a different stream"
+    );
 }
 
 /// Pipelining is an optimization, not a semantics change: the same
@@ -215,8 +224,8 @@ fn pipelined_wire_matches_stop_and_wait_ledgers_bit_exactly() {
 
         let baseline = wire_bench(&stop_and_wait).expect("stop-and-wait wire run");
         let windowed = wire_bench(&pipelined).expect("pipelined wire run");
-        baseline.check_conservation().expect("stop-and-wait run conserves");
-        windowed.check_conservation().expect("pipelined run conserves");
+        check_conservation(&baseline.report.per_node).expect("stop-and-wait run conserves");
+        check_conservation(&windowed.report.per_node).expect("pipelined run conserves");
 
         assert_eq!(
             baseline.pipeline.max_in_flight, 1,
@@ -227,7 +236,7 @@ fn pipelined_wire_matches_stop_and_wait_ledgers_bit_exactly() {
             "pipelined run never filled its credit window"
         );
         assert_eq!(
-            baseline.per_node, windowed.per_node,
+            baseline.report.per_node, windowed.report.per_node,
             "pipelined wire changed the per-node tier ledgers ({shards} shard(s))"
         );
     }
