@@ -18,6 +18,13 @@
 //! backpressure instead of queue collapse, and every offered request
 //! is accounted: `completed + shed == offered`.
 //!
+//! Each shard worker serves from its own state — a routing snapshot,
+//! the batch's completions — and writes nothing shared per job but a
+//! forward's ring push. Once per drained batch it reads the clock,
+//! records every completion at that instant (a job's latency runs to
+//! the point its completion becomes visible), and only then lowers the
+//! in-flight count: once [`Cluster::drain`] returns, every job is counted.
+//!
 //! # Failure semantics
 //!
 //! A cluster built with [`Cluster::with_faults`] replays a
@@ -53,8 +60,8 @@ use crate::fault::{
 };
 use crate::layout::Layout;
 use crate::pad::CachePadded;
-use crate::routing::LiveRouting;
-use crate::shard::{lock_recover, shard_of, ShardHandle, ShardSpec, ShardedStore};
+use crate::routing::{LiveRouting, RoutingTable};
+use crate::shard::{lock_recover, Serve, ShardHandle, ShardSpec, ShardedStore};
 
 /// Upper bucket edges for the engine's latency histograms: the
 /// in-process tiers complete in microseconds, so the grid extends
@@ -157,8 +164,11 @@ pub(crate) struct Job {
     stage: Stage,
 }
 
+/// The fault-path counters of one client node: written only when a
+/// forward bounces, fails over or expires, or a node or worker is
+/// dead. Tier counts and latencies are the workers' [`Recorded`].
+#[derive(Default)]
 struct NodeRecorder {
-    tiers: [AtomicU64; 3],
     degraded: AtomicU64,
     /// Forward re-enqueue attempts after a peer-queue bounce.
     retried: AtomicU64,
@@ -173,23 +183,12 @@ struct NodeRecorder {
     fault_served: AtomicU64,
     /// Requests shed at admission because this node was killed.
     shed_node_down: AtomicU64,
-    latency: [Mutex<Histogram>; 3],
 }
 
-impl NodeRecorder {
-    fn new() -> Self {
-        let hist = || Mutex::new(Histogram::with_bounds(&ENGINE_LATENCY_MS_BOUNDS));
-        Self {
-            tiers: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
-            degraded: AtomicU64::new(0),
-            retried: AtomicU64::new(0),
-            failed_over: AtomicU64::new(0),
-            deadline_expired: AtomicU64::new(0),
-            fault_served: AtomicU64::new(0),
-            shed_node_down: AtomicU64::new(0),
-            latency: [hist(), hist(), hist()],
-        }
-    }
+/// One shard worker's completions: per (client node, tier), latency per tier.
+struct Recorded {
+    counts: Vec<[u64; 3]>,
+    latency: Vec<Histogram>,
 }
 
 struct Shared {
@@ -200,10 +199,13 @@ struct Shared {
     /// Set once after every node's shards are spawned; jobs only flow
     /// after that, so `get()` never observes the unset state.
     peers: OnceLock<Vec<ShardHandle<Job>>>,
-    /// Padded per node: node `i`'s tallies are written by whichever
-    /// workers complete its jobs, and must not false-share with node
-    /// `i±1`'s equally hot tallies.
+    /// Per node, padded: the fault-path counters of its clients.
     recorders: Vec<CachePadded<NodeRecorder>>,
+    /// Per shard worker (`node * shards_per_node + shard`), padded;
+    /// locked by that worker once per batch, and by snapshot readers.
+    recorded: Vec<CachePadded<Mutex<Recorded>>>,
+    /// Admitted jobs not yet recorded: a worker subtracts its batch
+    /// after unlocking its record, so 0 means every job is recorded.
     in_flight: CachePadded<AtomicU64>,
     /// Global admission-operation counter — the fault plan's clock.
     /// Its own line: every admission writes it, every worker reads it.
@@ -223,14 +225,6 @@ struct Shared {
 }
 
 impl Shared {
-    fn complete(&self, job: &Job, tier: ServedBy) {
-        let elapsed_ms = job.issued.elapsed().as_secs_f64() * 1e3;
-        let recorder = &self.recorders[job.client as usize];
-        recorder.tiers[tier.index()].fetch_add(1, Ordering::Relaxed);
-        lock_recover(&recorder.latency[tier.index()]).observe(elapsed_ms);
-        self.in_flight.fetch_sub(1, Ordering::AcqRel);
-    }
-
     /// Advances the fault clock past `op`: applies due plan events and
     /// runs the health detector's probation pass. Called on every
     /// admission; both are a single load when nothing is pending.
@@ -248,138 +242,189 @@ impl Shared {
             std::hint::spin_loop();
         }
     }
+
+    /// Feeds a forward's outcome against `holder` to the detector.
+    fn note_holder(&self, holder: usize, ok: bool) {
+        let op = self.ops.load(Ordering::Relaxed);
+        self.faults.note_holder_outcome(holder, ok, &self.degrade, op, &self.routing);
+    }
 }
 
-/// The shard worker's request handler for node `node`: serve locally,
-/// forward to the coordinated holder (with bounded retry and
-/// failover), or degrade to origin — admitted jobs always complete.
-// Out of line on purpose: folded into the worker's drain loop it cost
-// `engine-inproc` about a tenth of its throughput.
-#[inline(never)]
-fn process(shared: &Shared, node: usize, store: &mut dyn ContentStore, job: Job) {
-    let content = job.content;
-    if shared.injects_latency {
-        shared.faults.inject_latency(node, shared.anchor);
+/// Shard worker `shard` of node `node`: serves locally, forwards to
+/// the coordinated holder (with bounded retry and failover), or
+/// degrades to origin — admitted jobs always complete, and are
+/// recorded once per batch in [`Serve::drained`].
+struct Worker {
+    shared: Arc<Shared>,
+    node: usize,
+    shard: usize,
+    /// The routing table and the config epoch it was read at.
+    table: (u64, Arc<RoutingTable>),
+    /// The batch's completions: client node, tier, issue time.
+    done: Vec<(usize, ServedBy, Instant)>,
+    /// The batch's forward-deadline clock, read at its first forward.
+    now: Option<Instant>,
+    /// Served a forward the health detector has not heard of yet.
+    served_forward: bool,
+}
+
+impl Worker {
+    fn complete(&mut self, job: &Job, tier: ServedBy) {
+        self.done.push((job.client as usize, tier, job.issued));
     }
-    // Dead mode: a killed node (or killed shard worker) keeps
-    // draining its queue but answers everything from origin, so
-    // admitted work survives the fault and accounting stays exact.
-    if shared.faults.serving_down(node, shard_of(content, shared.shards_per_node)) {
-        shared.recorders[node].fault_served.fetch_add(1, Ordering::Relaxed);
-        if matches!(job.stage, Stage::Peer) && !shared.faults.node_killed(node) {
-            // A worker-dead holder failing forwards feeds the health
-            // detector; a plan-killed node is already routing-dead.
-            shared.faults.note_holder_outcome(
-                node,
-                false,
-                &shared.degrade,
-                shared.ops.load(Ordering::Relaxed),
-                &shared.routing,
-            );
+
+    /// A failed forward against `holder`; against this node, after the
+    /// forwards it served before, so the detector sees them in order.
+    fn holder_failed(&mut self, holder: usize) {
+        if holder == self.node && std::mem::take(&mut self.served_forward) {
+            self.shared.note_holder(holder, true);
         }
-        shared.complete(&job, ServedBy::Origin);
-        return;
+        self.shared.note_holder(holder, false);
     }
-    match job.stage {
-        Stage::Local => {
-            if store.contains(content) {
-                store.on_hit(content);
-                shared.complete(&job, ServedBy::Local);
-                return;
+}
+
+impl Serve<Job> for Worker {
+    // Out of line on purpose: folded into the worker's drain loop it
+    // cost `engine-inproc` about a tenth of its throughput.
+    #[inline(never)]
+    fn job(&mut self, store: &mut dyn ContentStore, job: Job) {
+        let (node, content) = (self.node, job.content);
+        if self.shared.injects_latency {
+            self.shared.faults.inject_latency(node, self.shared.anchor);
+            self.now = None; // the sleep aged the batch's clock
+        }
+        // Dead mode: a killed node (or killed shard worker) keeps
+        // draining its queue but answers everything from origin, so
+        // admitted work survives the fault and accounting stays exact.
+        if self.shared.faults.serving_down(node, self.shard) {
+            self.shared.recorders[node].fault_served.fetch_add(1, Ordering::Relaxed);
+            if matches!(job.stage, Stage::Peer) && !self.shared.faults.node_killed(node) {
+                // A worker-dead holder failing forwards feeds the
+                // health detector; a plan-killed node is already
+                // routing-dead.
+                self.holder_failed(node);
             }
-            let client = job.client as usize;
-            match shared.routing.holder(content) {
-                Some(holder) if holder != client => {
-                    let Some(peers) = shared.peers.get() else {
-                        // Unreachable by construction (peers are wired
-                        // before traffic); degrade rather than panic.
-                        shared.recorders[client].degraded.fetch_add(1, Ordering::Relaxed);
-                        shared.complete(&job, ServedBy::Origin);
-                        return;
-                    };
-                    if shared.routing.primary(content) != Some(holder) {
-                        shared.recorders[client].failed_over.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // Bounded retry with linear backoff, then degrade
-                    // to origin: the ladder's peer → retry → origin
-                    // rungs. Never blocks the shard indefinitely.
-                    let mut forwarded = Job { stage: Stage::Peer, ..job };
-                    let mut attempt = 0u32;
-                    loop {
-                        match peers[holder].try_job(content, forwarded) {
-                            Ok(()) => return,
-                            Err(bounced) => {
-                                if attempt >= shared.degrade.forward_retries {
-                                    shared.faults.note_holder_outcome(
-                                        holder,
-                                        false,
-                                        &shared.degrade,
-                                        shared.ops.load(Ordering::Relaxed),
-                                        &shared.routing,
-                                    );
+            self.complete(&job, ServedBy::Origin);
+            return;
+        }
+        match job.stage {
+            Stage::Local => {
+                if store.contains(content) {
+                    store.on_hit(content);
+                    self.complete(&job, ServedBy::Local);
+                    return;
+                }
+                let client = job.client as usize;
+                let shared = &*self.shared;
+                match shared.routing.route(&mut self.table, content) {
+                    Some((holder, primary)) if holder != client => {
+                        let Some(peers) = shared.peers.get() else {
+                            // Unreachable by construction (peers are
+                            // wired before traffic); degrade rather
+                            // than panic.
+                            shared.recorders[client].degraded.fetch_add(1, Ordering::Relaxed);
+                            self.done.push((client, ServedBy::Origin, job.issued));
+                            return;
+                        };
+                        if primary != holder {
+                            shared.recorders[client].failed_over.fetch_add(1, Ordering::Relaxed);
+                        }
+                        // Bounded retry with linear backoff, then
+                        // degrade to origin: the ladder's peer → retry
+                        // → origin rungs. Never blocks the shard
+                        // indefinitely.
+                        let mut forwarded = Job { stage: Stage::Peer, ..job };
+                        let mut attempt = 0u32;
+                        loop {
+                            match peers[holder].try_job(content, forwarded) {
+                                Ok(()) => return,
+                                Err(bounced) => {
+                                    if attempt >= shared.degrade.forward_retries {
+                                        // Another node: none of ours.
+                                        shared.note_holder(holder, false);
+                                        shared.recorders[client]
+                                            .degraded
+                                            .fetch_add(1, Ordering::Relaxed);
+                                        self.done.push((client, ServedBy::Origin, bounced.issued));
+                                        return;
+                                    }
+                                    attempt += 1;
                                     shared.recorders[client]
-                                        .degraded
+                                        .retried
                                         .fetch_add(1, Ordering::Relaxed);
-                                    shared.complete(&bounced, ServedBy::Origin);
-                                    return;
+                                    shared.backoff(attempt);
+                                    forwarded = bounced;
                                 }
-                                attempt += 1;
-                                shared.recorders[client].retried.fetch_add(1, Ordering::Relaxed);
-                                shared.backoff(attempt);
-                                forwarded = bounced;
                             }
                         }
                     }
+                    _ => {
+                        // Uncoordinated content (or this node *is* the
+                        // holder and still missed): origin serves it;
+                        // a dynamic store caches it at the edge.
+                        if shared.policy == StorePolicy::Lru {
+                            store.on_data(content);
+                        }
+                        self.complete(&job, ServedBy::Origin);
+                    }
                 }
-                _ => {
-                    // Uncoordinated content (or this node *is* the
-                    // holder and still missed): origin serves it; a
-                    // dynamic store caches it at the edge.
-                    if shared.policy == StorePolicy::Lru {
+            }
+            Stage::Peer => {
+                // Deadline rung of the ladder: a forward that sat in
+                // queues past its budget is answered by origin at the
+                // holder, and the miss feeds the health detector.
+                let now = *self.now.get_or_insert_with(Instant::now);
+                if now.saturating_duration_since(job.issued) > self.shared.degrade.forward_deadline
+                {
+                    self.shared.recorders[job.client as usize]
+                        .deadline_expired
+                        .fetch_add(1, Ordering::Relaxed);
+                    self.holder_failed(node);
+                    self.complete(&job, ServedBy::Origin);
+                    return;
+                }
+                self.served_forward = true;
+                if store.contains(content) {
+                    store.on_hit(content);
+                    self.complete(&job, ServedBy::Peer);
+                } else {
+                    // Holder miss → origin; a dynamic holder attracts
+                    // its slice by caching what it was asked for.
+                    if self.shared.policy == StorePolicy::Lru {
                         store.on_data(content);
                     }
-                    shared.complete(&job, ServedBy::Origin);
+                    self.complete(&job, ServedBy::Origin);
                 }
-            }
-        }
-        Stage::Peer => {
-            // Deadline rung of the ladder: a forward that sat in
-            // queues past its budget is answered by origin at the
-            // holder, and the miss feeds the health detector.
-            if job.issued.elapsed() > shared.degrade.forward_deadline {
-                shared.recorders[job.client as usize]
-                    .deadline_expired
-                    .fetch_add(1, Ordering::Relaxed);
-                shared.faults.note_holder_outcome(
-                    node,
-                    false,
-                    &shared.degrade,
-                    shared.ops.load(Ordering::Relaxed),
-                    &shared.routing,
-                );
-                shared.complete(&job, ServedBy::Origin);
-                return;
-            }
-            shared.faults.note_holder_outcome(
-                node,
-                true,
-                &shared.degrade,
-                shared.ops.load(Ordering::Relaxed),
-                &shared.routing,
-            );
-            if store.contains(content) {
-                store.on_hit(content);
-                shared.complete(&job, ServedBy::Peer);
-            } else {
-                // Holder miss → origin; a dynamic holder attracts its
-                // slice by caching what it was asked for.
-                if shared.policy == StorePolicy::Lru {
-                    store.on_data(content);
-                }
-                shared.complete(&job, ServedBy::Origin);
             }
         }
     }
+
+    /// Records the batch at one clock read, then unlocks the record
+    /// before the one `in_flight` subtraction, so a [`Cluster::drain`]
+    /// that reads 0 finds every job recorded.
+    fn drained(&mut self) {
+        self.now = None;
+        if std::mem::take(&mut self.served_forward) {
+            self.shared.note_holder(self.node, true);
+        }
+        if self.done.is_empty() {
+            return;
+        }
+        let (now, finished) = (Instant::now(), self.done.len() as u64);
+        let slot = self.node * self.shared.shards_per_node + self.shard;
+        let mut recorded = lock_recover(&self.shared.recorded[slot]);
+        for (client, tier, issued) in self.done.drain(..) {
+            let elapsed_ms = now.saturating_duration_since(issued).as_secs_f64() * 1e3;
+            recorded.latency[tier.index()].observe(elapsed_ms);
+            recorded.counts[client][tier.index()] += 1;
+        }
+        drop(recorded);
+        self.shared.in_flight.fetch_sub(finished, Ordering::AcqRel);
+    }
+}
+
+fn latency_histograms() -> Vec<Histogram> {
+    (0..3).map(|_| Histogram::with_bounds(&ENGINE_LATENCY_MS_BOUNDS)).collect()
 }
 
 /// Aggregated results of a cluster run, produced by
@@ -387,7 +432,8 @@ fn process(shared: &Shared, node: usize, store: &mut dyn ContentStore, job: Job)
 #[derive(Debug, Clone)]
 pub struct EngineMetrics {
     /// Cluster-wide service latency per tier, indexed by
-    /// [`ServedBy::index`].
+    /// [`ServedBy::index`]: admission to the end of the worker batch
+    /// that completed the job.
     pub tier_latency: Vec<Histogram>,
     /// Requests completed as origin because a peer queue was full.
     pub degraded_to_origin: u64,
@@ -465,7 +511,13 @@ impl Cluster {
             degrade: config.degrade,
             shards_per_node: shards,
             peers: OnceLock::new(),
-            recorders: (0..config.nodes).map(|_| CachePadded::new(NodeRecorder::new())).collect(),
+            recorders: (0..config.nodes).map(|_| CachePadded::default()).collect(),
+            recorded: (0..config.nodes * shards)
+                .map(|_| {
+                    let counts = vec![[0; 3]; config.nodes];
+                    CachePadded::new(Mutex::new(Recorded { counts, latency: latency_histograms() }))
+                })
+                .collect(),
             in_flight: CachePadded::new(AtomicU64::new(0)),
             ops: CachePadded::new(AtomicU64::new(0)),
             anchor: Instant::now(),
@@ -476,10 +528,6 @@ impl Cluster {
         });
         let stores: Vec<ShardedStore<Job>> = (0..config.nodes)
             .map(|node| {
-                let worker_shared = Arc::clone(&shared);
-                let handler = Arc::new(move |store: &mut dyn ContentStore, job: Job| {
-                    process(&worker_shared, node, store, job);
-                });
                 let pin_cores: Vec<Option<usize>> = if config.placement.pin() {
                     (0..shards)
                         .map(|shard| Some(config.placement.worker_core(node, shards, shard)))
@@ -489,7 +537,15 @@ impl Cluster {
                 };
                 let spec = ShardSpec::new(shards, config.queue_capacity).pin_cores(pin_cores);
                 let store = |shard| layout.shard_store(node, shards, shard);
-                ShardedStore::try_spawn_with(spec, store, handler)
+                ShardedStore::try_spawn_serving(spec, store, |shard| Worker {
+                    shared: Arc::clone(&shared),
+                    node,
+                    shard,
+                    table: (shared.routing.config_epoch(), shared.routing.table()),
+                    done: Vec::new(),
+                    now: None,
+                    served_forward: false,
+                })
             })
             .collect::<Result<_, _>>()?;
         let handles = stores.iter().map(ShardedStore::handle).collect();
@@ -549,21 +605,20 @@ impl Cluster {
         self.stores[node].handle().contents()
     }
 
-    /// Per-node tier counts so far — a live snapshot (call
+    /// Per-node tier counts so far — a live snapshot of what the
+    /// workers have recorded, one batch at a time (call
     /// [`Cluster::drain`] first for a quiescent one). Lets phase-split
     /// analyses (pre-fault vs post-revival) difference two snapshots
     /// without stopping the cluster.
     #[must_use]
     pub fn tier_totals(&self) -> Vec<TierCounts> {
-        self.shared
-            .recorders
-            .iter()
-            .map(|r| TierCounts {
-                local: r.tiers[0].load(Ordering::Acquire),
-                peer: r.tiers[1].load(Ordering::Acquire),
-                origin: r.tiers[2].load(Ordering::Acquire),
-            })
-            .collect()
+        let mut totals = vec![[0; 3]; self.config.nodes];
+        for recorded in &self.shared.recorded {
+            for (total, counts) in totals.iter_mut().zip(&lock_recover(recorded).counts) {
+                total.iter_mut().zip(counts).for_each(|(total, count)| *total += count);
+            }
+        }
+        totals.into_iter().map(|[local, peer, origin]| TierCounts { local, peer, origin }).collect()
     }
 
     /// The current routing epoch (1 = liveness never changed; each
@@ -655,12 +710,10 @@ impl Cluster {
         let sum = |count: fn(&NodeRecorder) -> &AtomicU64| -> u64 {
             recorders.iter().map(|r| count(r).load(Ordering::Acquire)).sum()
         };
-        let mut tier_latency: Vec<Histogram> =
-            (0..3).map(|_| Histogram::with_bounds(&ENGINE_LATENCY_MS_BOUNDS)).collect();
-        for recorder in recorders {
-            for tier in ServedBy::ALL {
-                let hist = lock_recover(&recorder.latency[tier.index()]);
-                tier_latency[tier.index()].merge(&hist);
+        let mut tier_latency = latency_histograms();
+        for recorded in &self.shared.recorded {
+            for (merged, worker) in tier_latency.iter_mut().zip(&lock_recover(recorded).latency) {
+                merged.merge(worker);
             }
         }
         EngineMetrics {
@@ -701,7 +754,7 @@ impl BatchSubmitter<'_> {
     }
 
     /// Admits a run of requests from `node`'s clients, all owned by
-    /// `shard` (the caller groups by [`shard_of`] over
+    /// `shard` (the caller groups by [`crate::shard_of`] over
     /// `shards_per_node` before calling). Drains `contents` entirely;
     /// returns how many were admitted. The remainder (queue full, or
     /// `node` killed by the fault plan) is **shed** — dropped here, to
@@ -768,6 +821,7 @@ impl BatchSubmitter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::shard_of;
     use ccn_coord::contiguous_slices;
 
     /// Admits one request as a run of one; `true` iff it was admitted.
@@ -968,6 +1022,97 @@ mod tests {
         }
         assert_eq!(cluster.node_contents(2), ranks((1..=5).chain(16..=20)));
         let _ = cluster.finish();
+    }
+
+    /// A worker records its batch before it subtracts the batch from
+    /// `in_flight`, so a `drain` that returns has every admitted job
+    /// counted. The barriers keep each round's submissions ahead of
+    /// both drains and the checks ahead of the next round, so the
+    /// verdict holds for any interleaving; a miss is tallied, not
+    /// asserted in the thread, so neither thread is left at a barrier.
+    #[test]
+    fn drain_publishes_every_completion() {
+        let config = ClusterConfig {
+            nodes: 2,
+            catalogue: 1_000,
+            capacity: 10,
+            ell: 0.5,
+            ..ClusterConfig::default()
+        };
+        // x = 5, prefix = 5: slices [6, 11) and [11, 16).
+        let cluster = Cluster::new(config).unwrap();
+        let (accepted, missed) = (AtomicU64::new(0), AtomicU64::new(0));
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for node in 0..2 {
+                let (cluster, accepted, missed, barrier) = (&cluster, &accepted, &missed, &barrier);
+                scope.spawn(move || {
+                    let mut submitter = cluster.batch_submitter();
+                    for round in 0..2_000u64 {
+                        let mut run: Vec<ContentId> = (0..32)
+                            .map(|i| ContentId(crate::shard::mix(round << 8 | i) % 40 + 1))
+                            .collect();
+                        let admitted = submitter.submit_run(node, 0, &mut run);
+                        accepted.fetch_add(admitted as u64, Ordering::Relaxed);
+                        barrier.wait();
+                        cluster.drain();
+                        if totals(cluster).total() != accepted.load(Ordering::Relaxed) {
+                            missed.fetch_add(1, Ordering::Relaxed);
+                        }
+                        barrier.wait();
+                    }
+                });
+            }
+        });
+        assert_eq!(missed.into_inner(), 0, "drains that returned before every job was counted");
+        let totals = totals(&cluster);
+        assert!(totals.local > 0 && totals.peer > 0 && totals.origin > 0, "{totals:?}");
+        let metrics = cluster.finish();
+        let latency: Vec<u64> = metrics.tier_latency.iter().map(Histogram::count).collect();
+        assert_eq!(latency, [totals.local, totals.peer, totals.origin]);
+    }
+
+    /// A worker's routing snapshot is re-read as soon as a layout is
+    /// installed, while liveness is read per item: a kill that leaves
+    /// the layout alone still re-homes the dead holder's share.
+    #[test]
+    fn routing_snapshot_follows_reslices_and_liveness() {
+        let config = ClusterConfig {
+            nodes: 3,
+            catalogue: 1_000,
+            capacity: 10,
+            ell: 0.5,
+            ..ClusterConfig::default()
+        };
+        // x = 5, prefix = 5: slices [6, 11), [11, 16), [16, 21); the
+        // kill of node 1 lands at admission op 4.
+        let plan = FaultPlan::none().with_node_outage(1, 4, None);
+        let cluster = Cluster::with_faults(config, plan).unwrap();
+        drive_to_completion(&cluster, 0, ContentId(12)); // op 1
+        assert_eq!(totals(&cluster).peer, 1, "node 1's slice is a peer hit at node 0");
+        let mut swapped = contiguous_slices(5, 6, 5, 3);
+        swapped[0].slice = 11..16;
+        swapped[1].slice = 6..11;
+        cluster.apply_layout(&swapped).unwrap();
+        drive_to_completion(&cluster, 0, ContentId(12)); // op 2
+        assert_eq!(totals(&cluster).local, 1, "the re-slice moved rank 12 into node 0's store");
+        // Rank 7 left node 0's slice: only a re-read table forwards it.
+        drive_to_completion(&cluster, 0, ContentId(7)); // op 3
+        assert_eq!(totals(&cluster).peer, 2, "rank 7 is node 1's now");
+        drive_to_completion(&cluster, 2, ContentId(1)); // op 4: node 1 dies
+        assert!(!cluster.shared.routing.is_live(1));
+        assert_eq!(cluster.config_epoch(), 2, "a kill leaves the layout alone");
+        // A rank of node 1's new slice whose survivor is not the asker.
+        let rank = (6..11)
+            .map(ContentId)
+            .find(|&c| cluster.shared.routing.holder(c) == Some(2))
+            .expect("some rank of the dead slice re-homes to node 2");
+        drive_to_completion(&cluster, 0, rank); // op 5
+        let totals = totals(&cluster);
+        let metrics = cluster.finish();
+        assert_eq!(metrics.failed_over, 1, "the forward went to the survivor");
+        assert_eq!(metrics.fault_served, 0, "nothing reached the dead node");
+        assert_eq!((totals.local, totals.peer, totals.origin), (2, 2, 1));
     }
 
     #[test]

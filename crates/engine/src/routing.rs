@@ -120,10 +120,10 @@ impl RoutingTable {
 ///   bumps a monotone *liveness epoch*.
 /// - **Layout** changes only when the adaptive controller installs a
 ///   re-slice ([`Self::install_table`]). The table sits behind an
-///   `RwLock<Arc<...>>`: the hot path takes an uncontended read lock
-///   and clones the `Arc` — per call, or once per run of items through
-///   a view (the wire tier's serve path) — and installs are stamped
-///   with a separate monotone *config epoch*.
+///   `RwLock<Arc<...>>`, read and cloned per call, per run of items
+///   (a view: the wire's serve path), or per config epoch (a shard
+///   worker's snapshot, `route`); installs are stamped with a
+///   separate monotone *config epoch*.
 ///
 /// In-flight operations routed under either epoch N are never recalled
 /// when N+1 lands mid-batch: they complete (possibly degraded to
@@ -230,6 +230,23 @@ impl LiveRouting {
     #[must_use]
     pub fn holder(&self, content: ContentId) -> Option<usize> {
         self.view().holder(content)
+    }
+
+    /// `(holder, primary)` through a caller-held `(config epoch, table)`
+    /// snapshot, re-read only once that epoch (bumped after its table is
+    /// installed) moves: one `Acquire` load, no lock, no reference-count
+    /// write. Liveness is still read per call.
+    pub(crate) fn route(
+        &self,
+        snapshot: &mut (u64, Arc<RoutingTable>),
+        content: ContentId,
+    ) -> Option<(usize, usize)> {
+        let epoch = self.config_epoch();
+        if snapshot.0 != epoch {
+            *snapshot = (epoch, self.table());
+        }
+        let primary = snapshot.1.primary(content)?;
+        Some((snapshot.1.holder_where(content, |node| self.is_live(node))?, primary))
     }
 
     /// One table snapshot to route many items through: the lock and

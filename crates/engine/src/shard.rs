@@ -48,14 +48,14 @@
 //!
 //! What a shard's single writer holds is a `ShardOwner`: the store
 //! and the consumer end of the ring. A [`ShardedStore`] gives each
-//! owner a worker thread that does nothing else. A wire node
-//! ([`crate::net`]) builds the same shards without threads
-//! (`shard_set`) and runs each owner on a serve worker that also
-//! reads its own sockets: that thread runs its own shard's ops inline
-//! (`ShardOwner::run_ops`), sends only the other shards' share
-//! through their rings, keeps draining its own ring while it waits
-//! for them, and blocks in its poller instead of parking — its
-//! `Waker` is an eventfd.
+//! owner a worker thread that does nothing else, serving through its
+//! own `Serve` value. A wire node ([`crate::net`]) builds the same
+//! shards without threads (`shard_set`) and runs each owner on a serve
+//! worker that also reads its own sockets: that thread runs its own
+//! shard's ops inline (`ShardOwner::run_ops`), sends only the other
+//! shards' share through their rings, keeps draining its own ring
+//! while it waits for them, and blocks in its poller instead of
+//! parking — its `Waker` is an eventfd.
 //!
 //! # Every job ring is multi-producer
 //!
@@ -785,21 +785,27 @@ impl<J: Send + 'static> ShardedStore<J> {
         F: FnMut(usize) -> Box<dyn ContentStore>,
         H: Fn(&mut dyn ContentStore, J) + Send + Sync + 'static,
     {
-        Self::try_spawn_idling(spec, (IDLE_SPINS, IDLE_YIELDS), store_factory, handler)
+        Self::try_spawn_serving(spec, store_factory, |_| Arc::clone(&handler))
     }
 
-    /// [`ShardedStore::try_spawn_with`] with the workers' idle
+    /// [`ShardedStore::try_spawn_with`] with one [`Serve`] value per
+    /// worker, `serve(shard)`, moved onto that worker's thread.
+    pub(crate) fn try_spawn_serving<S: Serve<J> + Send + 'static>(
+        spec: ShardSpec,
+        store_factory: impl FnMut(usize) -> Box<dyn ContentStore>,
+        serve: impl FnMut(usize) -> S,
+    ) -> Result<Self, EngineError> {
+        Self::try_spawn_idling(spec, (IDLE_SPINS, IDLE_YIELDS), store_factory, serve)
+    }
+
+    /// [`ShardedStore::try_spawn_serving`] with the workers' idle
     /// escalation given as `(spins, yields)` before they park.
-    fn try_spawn_idling<F, H>(
+    fn try_spawn_idling<S: Serve<J> + Send + 'static>(
         spec: ShardSpec,
         idle: (u32, u32),
-        mut store_factory: F,
-        handler: Arc<H>,
-    ) -> Result<Self, EngineError>
-    where
-        F: FnMut(usize) -> Box<dyn ContentStore>,
-        H: Fn(&mut dyn ContentStore, J) + Send + Sync + 'static,
-    {
+        mut store_factory: impl FnMut(usize) -> Box<dyn ContentStore>,
+        mut serve: impl FnMut(usize) -> S,
+    ) -> Result<Self, EngineError> {
         if spec.shards == 0 {
             return Err(EngineError::InvalidConfig { reason: "need at least one shard".into() });
         }
@@ -820,7 +826,7 @@ impl<J: Send + 'static> ShardedStore<J> {
         let mut workers = Vec::with_capacity(spec.shards);
         for shard in 0..spec.shards {
             let (owner, with_waker) = new_shard(shard, spec.queue_capacity, store_factory(shard));
-            let worker_handler = Arc::clone(&handler);
+            let worker_serve = serve(shard);
             let worker_pinned = Arc::clone(&pinned_workers);
             let pin_core = spec.pin_cores.get(shard).copied().flatten();
             let spawned =
@@ -830,7 +836,7 @@ impl<J: Send + 'static> ShardedStore<J> {
                             worker_pinned.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    worker_loop(owner, idle, &*worker_handler);
+                    worker_loop(owner, idle, worker_serve);
                 });
             let worker = match spawned {
                 Ok(worker) => worker,
@@ -882,6 +888,27 @@ const DRAIN_MAX: usize = 256;
 
 /// The asynchronous-job callback of a shard's owner thread.
 pub(crate) type OnJob<'a, J> = &'a mut dyn FnMut(&mut dyn ContentStore, J);
+
+/// A [`ShardedStore`] worker's serve state, owned by its thread.
+/// [`Serve::drained`] runs after every non-empty drain, the one that
+/// meets the stop sentinel included, so what a worker records once
+/// per batch is never left behind when it idles or exits.
+pub(crate) trait Serve<J> {
+    /// Serves one job against the worker's store.
+    fn job(&mut self, store: &mut dyn ContentStore, job: J);
+
+    /// Ends a batch of up to [`DRAIN_MAX`] messages.
+    fn drained(&mut self);
+}
+
+/// [`ShardedStore::try_spawn_with`]'s shared callback: nothing to record.
+impl<J, H: Fn(&mut dyn ContentStore, J)> Serve<J> for Arc<H> {
+    fn job(&mut self, store: &mut dyn ContentStore, job: J) {
+        (**self)(store, job);
+    }
+
+    fn drained(&mut self) {}
+}
 
 /// Executes one run against its store, in order: hit → touch; miss →
 /// insert iff the op's flag is set. Each flag becomes the hit verdict.
@@ -1072,18 +1099,19 @@ pub(crate) fn shard_set<J: Send + 'static>(
     (ShardHandle::over(shards, Arc::default()), owners)
 }
 
-/// Drains `owner`'s queue until stopped; when it runs dry, spins
-/// `idle.0` times, yields `idle.1` times, then parks.
-fn worker_loop<J, H>(mut owner: ShardOwner<J>, idle: (u32, u32), handler: &H)
-where
-    J: Send + 'static,
-    H: Fn(&mut dyn ContentStore, J),
-{
+/// Drains `owner`'s queue into `serve` until stopped; when it runs
+/// dry, spins `idle.0` times, yields `idle.1` times, then parks.
+fn worker_loop<J: Send + 'static>(
+    mut owner: ShardOwner<J>,
+    idle: (u32, u32),
+    mut serve: impl Serve<J>,
+) {
     let (idle_spins, idle_yields) = idle;
     let mut spins = 0u32;
     let mut yields = 0u32;
     loop {
-        if owner.drain(handler) {
+        if owner.drain(|store, job| serve.job(store, job)) {
+            serve.drained();
             if owner.stopped {
                 return;
             }
@@ -1142,8 +1170,8 @@ mod tests {
         H: Fn(&mut dyn ContentStore, u64) + Send + Sync + 'static,
     {
         let spec = ShardSpec::new(1, queue);
-        ShardedStore::try_spawn_idling(spec, (0, 0), |_| Box::new(LruStore::new(4)), handler)
-            .unwrap()
+        let serve = |_| Arc::clone(&handler);
+        ShardedStore::try_spawn_idling(spec, (0, 0), |_| Box::new(LruStore::new(4)), serve).unwrap()
     }
 
     #[test]

@@ -31,8 +31,6 @@
 //!   of the Zipf exponent from observed requests;
 //! - [`mandelbrot`]: the Zipf–Mandelbrot head-flattening
 //!   generalization observed in real content traces;
-//! - [`space_saving`]: the Space-Saving heavy-hitter sketch for
-//!   online popularity tracking with bounded memory;
 //! - [`streaming`]: exponentially decayed sufficient statistics for
 //!   online MLE refits under popularity drift.
 //!
@@ -61,7 +59,6 @@ pub mod fit;
 pub mod harmonic;
 pub mod mandelbrot;
 mod sampler;
-pub mod space_saving;
 pub mod streaming;
 
 pub use continuous::ContinuousZipf;
