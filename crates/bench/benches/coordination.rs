@@ -1,5 +1,6 @@
 //! Benchmarks of the coordination layer: full provisioning rounds and
-//! online exponent re-estimation.
+//! online exponent re-estimation (the controller's [`StreamingFit`]
+//! over one undecayed batch).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -8,7 +9,7 @@ use std::hint::black_box;
 
 use ccn_coord::{Coordinator, CoordinatorConfig};
 use ccn_model::ModelParams;
-use ccn_zipf::{fit_mle, ZipfSampler};
+use ccn_zipf::{StreamingFit, ZipfSampler};
 
 fn coordination_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("provisioning_round");
@@ -32,7 +33,11 @@ fn coordination_benches(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(4);
         let ranks = sampler.sample_many(&mut rng, samples);
         group.bench_with_input(BenchmarkId::from_parameter(samples), &ranks, |b, r| {
-            b.iter(|| fit_mle(black_box(r), 100_000).expect("fits"))
+            b.iter(|| {
+                let mut window = StreamingFit::new(100_000, 1.0).expect("valid window");
+                window.observe(black_box(r)).expect("ranks in catalogue");
+                window.fit().expect("fits")
+            })
         });
     }
     group.finish();

@@ -4,10 +4,7 @@
 //! network actually pays for is not the layout itself but the *delta*
 //! against what routers already hold — every coordinated slot a router
 //! gains must be fetched and warmed. [`LayoutDelta`] measures that
-//! cost, and [`rebalance_slices`] produces a new layout that keeps the
-//! measured movement no larger than a from-scratch recompute by
-//! permuting which router takes which slice to maximize overlap with
-//! the previous round.
+//! cost.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -80,75 +77,10 @@ impl LayoutDelta {
     }
 }
 
-/// Splits the coordinated range `[start, start + n·x)` into `n`
-/// contiguous slices like [`crate::contiguous_slices`], but chooses
-/// which router takes which slice so the movement against `old` is
-/// minimized: a greedy maximum-overlap matching is compared with the
-/// plain rank-order assignment and whichever moves fewer slots wins.
-/// With an empty `old` this degenerates to `contiguous_slices`.
-#[must_use]
-pub fn rebalance_slices(
-    prefix: u64,
-    start: u64,
-    x: u64,
-    routers: usize,
-    old: &[RouterAssignment],
-) -> Vec<RouterAssignment> {
-    let identity = crate::contiguous_slices(prefix, start, x, routers);
-    if old.is_empty() || x == 0 {
-        return identity;
-    }
-    let previous: HashMap<usize, &RouterAssignment> = old.iter().map(|a| (a.router, a)).collect();
-
-    // Greedy maximum-overlap matching between the n fresh slices and
-    // the n routers: consider (slice, router) pairs in decreasing
-    // overlap with the router's previous slice, claim greedily.
-    let slices: Vec<Range<u64>> =
-        (0..routers as u64).map(|i| (start + i * x)..(start + (i + 1) * x)).collect();
-    let mut pairs: Vec<(u64, usize, usize)> = Vec::with_capacity(routers * routers);
-    for (si, slice) in slices.iter().enumerate() {
-        for router in 0..routers {
-            let shared = previous.get(&router).map_or(0, |prev| overlap(slice, &prev.slice));
-            pairs.push((shared, si, router));
-        }
-    }
-    pairs.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-    let mut slice_taken = vec![false; routers];
-    let mut router_taken = vec![false; routers];
-    let mut choice: Vec<usize> = vec![0; routers]; // slice index -> router
-    let mut assigned = 0;
-    for (_, si, router) in pairs {
-        if slice_taken[si] || router_taken[router] {
-            continue;
-        }
-        slice_taken[si] = true;
-        router_taken[router] = true;
-        choice[si] = router;
-        assigned += 1;
-        if assigned == routers {
-            break;
-        }
-    }
-    let greedy: Vec<RouterAssignment> = slices
-        .into_iter()
-        .enumerate()
-        .map(|(si, slice)| RouterAssignment { router: choice[si], local_prefix: prefix, slice })
-        .collect();
-
-    let greedy_cost = LayoutDelta::between(old, &greedy).moved_slots();
-    let identity_cost = LayoutDelta::between(old, &identity).moved_slots();
-    if greedy_cost <= identity_cost {
-        greedy
-    } else {
-        identity
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::contiguous_slices;
-    use proptest::prelude::*;
 
     #[test]
     fn identical_layouts_move_nothing() {
@@ -172,75 +104,5 @@ mod tests {
         // fully.
         assert_eq!(LayoutDelta::between(&old, &grown).moved_slots(), 30);
         assert_eq!(LayoutDelta::between(&grown, &old).moved_slots(), 0);
-    }
-
-    #[test]
-    fn rebalance_recovers_a_permuted_baseline() {
-        // The old layout assigns slices in reverse router order (e.g.
-        // from a centrality ordering). A naive recompute would hand
-        // router 0 the first slice and move everything; rebalancing
-        // keeps the permutation and moves nothing.
-        let mut old = contiguous_slices(10, 11, 20, 4);
-        old.reverse();
-        for (i, a) in old.iter_mut().enumerate() {
-            a.router = i;
-        }
-        let rebalanced = rebalance_slices(10, 11, 20, 4, &old);
-        assert_eq!(LayoutDelta::between(&old, &rebalanced).moved_slots(), 0);
-        let naive = contiguous_slices(10, 11, 20, 4);
-        assert!(LayoutDelta::between(&old, &naive).moved_slots() > 0);
-    }
-
-    #[test]
-    fn rebalance_without_history_is_the_plain_tiling() {
-        assert_eq!(rebalance_slices(5, 6, 7, 3, &[]), contiguous_slices(5, 6, 7, 3));
-    }
-
-    #[test]
-    fn rebalanced_layout_is_still_a_disjoint_cover() {
-        let old = contiguous_slices(90, 91, 30, 5);
-        let new = rebalance_slices(80, 81, 40, 5, &old);
-        let mut covered: Vec<u64> = new.iter().flat_map(|a| a.slice.clone()).collect();
-        covered.sort_unstable();
-        assert_eq!(covered, (81..81 + 200).collect::<Vec<_>>());
-        let mut routers: Vec<usize> = new.iter().map(|a| a.router).collect();
-        routers.sort_unstable();
-        assert_eq!(routers, (0..5).collect::<Vec<_>>());
-    }
-
-    proptest! {
-        /// The satellite contract: rebalancing against the previous
-        /// layout never moves more slots than the from-scratch
-        /// recompute (`contiguous_slices`), across arbitrary old
-        /// geometries including permuted router orders.
-        #[test]
-        fn rebalance_never_beats_worse_than_recompute(
-            old_prefix in 0u64..200,
-            old_x in 0u64..100,
-            new_prefix in 0u64..200,
-            new_x in 0u64..100,
-            routers in 1usize..8,
-            rotate in 0usize..8,
-        ) {
-            let mut old = contiguous_slices(old_prefix, old_prefix + 1, old_x, routers);
-            // Permute router ids to simulate a previously rebalanced
-            // or centrality-ordered layout.
-            for (i, a) in old.iter_mut().enumerate() {
-                a.router = (i + rotate) % routers;
-            }
-            let rebalanced =
-                rebalance_slices(new_prefix, new_prefix + 1, new_x, routers, &old);
-            let recompute = contiguous_slices(new_prefix, new_prefix + 1, new_x, routers);
-            let moved = LayoutDelta::between(&old, &rebalanced).moved_slots();
-            let naive = LayoutDelta::between(&old, &recompute).moved_slots();
-            prop_assert!(
-                moved <= naive,
-                "rebalance moved {moved} > recompute {naive}"
-            );
-            // And it is still a valid one-slice-per-router cover.
-            let mut ids: Vec<usize> = rebalanced.iter().map(|a| a.router).collect();
-            ids.sort_unstable();
-            prop_assert_eq!(ids, (0..routers).collect::<Vec<_>>());
-        }
     }
 }

@@ -2,7 +2,6 @@ use std::error::Error;
 use std::fmt;
 
 use ccn_model::ModelError;
-use ccn_zipf::ZipfError;
 
 /// Errors produced by the coordination layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -10,8 +9,6 @@ use ccn_zipf::ZipfError;
 pub enum CoordError {
     /// The underlying optimization model failed.
     Model(ModelError),
-    /// Online exponent estimation failed.
-    Fit(ZipfError),
     /// A protocol precondition was violated.
     Protocol {
         /// Explanation of the violated precondition.
@@ -31,7 +28,6 @@ impl fmt::Display for CoordError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CoordError::Model(e) => write!(f, "model error: {e}"),
-            CoordError::Fit(e) => write!(f, "estimation error: {e}"),
             CoordError::Protocol { reason } => write!(f, "protocol error: {reason}"),
             CoordError::Partition { unreachable } => {
                 write!(
@@ -48,7 +44,6 @@ impl Error for CoordError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             CoordError::Model(e) => Some(e),
-            CoordError::Fit(e) => Some(e),
             CoordError::Protocol { .. } | CoordError::Partition { .. } => None,
         }
     }
@@ -57,12 +52,6 @@ impl Error for CoordError {
 impl From<ModelError> for CoordError {
     fn from(e: ModelError) -> Self {
         CoordError::Model(e)
-    }
-}
-
-impl From<ZipfError> for CoordError {
-    fn from(e: ZipfError) -> Self {
-        CoordError::Fit(e)
     }
 }
 
@@ -75,7 +64,10 @@ mod tests {
         let e = CoordError::Protocol { reason: "no routers".into() };
         assert!(e.to_string().contains("no routers"));
         assert!(Error::source(&e).is_none());
-        let e = CoordError::from(ZipfError::DegenerateSample { reason: "empty" });
+        let e = CoordError::from(ModelError::SolverDomain {
+            solver: "closed form",
+            reason: "α ≠ 1",
+        });
         assert!(Error::source(&e).is_some());
         let e = CoordError::Partition { unreachable: vec![3, 4] };
         assert!(e.to_string().contains("2 router(s)"));

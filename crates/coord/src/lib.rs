@@ -24,11 +24,12 @@
 //! [`rounds`] hardens the round into a retrying state machine with
 //! bounded backoff, abort-to-last-known-good semantics, and
 //! coordinator failover on the surviving subgraph;
-//! [`distributed`] costs the round under concrete realizations
+//! and [`distributed`] costs the round under concrete realizations
 //! (centralized unicast, spanning-tree aggregation, flooding) in
-//! link crossings over a real topology, and [`adaptive`] closes the loop (the paper's "online self-adaptive
-//! algorithms" future work): it re-estimates the Zipf exponent from
-//! observed requests and re-provisions when the optimum drifts.
+//! link crossings over a real topology. [`LayoutDelta`] measures what
+//! a re-provisioning moves; the closed loop that decides when to
+//! re-provision (the paper's "online self-adaptive algorithms" future
+//! work) is `ccn_engine::control::Controller`.
 //!
 //! # Example
 //!
@@ -49,7 +50,6 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod adaptive;
 pub mod distributed;
 pub mod reliability;
 pub mod rounds;
@@ -64,7 +64,7 @@ mod message;
 pub use assignment::{centrality_ordered_slices, contiguous_slices, slice_order, RouterAssignment};
 pub use coordinator::{Coordinator, CoordinatorConfig, ProvisioningRound};
 pub use cost::CostAccounting;
-pub use delta::{rebalance_slices, LayoutDelta, RouterMove};
+pub use delta::{LayoutDelta, RouterMove};
 pub use error::CoordError;
 pub use message::Message;
 pub use rounds::{

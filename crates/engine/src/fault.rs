@@ -25,7 +25,7 @@
 //!   shed` — peer-forward deadline, retry budget, and the
 //!   consecutive-timeout health detector that feeds the epoch-bumped
 //!   [`crate::routing::LiveRouting`] view.
-//! - **Runtime state** ([`FaultState`], [`FaultController`],
+//! - **Runtime state** (`FaultState`, `FaultController`,
 //!   crate-private): the atomics the hot path consults, the one
 //!   fault replay both serving tiers advance at admission, and the
 //!   applied-fault log ([`AppliedFault`]) surfaced through

@@ -586,7 +586,7 @@ const STATIC_BITSET_MAX_RANK: u64 = 1 << 27;
 /// Membership is a dense bitset over ranks (the simulator probes
 /// `contains` on every traversed router for every Interest, so this is
 /// the single hottest query in coordinated runs); ranks beyond
-/// [`STATIC_BITSET_MAX_RANK`] spill into a hash set.
+/// `STATIC_BITSET_MAX_RANK` spill into a hash set.
 #[derive(Debug)]
 pub struct StaticStore {
     /// Pinned ranks, ascending (the deterministic snapshot order).

@@ -1,17 +1,14 @@
-//! Estimating the Zipf exponent from observed requests.
+//! Maximum-likelihood estimation of the Zipf exponent.
 //!
-//! The coordination layer's adaptive mode (`ccn-coord::adaptive`)
-//! re-estimates the popularity exponent `s` online and re-solves the
-//! optimal coordination level. Two estimators are provided:
-//!
-//! - [`fit_mle`]: maximum likelihood over the discrete Zipf law,
-//!   maximizing `L(s) = -s Σ ln k_i - m ln H_{N,s}` by golden-section
-//!   search (the likelihood is unimodal in `s`);
-//! - [`fit_log_log`]: ordinary least squares on the log–log
-//!   rank–frequency plot, the classic (biased but cheap) estimator.
+//! The discrete Zipf law's negative log-likelihood
+//! `s·Σ ln k_i + m·ln H_{N,s}` depends on the sample only through the
+//! log-rank sum and the sample weight, and it is unimodal in `s`.
+//! [`crate::StreamingFit`] keeps those two moments over a decayed
+//! window, and `fit_from_moments` minimizes the likelihood from them
+//! by golden-section search. The serving engine's adaptive controller
+//! (`ccn_engine::control::Controller`) runs this path on every refit.
 
 use crate::harmonic::generalized_harmonic;
-use crate::mandelbrot::ZipfMandelbrot;
 use crate::ZipfError;
 
 /// Result of fitting a Zipf exponent to data.
@@ -19,8 +16,7 @@ use crate::ZipfError;
 pub struct FitResult {
     /// Estimated exponent `s`.
     pub exponent: f64,
-    /// Maximized log-likelihood (MLE) or negative residual sum of
-    /// squares (log–log), for comparing fits.
+    /// Maximized log-likelihood, for comparing fits.
     pub score: f64,
     /// Number of observations used.
     pub samples: usize,
@@ -31,49 +27,6 @@ pub struct FitResult {
 const S_SEARCH: (f64, f64) = (1e-3, 3.0);
 const GOLDEN_TOL: f64 = 1e-9;
 const GOLDEN_MAX_ITERS: usize = 200;
-
-/// Maximum-likelihood estimate of the Zipf exponent from observed
-/// ranks `1..=catalogue` (one entry per request).
-///
-/// # Errors
-///
-/// Returns [`ZipfError::DegenerateSample`] when `ranks` is empty or
-/// contains a rank outside `[1, catalogue]`, and
-/// [`ZipfError::InvalidCatalogue`] when `catalogue == 0`.
-///
-/// # Example
-///
-/// ```
-/// use ccn_zipf::{fit_mle, ZipfSampler};
-/// use rand::SeedableRng;
-///
-/// # fn main() -> Result<(), ccn_zipf::ZipfError> {
-/// let sampler = ZipfSampler::new(0.8, 10_000)?;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-/// let ranks = sampler.sample_many(&mut rng, 50_000);
-/// let fit = fit_mle(&ranks, 10_000)?;
-/// assert!((fit.exponent - 0.8).abs() < 0.05);
-/// # Ok(())
-/// # }
-/// ```
-pub fn fit_mle(ranks: &[u64], catalogue: u64) -> Result<FitResult, ZipfError> {
-    if catalogue == 0 {
-        return Err(ZipfError::InvalidCatalogue { n: 0.0 });
-    }
-    if ranks.is_empty() {
-        return Err(ZipfError::DegenerateSample { reason: "no observations" });
-    }
-    let mut sum_log = 0.0;
-    for &k in ranks {
-        if k == 0 || k > catalogue {
-            return Err(ZipfError::DegenerateSample {
-                reason: "observation rank outside catalogue",
-            });
-        }
-        sum_log += (k as f64).ln();
-    }
-    fit_from_moments(sum_log, ranks.len() as f64, catalogue)
-}
 
 /// MLE fit from sufficient statistics: the negative log-likelihood
 /// `s·Σln(k) + m·ln(H_{N,s})` depends on the sample only through the
@@ -101,108 +54,6 @@ pub(crate) fn fit_from_moments(
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let samples = weight.round() as usize;
     Ok(FitResult { exponent: s_hat, score: -value, samples })
-}
-
-/// Least-squares fit of `ln(count) = b - s·ln(rank)` on the rank–
-/// frequency table. `counts[i]` is the observed request count of the
-/// object that ends up at rank `i + 1`; zero counts are skipped.
-///
-/// # Errors
-///
-/// Returns [`ZipfError::DegenerateSample`] when fewer than two ranks
-/// have positive counts (a line cannot be fitted).
-pub fn fit_log_log(counts: &[u64]) -> Result<FitResult, ZipfError> {
-    let points: Vec<(f64, f64)> = counts
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c > 0)
-        .map(|(i, &c)| ((i as f64 + 1.0).ln(), (c as f64).ln()))
-        .collect();
-    if points.len() < 2 {
-        return Err(ZipfError::DegenerateSample {
-            reason: "need at least two ranks with positive counts",
-        });
-    }
-    let n = points.len() as f64;
-    let (sx, sy): (f64, f64) = points.iter().fold((0.0, 0.0), |(a, b), &(x, y)| (a + x, b + y));
-    let (mx, my) = (sx / n, sy / n);
-    let mut sxx = 0.0;
-    let mut sxy = 0.0;
-    for &(x, y) in &points {
-        sxx += (x - mx) * (x - mx);
-        sxy += (x - mx) * (y - my);
-    }
-    if sxx == 0.0 {
-        return Err(ZipfError::DegenerateSample { reason: "all observations share one rank" });
-    }
-    let slope = sxy / sxx;
-    let intercept = my - slope * mx;
-    let rss: f64 = points
-        .iter()
-        .map(|&(x, y)| {
-            let e = y - (intercept + slope * x);
-            e * e
-        })
-        .sum();
-    Ok(FitResult { exponent: -slope, score: -rss, samples: points.len() })
-}
-
-/// Joint maximum-likelihood fit of the Zipf–Mandelbrot `(s, q)` pair
-/// by nested golden-section search: the outer search runs over the
-/// shift `q ∈ [0, q_max]`, the inner over the exponent. Returns the
-/// fitted distribution and the achieved log-likelihood.
-///
-/// # Errors
-///
-/// Same contract as [`fit_mle`], plus rejects a non-positive `q_max`.
-pub fn fit_mandelbrot_mle(
-    ranks: &[u64],
-    catalogue: u64,
-    q_max: f64,
-) -> Result<(ZipfMandelbrot, f64), ZipfError> {
-    if catalogue == 0 {
-        return Err(ZipfError::InvalidCatalogue { n: 0.0 });
-    }
-    if ranks.is_empty() {
-        return Err(ZipfError::DegenerateSample { reason: "no observations" });
-    }
-    if !q_max.is_finite() || q_max < 0.0 {
-        return Err(ZipfError::DegenerateSample { reason: "negative or non-finite q_max" });
-    }
-    for &k in ranks {
-        if k == 0 || k > catalogue {
-            return Err(ZipfError::DegenerateSample {
-                reason: "observation rank outside catalogue",
-            });
-        }
-    }
-    let m = ranks.len() as f64;
-    // Negative log-likelihood at (s, q); the shifted normalizer is
-    // recomputed per probe (exact summation).
-    let nll = |s: f64, q: f64| -> f64 {
-        let sum_log: f64 = ranks.iter().map(|&k| (k as f64 + q).ln()).sum();
-        let normalizer: f64 = (1..=catalogue).map(|j| (j as f64 + q).powf(-s)).sum();
-        s * sum_log + m * normalizer.ln()
-    };
-    let inner = |q: f64| golden_section_min(|s| nll(s, q), S_SEARCH.0, S_SEARCH.1);
-    let (q_hat, _) = golden_section_min(|q| inner(q).1, 0.0, q_max.max(1e-9));
-    let (s_hat, value) = inner(q_hat);
-    let dist = ZipfMandelbrot::new(s_hat, q_hat, catalogue)?;
-    Ok((dist, -value))
-}
-
-/// Builds a rank–frequency table (sorted descending) from raw object
-/// identifiers, for feeding [`fit_log_log`].
-#[must_use]
-pub fn rank_frequency_table(observations: &[u64]) -> Vec<u64> {
-    use std::collections::HashMap;
-    let mut counts: HashMap<u64, u64> = HashMap::new();
-    for &o in observations {
-        *counts.entry(o).or_insert(0) += 1;
-    }
-    let mut freqs: Vec<u64> = counts.into_values().collect();
-    freqs.sort_unstable_by(|a, b| b.cmp(a));
-    freqs
 }
 
 fn golden_section_min(f: impl Fn(f64) -> f64, mut a: f64, mut b: f64) -> (f64, f64) {
@@ -235,8 +86,7 @@ fn golden_section_min(f: impl Fn(f64) -> f64, mut a: f64, mut b: f64) -> (f64, f
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::ZipfSampler;
+    use crate::{StreamingFit, ZipfSampler};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -246,7 +96,9 @@ mod tests {
             let sampler = ZipfSampler::new(s_true, 5_000).unwrap();
             let mut rng = StdRng::seed_from_u64(11);
             let ranks = sampler.sample_many(&mut rng, 40_000);
-            let fit = fit_mle(&ranks, 5_000).unwrap();
+            let mut window = StreamingFit::new(5_000, 1.0).unwrap();
+            window.observe(&ranks).unwrap();
+            let fit = window.fit().unwrap();
             assert!(
                 (fit.exponent - s_true).abs() < 0.05,
                 "true {s_true} estimated {}",
@@ -254,76 +106,5 @@ mod tests {
             );
             assert_eq!(fit.samples, 40_000);
         }
-    }
-
-    #[test]
-    fn mle_rejects_degenerate_input() {
-        assert!(matches!(fit_mle(&[], 100), Err(ZipfError::DegenerateSample { .. })));
-        assert!(matches!(fit_mle(&[0], 100), Err(ZipfError::DegenerateSample { .. })));
-        assert!(matches!(fit_mle(&[101], 100), Err(ZipfError::DegenerateSample { .. })));
-        assert!(matches!(fit_mle(&[1], 0), Err(ZipfError::InvalidCatalogue { .. })));
-    }
-
-    #[test]
-    fn log_log_recovers_exact_power_law() {
-        // Perfect synthetic power law: count(k) = 1e6 * k^{-0.8}.
-        let counts: Vec<u64> =
-            (1..=200).map(|k| (1e6 * (k as f64).powf(-0.8)).round() as u64).collect();
-        let fit = fit_log_log(&counts).unwrap();
-        assert!((fit.exponent - 0.8).abs() < 0.01, "estimated {}", fit.exponent);
-    }
-
-    #[test]
-    fn log_log_rejects_degenerate_input() {
-        assert!(fit_log_log(&[]).is_err());
-        assert!(fit_log_log(&[5]).is_err());
-        assert!(fit_log_log(&[0, 0, 0]).is_err());
-    }
-
-    #[test]
-    fn rank_frequency_table_sorts_descending() {
-        let obs = [7, 7, 7, 3, 3, 9];
-        let table = rank_frequency_table(&obs);
-        assert_eq!(table, vec![3, 2, 1]);
-    }
-
-    #[test]
-    fn mandelbrot_fit_recovers_shift_and_exponent() {
-        use crate::mandelbrot::{MandelbrotSampler, ZipfMandelbrot};
-        let truth = ZipfMandelbrot::new(0.9, 20.0, 2_000).unwrap();
-        let sampler = MandelbrotSampler::new(&truth).unwrap();
-        let mut rng = StdRng::seed_from_u64(41);
-        let ranks = sampler.sample_many(&mut rng, 60_000);
-        let (fit, ll) = fit_mandelbrot_mle(&ranks, 2_000, 200.0).unwrap();
-        assert!((fit.exponent() - 0.9).abs() < 0.15, "s = {}", fit.exponent());
-        assert!(
-            (fit.shift() - 20.0).abs() < 15.0,
-            "q = {} (weakly identified, wide tolerance)",
-            fit.shift()
-        );
-        // The joint fit must beat the plain-Zipf fit in likelihood.
-        let plain = fit_mle(&ranks, 2_000).unwrap();
-        assert!(ll > plain.score, "joint {ll} vs plain {}", plain.score);
-    }
-
-    #[test]
-    fn mandelbrot_fit_rejects_bad_input() {
-        assert!(fit_mandelbrot_mle(&[], 100, 10.0).is_err());
-        assert!(fit_mandelbrot_mle(&[1], 0, 10.0).is_err());
-        assert!(fit_mandelbrot_mle(&[1], 100, -1.0).is_err());
-        assert!(fit_mandelbrot_mle(&[101], 100, 10.0).is_err());
-    }
-
-    #[test]
-    fn estimators_agree_on_clean_data() {
-        let sampler = ZipfSampler::new(0.9, 2_000).unwrap();
-        let mut rng = StdRng::seed_from_u64(13);
-        let ranks = sampler.sample_many(&mut rng, 100_000);
-        let mle = fit_mle(&ranks, 2_000).unwrap();
-        let table = rank_frequency_table(&ranks);
-        let lsq = fit_log_log(&table).unwrap();
-        // Log-log is biased, so allow a loose band; both near truth.
-        assert!((mle.exponent - 0.9).abs() < 0.05);
-        assert!((lsq.exponent - 0.9).abs() < 0.2);
     }
 }

@@ -27,12 +27,13 @@
 //!   error measurement against the discrete law;
 //! - [`ZipfSampler`]: rank samplers (exact inverse-CDF for small
 //!   catalogues, rejection-inversion for huge ones);
-//! - [`fit`]: maximum-likelihood and log–log least-squares estimation
-//!   of the Zipf exponent from observed requests;
+//! - [`fit`]: maximum-likelihood estimation of the Zipf exponent from
+//!   a window's sufficient statistics;
 //! - [`mandelbrot`]: the Zipf–Mandelbrot head-flattening
 //!   generalization observed in real content traces;
-//! - [`streaming`]: exponentially decayed sufficient statistics for
-//!   online MLE refits under popularity drift.
+//! - [`streaming`]: [`StreamingFit`], exponentially decayed sufficient
+//!   statistics for online MLE refits under popularity drift (the one
+//!   estimator entry point).
 //!
 //! # Example
 //!
@@ -64,7 +65,7 @@ pub mod streaming;
 pub use continuous::ContinuousZipf;
 pub use distribution::Zipf;
 pub use error::ZipfError;
-pub use fit::{fit_log_log, fit_mandelbrot_mle, fit_mle, FitResult};
+pub use fit::FitResult;
 pub use harmonic::{generalized_harmonic, generalized_harmonic_exact};
 pub use sampler::ZipfSampler;
 pub use streaming::StreamingFit;

@@ -1,18 +1,19 @@
 //! Streaming (decayed-window) Zipf exponent estimation.
 //!
-//! The batch estimator [`crate::fit_mle`] re-walks its whole sample on
-//! every call; an online controller refitting every tick cannot afford
-//! that. The MLE's negative log-likelihood `s·Σln(k) + m·ln(H_{N,s})`
-//! depends on the observations only through two scalars — the log-rank
-//! sum and the sample count — so an exponentially decayed window needs
-//! just those two moments. [`StreamingFit`] keeps them, applies the
-//! decay once per observation batch, and re-runs the same golden-
-//! section search as `fit_mle` on demand.
+//! An online controller refitting every tick cannot afford to re-walk
+//! its whole sample. The MLE's negative log-likelihood
+//! `s·Σln(k) + m·ln(H_{N,s})` depends on the observations only through
+//! two scalars — the log-rank sum and the sample count — so an
+//! exponentially decayed window needs just those two moments.
+//! [`StreamingFit`] keeps them, applies the decay once per observation
+//! batch, and runs the golden-section search of [`crate::fit`] on
+//! demand.
 //!
 //! With `decay == 1.0` and a single batch, [`StreamingFit::fit`] is
-//! bit-identical to `fit_mle` on that batch; with `decay < 1.0` old
-//! batches fade geometrically, so the estimate tracks popularity
-//! drift at a rate set by the decay and the batch cadence.
+//! bit-identical to a batch MLE over that batch (the moments are the
+//! batch's own Σ ln k and m); with `decay < 1.0` old batches fade
+//! geometrically, so the estimate tracks popularity drift at a rate
+//! set by the decay and the batch cadence.
 
 use crate::error::ZipfError;
 use crate::fit::{fit_from_moments, FitResult};
@@ -122,7 +123,6 @@ impl StreamingFit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fit_mle;
     use crate::sampler::ZipfSampler;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -138,7 +138,8 @@ mod tests {
     #[test]
     fn undecayed_single_batch_matches_batch_mle() {
         let ranks = draw(0.8, 20_000, 7);
-        let batch = fit_mle(&ranks, CATALOGUE).unwrap();
+        let sum_log: f64 = ranks.iter().map(|&k| (k as f64).ln()).sum();
+        let batch = fit_from_moments(sum_log, ranks.len() as f64, CATALOGUE).unwrap();
         let mut stream = StreamingFit::new(CATALOGUE, 1.0).unwrap();
         stream.observe(&ranks).unwrap();
         let online = stream.fit().unwrap();
