@@ -1,5 +1,5 @@
 //! Benchmarks of the coordination layer: full provisioning rounds and
-//! online exponent re-estimation (the controller's [`StreamingFit`]
+//! online exponent re-estimation (the controller's `StreamingFit`
 //! over one undecayed batch).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
